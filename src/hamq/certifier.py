@@ -37,7 +37,7 @@ from .families import (
     thresholds,
 )
 from .errors import BudgetExceeded, SearchTimeout
-from .graph import Graph, is_2_connected, is_connected, min_degree
+from .graph import Graph, cut_vertex, is_connected, min_degree
 from .hamilton import DEFAULT_PAIR_BUDGET, is_hamilton_connected, ore_check
 from .spectral import DEFAULT_TOL, SpectralEstimate, perron_pair
 from .transforms import closure
@@ -148,11 +148,8 @@ def certify(g: Graph, config: CertifyConfig | None = None) -> Certificate:
         trace.append({"condition": "Connectivity", "verdict": "fail",
                       "hypotheses": [_hyp("connected", True, False)]})
         return done(OUTCOME_NOT_HC, None, {"reason": "disconnected"})
-    if n >= 3 and not is_2_connected(g):
-        cut = next(
-            v for v in range(n)
-            if not is_connected(_drop_vertex(g, v))
-        )
+    cut = cut_vertex(g)
+    if cut is not None:
         trace.append({"condition": "TwoConnectivity", "verdict": "fail",
                       "hypotheses": [_hyp("two_connected", True, False)]})
         return done(OUTCOME_NOT_HC, None, {"reason": "cut-vertex", "cut_vertex": cut})
@@ -314,13 +311,6 @@ def certify(g: Graph, config: CertifyConfig | None = None) -> Certificate:
         return done(OUTCOME_TIMEOUT, {"name": "Oracle"}, {})
 
     return done(OUTCOME_INCONCLUSIVE, None, {})
-
-
-def _drop_vertex(g: Graph, v: int) -> Graph:
-    keep = [u for u in range(g.n) if u != v]
-    pos = {u: i for i, u in enumerate(keep)}
-    edges = [(pos[a], pos[b]) for a, b in g.edges() if a != v and b != v]
-    return Graph(g.n - 1, edges) if g.n > 1 else g
 
 
 def _annotate_class(g: Graph, k: int) -> str | None:

@@ -258,21 +258,25 @@ def is_connected(g: Graph) -> bool:
     return _reach_mask(g._rows, 0, full) == full
 
 
-def is_2_connected(g: Graph) -> bool:
-    """Connected with no articulation vertex; graphs of order < 3 are not
-    2-connected under this convention."""
+def cut_vertex(g: Graph) -> int | None:
+    """The smallest vertex v such that G - v is disconnected, or None.
+
+    Graphs of order <= 2 have none: removing a vertex leaves at most one.
+    """
     n = g.n
-    if n < 3:
-        return False
-    if not is_connected(g):
-        return False
     full = (1 << n) - 1
     for v in range(n):
         allowed = full ^ (1 << v)
         start = 0 if v != 0 else 1
         if _reach_mask(g._rows, start, allowed) != allowed:
-            return False
-    return True
+            return v
+    return None
+
+
+def is_2_connected(g: Graph) -> bool:
+    """Connected with no cut vertex; graphs of order < 3 are not
+    2-connected under this convention."""
+    return g.n >= 3 and is_connected(g) and cut_vertex(g) is None
 
 
 CLIQUE_SIZE_GATE = 64
@@ -394,26 +398,22 @@ def parse_graph6(text: str) -> Graph:
         raise ParseError(
             f"graph6 body has {len(s) - idx} bytes, expected {nbytes}", idx
         )
+    groups = [val(pos) for pos in range(idx, idx + nbytes)]
+    if groups and groups[-1] & ((1 << (6 * nbytes - nbits)) - 1):
+        raise ParseError("nonzero padding bits", idx + nbytes - 1)
+    # body bits run over the upper triangle column by column: (0,1), (0,2),
+    # (1,2), (0,3), ...; (i, j) is the pair of the next bit
     rows = [0] * n
-    bit = 0
-    for k in range(nbytes):
-        group = val(idx + k)
-        for t in range(5, -1, -1):
-            if bit >= nbits:
-                if group >> t & 1:
-                    raise ParseError("nonzero padding bits", idx + k)
-                continue
+    i, j = 0, 1
+    for group in groups:
+        for t in (5, 4, 3, 2, 1, 0):
             if group >> t & 1:
-                # bit index -> (i, j) with column-major upper triangle
-                b = bit
-                j = 1
-                while b >= j:
-                    b -= j
-                    j += 1
-                i = b
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-            bit += 1
+            i += 1
+            if i == j:
+                i = 0
+                j += 1
     return Graph._from_rows(n, rows)
 
 

@@ -1,10 +1,22 @@
 """Degree-sum closure and the Kelmans transformation.
 
 ``closure(G, k)`` repeatedly joins nonadjacent pairs whose degree sum is at
-least k until none remain.  The resulting edge set is independent of scan
-order (a classical fact, asserted by randomized test rather than re-proved
-here); this implementation scans pairs lexicographically and restarts after
-every addition, and returns the addition order as a replayable trace.
+least k until none remain.  The resulting edge set is independent of the
+order of additions (Bondy and Chvátal, 1976; asserted by randomized test
+rather than re-proved here), so the implementation is free to choose one.
+It makes a single worklist pass over mutable adjacency rows and degrees.
+Alongside them it keeps ``ge[t]``, the bit mask of vertices of degree at
+least t; degrees only grow, so a degree step d -> d + 1 costs one OR into
+``ge[d + 1]``.  A vertex u taken from the worklist is joined at once to
+every vertex of ``ge[k - d(u)]`` outside its closed neighborhood, and every
+vertex whose degree rose goes back on the worklist.  A pair that qualifies
+at the end is seen by whichever endpoint was processed last, so the pass
+stops at the closure.
+
+The returned trace lists the additions in the order they were made.  It
+promises only that each addition was valid at the moment it was made
+(d(u) + d(v) >= k in the graph built so far); the order itself is an
+implementation detail.
 
 ``kelmans(G, u, v)`` moves every neighbor of v outside the closed
 neighborhood of u over to u.  The operation is purely combinatorial here;
@@ -17,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BadParameters
-from .graph import Edge, Graph, add_edges, iter_bits
+from .graph import Edge, Graph, iter_bits
 
 
 @dataclass(frozen=True)
@@ -33,27 +45,50 @@ class ClosureTrace:
 
 
 def closure(g: Graph, k: int) -> tuple[Graph, ClosureTrace]:
-    """The k-closure: no nonadjacent pair of the result has degree sum >= k."""
+    """The k-closure: no nonadjacent pair of the result has degree sum >= k.
+
+    Returns ``g`` itself when nothing is added.
+    """
     if k < 1:
         raise BadParameters(f"closure parameter must be >= 1, got {k}")
-    cur = g
-    added: list[Edge] = []
     n = g.n
-    changed = True
-    while changed:
-        changed = False
-        deg = cur.degrees()
-        for u in range(n):
-            row = cur.row(u)
-            for v in range(u + 1, n):
-                if not (row >> v & 1) and deg[u] + deg[v] >= k:
-                    cur = add_edges(cur, [(u, v)])
-                    added.append((u, v))
-                    changed = True
-                    break
-            if changed:
+    rows = list(g._rows)
+    deg = list(g._deg)
+    # ge[t]: vertices of degree >= t; degrees stay <= n - 1, so ge[n] == 0
+    ge = [0] * (n + 1)
+    for v, d in enumerate(deg):
+        ge[d] |= 1 << v
+    for t in range(n - 1, -1, -1):
+        ge[t] |= ge[t + 1]
+    added: list[Edge] = []
+    todo = (1 << n) - 1  # worklist: vertices whose degree rose since their last scan
+    while todo:
+        ub = todo & -todo
+        todo ^= ub
+        u = ub.bit_length() - 1
+        while True:
+            t = k - deg[u]
+            if t >= n:
+                break  # no vertex has degree >= n
+            cand = ge[t if t > 0 else 0] & ~rows[u] & ~ub
+            if not cand:
                 break
-    return cur, ClosureTrace(k=k, added=tuple(added))
+            # every candidate stays valid: d(u) only grows while they are joined
+            todo |= cand
+            rows[u] |= cand
+            while cand:
+                xb = cand & -cand
+                cand ^= xb
+                x = xb.bit_length() - 1
+                rows[x] |= ub
+                deg[x] += 1
+                ge[deg[x]] |= xb
+                deg[u] += 1
+                ge[deg[u]] |= ub
+                added.append((u, x) if u < x else (x, u))
+    if not added:
+        return g, ClosureTrace(k=k, added=())
+    return Graph._from_rows(n, rows), ClosureTrace(k=k, added=tuple(added))
 
 
 def kelmans(g: Graph, u: int, v: int) -> Graph:

@@ -8,6 +8,7 @@ from hamq.graph import (
     add_edges,
     complete,
     copies,
+    cut_vertex,
     cycle,
     delete_edges,
     disjoint_union,
@@ -130,6 +131,35 @@ def test_two_connectivity():
     assert not is_2_connected(disjoint_union(cycle(3), cycle(3)))
 
 
+def _brute_cut_vertex(g):
+    """Smallest v with G - v disconnected, by rebuilding G - v."""
+    for v in range(g.n):
+        keep = [u for u in range(g.n) if u != v]
+        pos = {u: i for i, u in enumerate(keep)}
+        rest = Graph(g.n - 1, [(pos[a], pos[b]) for a, b in g.edges() if v not in (a, b)])
+        if not is_connected(rest):
+            return v
+    return None
+
+
+def test_cut_vertex_examples():
+    assert cut_vertex(path_graph(3)) == 1
+    assert cut_vertex(join(complete(1), copies(3, complete(1)))) == 0  # star, hub 0
+    assert cut_vertex(path_graph(2)) is None
+    assert cut_vertex(complete(1)) is None
+    assert cut_vertex(cycle(6)) is None
+
+
+def test_cut_vertex_matches_brute_force():
+    rng = SplitMix64(31)
+    for _ in range(300):
+        n = 2 + rng.next_below(10)
+        g = gnp(n, 0.15 + 0.5 * rng.next_float(), rng)
+        cut = cut_vertex(g)
+        assert cut == _brute_cut_vertex(g)
+        assert is_2_connected(g) == (n >= 3 and is_connected(g) and cut is None)
+
+
 def test_graph6_known_encodings():
     assert emit_graph6(complete(1)) == "@"
     assert emit_graph6(complete(3)) == "Bw"
@@ -159,6 +189,21 @@ def test_graph6_header_and_errors():
     with pytest.raises(ParseError) as err:
         parse_graph6("B" + chr(20))  # byte below printable range
     assert err.value.offset == 1
+
+
+def test_graph6_padding_errors_in_large_order_form():
+    # n = 63: 1953 body bits, so the last byte carries 3 padding bits
+    for g in (Graph(63), complete(63)):
+        enc = emit_graph6(g)
+        assert enc.startswith("~")
+        bad = enc[:-1] + chr(ord(enc[-1]) + 1)  # sets the lowest padding bit
+        with pytest.raises(ParseError) as err:
+            parse_graph6(bad)
+        assert err.value.offset == len(enc) - 1
+        # an invalid byte is reported at its own offset, ahead of the padding
+        with pytest.raises(ParseError) as err:
+            parse_graph6(bad[:6] + chr(20) + bad[7:])
+        assert err.value.offset == 6
 
 
 def test_edgelist_roundtrip_and_errors():

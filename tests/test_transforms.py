@@ -3,6 +3,7 @@
 import pytest
 
 from hamq.errors import BadParameters
+from hamq.families import build_S, build_T
 from hamq.graph import Graph, add_edges, complete, cycle, delete_edges, is_connected, path_graph
 from hamq.rng import SplitMix64, gnp, random_connected_gnp
 from hamq.spectral import perron_pair
@@ -72,6 +73,66 @@ def test_closure_order_independence():
                         changed = True
                         break
             assert cur == ref
+
+
+def _restart_scan_closure(g, k):
+    """Independent route: scan pairs lexicographically, add the first pair
+    whose degree sum is >= k, and restart from (0, 1)."""
+    n = g.n
+    rows = [g.row(v) for v in range(n)]
+    deg = list(g.degrees())
+    changed = True
+    while changed:
+        changed = False
+        for u in range(n):
+            for v in range(u + 1, n):
+                if not rows[u] >> v & 1 and deg[u] + deg[v] >= k:
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
+                    deg[u] += 1
+                    deg[v] += 1
+                    changed = True
+                    break
+            if changed:
+                break
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rows[u] >> v & 1])
+
+
+def _larger_closure_inputs():
+    rng = SplitMix64(73)
+    for _ in range(12):
+        n = 20 + rng.next_below(21)  # 20..40
+        yield gnp(n, 0.3 + 0.4 * rng.next_float(), rng)
+    for build in (build_S, build_T):
+        h = build(92, 2)
+        for _ in range(3):
+            x = h.X[rng.next_below(len(h.X))]
+            z = h.Z[rng.next_below(len(h.Z))]
+            yield add_edges(h.graph, [(x, z)])
+
+
+def test_closure_matches_restart_scan_at_larger_orders():
+    added = 0
+    for g in _larger_closure_inputs():
+        k = g.n + 1
+        cl, tr = closure(g, k)
+        assert cl == _restart_scan_closure(g, k)
+        replay = g
+        for u, v in tr.added:
+            # the degree-sum condition held at the moment of addition
+            assert replay.degree(u) + replay.degree(v) >= k
+            replay = add_edges(replay, [(u, v)])
+        assert replay == cl
+        added += len(tr.added)
+    assert added > 0
+
+
+def test_closure_of_closed_graph_adds_nothing():
+    for g in _larger_closure_inputs():
+        k = g.n + 1
+        cl, _ = closure(g, k)
+        again, tr = closure(cl, k)
+        assert again == cl and tr.added == () and tr.k == k
 
 
 def test_kelmans_examples():
