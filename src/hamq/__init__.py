@@ -41,9 +41,7 @@ from .hamilton import (
 )
 from .spectral import (
     SpectralEstimate,
-    eigen_residual,
     perron_pair,
-    q_apply,
     rayleigh_quotient_exact,
     upper_bound_edge_count,
 )
@@ -73,7 +71,6 @@ __all__ = [
     "cycle",
     "delete_edges",
     "disjoint_union",
-    "eigen_residual",
     "emit_graph6",
     "enumerate_class",
     "explain",
@@ -91,7 +88,6 @@ __all__ = [
     "parse_graph6",
     "path_graph",
     "perron_pair",
-    "q_apply",
     "rayleigh_quotient_exact",
     "spanning_subgraph_of",
     "thresholds",

@@ -14,9 +14,12 @@ Two comparison rules keep certificates sound:
   the condition fires when ``lo >= threshold`` and is inconclusive when the
   threshold lies inside ``[lo, hi]``;
 * an exceptional finding (the graph embeds into a host or is a relabeled
-  family member) asserts non-Hamilton-connectivity only once confirmed,
-  normally by running the oracle on the host: any spanning subgraph of a
-  non-Hamilton-connected host is itself not Hamilton-connected.
+  family member) asserts non-Hamilton-connectivity only once confirmed on
+  the graph itself: the witness names the host's hub set Y, and removing Y
+  must leave at least |Y| >= 2 components.  A Hamilton-connected graph has
+  c(G - S) <= |S| - 1 for every vertex set S with |S| >= 2, since a spanning
+  path between two vertices of S falls into at most |S| - 1 pieces once S
+  is removed (Chvatal 1973), so the count settles the verdict in O(n + m).
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ from .families import (
     spanning_subgraph_of,
     thresholds,
 )
-from .errors import BudgetExceeded, SearchTimeout
-from .graph import Graph, cut_vertex, is_connected, min_degree
+from .errors import BudgetExceeded
+from .graph import Graph, component_count, cut_vertex, is_connected, min_degree
 from .hamilton import DEFAULT_PAIR_BUDGET, is_hamilton_connected, ore_check
 from .spectral import DEFAULT_TOL, SpectralEstimate, perron_pair
 from .transforms import closure
@@ -65,9 +68,8 @@ class CertifyConfig:
     """Knobs for one certification run."""
 
     oracle_gate: int = 9  # run the standalone exact oracle only for n <= gate
-    pair_budget: int = DEFAULT_PAIR_BUDGET
+    pair_budget: int = DEFAULT_PAIR_BUDGET  # per path search of that oracle
     enable_oracle: bool = True
-    confirm_exceptional: bool = True
     embed_budget: int = 200_000
     tol: float = DEFAULT_TOL
 
@@ -105,21 +107,12 @@ def _jsonable(obj: Any) -> Any:
     return obj
 
 
-@lru_cache(maxsize=256)
-def _host_not_hamilton_connected(kind: str, n: int, k: int, budget: int) -> bool | None:
-    """Oracle verdict for a host graph; None means the search timed out.
-
-    The failing pair of a host is the first pair scanned (both hub vertices),
-    so this is fast at any desk order.
-    """
-    handle = build_S(n, k) if kind == "S" else build_T(n, k)
-    try:
-        ans = is_hamilton_connected(handle.graph, budget)
-    except SearchTimeout:
-        return None
-    if ans.verdict == "timeout":
-        return None
-    return ans.verdict == "no"
+def _separator_confirmation(g: Graph, y: tuple[int, ...]) -> dict[str, Any] | None:
+    """The separator witness c(G - Y) >= |Y| >= 2, or None if it fails."""
+    c = component_count(g, y)
+    if len(y) >= 2 and c >= len(y):
+        return {"separator": sorted(y), "components": c}
+    return None
 
 
 def _hyp(name: str, required: Any, actual: Any) -> dict[str, Any]:
@@ -274,28 +267,19 @@ def certify(g: Graph, config: CertifyConfig | None = None) -> Certificate:
 
     if exceptional is not None:
         k = exceptional["k"]
-        kind = (
-            exceptional["embedding"].kind
-            if "embedding" in exceptional
-            else exceptional["membership"].kind
-        )
+        key = "embedding" if "embedding" in exceptional else "membership"
+        w = exceptional[key]
         witnesses: dict[str, Any] = {
-            "host": {"kind": kind, "n": n, "k": k},
+            "host": {"kind": w.kind, "n": n, "k": k},
             "family_class": _annotate_class(g, k),
+            key: w,
         }
-        if "embedding" in exceptional:
-            witnesses["embedding"] = exceptional["embedding"]
-        if "membership" in exceptional:
-            witnesses["membership"] = exceptional["membership"]
-        confirmed: bool | None = None
-        if cfg.confirm_exceptional:
-            host_no = _host_not_hamilton_connected(kind, n, k, cfg.pair_budget)
-            if host_no:
-                confirmed = True
-                witnesses["confirmation"] = "host-oracle"
-        witnesses["non_hamilton_connected"] = confirmed
+        confirmation = _separator_confirmation(g, w.Y)
+        if confirmation is not None:
+            witnesses["confirmation"] = confirmation
+        witnesses["non_hamilton_connected"] = True if confirmation else None
         trace.append({"condition": "ExceptionalConfirmation",
-                      "verdict": "confirmed" if confirmed else "unconfirmed"})
+                      "verdict": "confirmed" if confirmation else "unconfirmed"})
         return done(OUTCOME_EXCEPTIONAL, None, witnesses)
 
     # exact oracle, size-gated

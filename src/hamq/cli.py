@@ -6,6 +6,9 @@ Subcommands:
 * ``certify``: run the certification pipeline; exit code encodes the outcome
   (0 certified/exact-yes, 1 exact-no/exceptional-confirmed/not-connected,
   2 inconclusive or unconfirmed-exceptional, 3 timeout, 4 input error).
+  An exceptional finding is confirmed by a separator count on the input
+  graph; ``--budget`` bounds only the exact oracle, which runs for
+  ``n <= --oracle-gate``.
 * ``family``: emit family hosts or enumerated members as graph6 lines, with
   an optional JSON sidecar describing the partitions.
 * ``verify``: run one named verification suite and print its stable report.
@@ -27,6 +30,7 @@ from .certifier import CertifyConfig, certify, explain
 from .errors import HamqError, ParseError
 from .families import build_S, build_T, enumerate_class
 from .graph import Graph, emit_graph6, parse_edgelist, parse_graph6
+from .hamilton import DEFAULT_PAIR_BUDGET
 from .spectral import perron_pair, upper_bound_edge_count
 from .verify import SUITES, run_hunt, run_suite
 
@@ -182,8 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="graph file (graph6 or edge list), - for stdin")
     p.add_argument("--oracle-gate", type=int, default=9,
                    help="run the exact oracle only when n <= gate")
-    p.add_argument("--budget", type=int, default=10**8,
-                   help="node-expansion budget per path search")
+    p.add_argument("--budget", type=int, default=DEFAULT_PAIR_BUDGET,
+                   help="node-expansion budget per path search of the exact "
+                   "oracle (run only when n <= --oracle-gate)")
     p.add_argument("--json", action="store_true", help="print the JSON report")
     p.set_defaults(func=_cmd_certify)
 

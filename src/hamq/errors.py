@@ -46,7 +46,11 @@ class BudgetExceeded(HamqError):
 
 
 class SearchTimeout(HamqError):
-    """Path search exhausted its node-expansion budget."""
+    """Path search exhausted its node-expansion budget.
+
+    The search stops at the first expansion past ``budget``, so ``budget`` is
+    also the number of expansions it spent.
+    """
 
     def __init__(self, budget: int):
         super().__init__(f"search budget of {budget} node expansions exhausted")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .errors import BadParameters, NotAnEdge, ParseError, SizeLimit
+from .errors import BadParameters, NotAnEdge, ParseError
 
 Edge = tuple[int, int]
 
@@ -134,10 +134,6 @@ class Graph:
 
 
 # -- constructors -----------------------------------------------------------
-
-
-def from_edges(n: int, edges: Iterable[Sequence[int]]) -> Graph:
-    return Graph(n, edges)
 
 
 def complete(n: int) -> Graph:
@@ -273,58 +269,22 @@ def cut_vertex(g: Graph) -> int | None:
     return None
 
 
+def component_count(g: Graph, removed: Iterable[int] = ()) -> int:
+    """Number of connected components of G minus the ``removed`` vertices."""
+    left = (1 << g.n) - 1
+    for v in removed:
+        left &= ~(1 << v)
+    count = 0
+    while left:
+        left &= ~_reach_mask(g._rows, (left & -left).bit_length() - 1, left)
+        count += 1
+    return count
+
+
 def is_2_connected(g: Graph) -> bool:
     """Connected with no cut vertex; graphs of order < 3 are not
     2-connected under this convention."""
     return g.n >= 3 and is_connected(g) and cut_vertex(g) is None
-
-
-CLIQUE_SIZE_GATE = 64
-
-
-def clique_number(g: Graph) -> int:
-    """Exact clique number by branch and bound (gated at n <= 64)."""
-    n = g.n
-    if n > CLIQUE_SIZE_GATE:
-        raise SizeLimit(f"exact clique search is gated at n <= {CLIQUE_SIZE_GATE}")
-    rows = g._rows
-    # degeneracy order: repeatedly peel a minimum-degree vertex
-    remaining = (1 << n) - 1
-    deg = list(g._deg)
-    order = []
-    for _ in range(n):
-        v = min(iter_bits(remaining), key=lambda w: deg[w])
-        order.append(v)
-        remaining ^= 1 << v
-        for u in iter_bits(rows[v] & remaining):
-            deg[u] -= 1
-    best = 1
-
-    def expand(size: int, cand: int) -> None:
-        nonlocal best
-        if not cand:
-            if size > best:
-                best = size
-            return
-        if size + cand.bit_count() <= best:
-            return
-        # pivot on a candidate covering the most of cand
-        pivot = max(iter_bits(cand), key=lambda w: (rows[w] & cand).bit_count())
-        ext = cand & ~rows[pivot]
-        while ext:
-            b = ext & -ext
-            v = b.bit_length() - 1
-            expand(size + 1, cand & rows[v])
-            cand ^= b
-            ext ^= b
-            if size + cand.bit_count() <= best:
-                return
-
-    suffix = 0
-    for v in reversed(order):
-        expand(1, rows[v] & suffix)
-        suffix |= 1 << v
-    return best
 
 
 # -- graph6 and edge-list serialization --------------------------------------

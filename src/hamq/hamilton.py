@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 from .errors import BadParameters, SearchTimeout
-from .graph import Graph, is_2_connected
+from .graph import Graph
 from .transforms import closure
 
 DEFAULT_PAIR_BUDGET = 10**8
@@ -138,6 +139,59 @@ def hamilton_path_between(
     return path
 
 
+def _run_pairs(
+    g: Graph,
+    pairs: Iterable[tuple[int, int]],
+    budget: int,
+    start: float,
+    *,
+    every: bool,
+    closure_complete: bool | None = None,
+) -> OracleAnswer:
+    """Search the pairs in order until the stop rule decides.
+
+    With ``every`` set, each pair needs a spanning path: the first pair
+    without one ends the scan with "no" (and is the failing pair), and "yes"
+    carries a path for every pair.  Otherwise one path is enough: the first
+    pair with one ends the scan with "yes", and "no" means no pair has one.
+    A timed-out pair search adds its spent budget to ``nodes_expanded``.
+    """
+    total = 0
+    paths: dict[tuple[int, int], tuple[int, ...]] = {}
+    failing: tuple[int, int] | None = None
+    for u, v in pairs:
+        try:
+            path, nodes = _pair_search(g, u, v, budget)
+        except SearchTimeout as exc:
+            return OracleAnswer(
+                verdict="timeout",
+                nodes_expanded=total + exc.budget,
+                elapsed=time.monotonic() - start,
+                closure_complete=closure_complete,
+            )
+        total += nodes
+        if path is not None:
+            paths[(u, v)] = path
+            if not every:
+                break
+        elif every:
+            failing = (u, v)
+            break
+    found = failing is None if every else bool(paths)
+    return OracleAnswer(
+        verdict="yes" if found else "no",
+        paths=paths if found else {},
+        failing_pair=failing,
+        nodes_expanded=total,
+        elapsed=time.monotonic() - start,
+        closure_complete=closure_complete,
+    )
+
+
+def _all_pairs(n: int) -> Iterator[tuple[int, int]]:
+    return ((u, v) for u in range(n) for v in range(u + 1, n))
+
+
 def is_hamilton_connected(
     g: Graph, budget: int = DEFAULT_PAIR_BUDGET
 ) -> OracleAnswer:
@@ -150,58 +204,25 @@ def is_hamilton_connected(
     """
     start = time.monotonic()
     n = g.n
-    if n == 1:
-        return OracleAnswer(
-            verdict="yes", elapsed=time.monotonic() - start, closure_complete=True
-        )
-    if n == 2:
-        ok = g.has_edge(0, 1)
-        return OracleAnswer(
-            verdict="yes" if ok else "no",
-            paths={(0, 1): (0, 1)} if ok else {},
-            failing_pair=None if ok else (0, 1),
-            elapsed=time.monotonic() - start,
-            closure_complete=ok,
-        )
     cl, _ = closure(g, n + 1)
     cl_complete = cl.m == n * (n - 1) // 2
-    total = 0
-    paths: dict[tuple[int, int], tuple[int, ...]] = {}
-    for u in range(n):
-        for v in range(u + 1, n):
-            try:
-                path, nodes = _pair_search(g, u, v, budget)
-            except SearchTimeout:
-                return OracleAnswer(
-                    verdict="timeout",
-                    nodes_expanded=total,
-                    elapsed=time.monotonic() - start,
-                    closure_complete=cl_complete,
-                )
-            total += nodes
-            if path is None:
-                return OracleAnswer(
-                    verdict="no",
-                    failing_pair=(u, v),
-                    nodes_expanded=total,
-                    elapsed=time.monotonic() - start,
-                    closure_complete=cl_complete,
-                )
-            paths[(u, v)] = path
-    return OracleAnswer(
-        verdict="yes",
-        paths=paths,
-        nodes_expanded=total,
-        elapsed=time.monotonic() - start,
-        closure_complete=cl_complete,
-    )
+    return _run_pairs(g, _all_pairs(n), budget, start, every=True,
+                      closure_complete=cl_complete)
 
 
 def ore_check(g: Graph) -> bool:
-    """Degree-sum sufficiency: 2-connected and every nonadjacent pair sums
-    to at least n + 1.  True implies Hamilton-connected."""
+    """Degree-sum sufficiency: n >= 3 and every nonadjacent pair sums to at
+    least n + 1.  True implies Hamilton-connected.
+
+    The classical statement also asks for 2-connectivity, which these degree
+    sums already imply.  If G is disconnected, take a and b in different
+    components A and B: d(a) + d(b) <= (|A| - 1) + (|B| - 1) <= n - 2.  If c
+    is a cut vertex, take a and b in different components A and B of G - c:
+    d(a) + d(b) <= |A| + |B| <= n - 1.  Either way a nonadjacent pair sums
+    to less than n + 1.
+    """
     n = g.n
-    if not is_2_connected(g):
+    if n < 3:
         return False
     deg = g.degrees()
     for u in range(n):
@@ -216,60 +237,17 @@ def is_hamiltonian(g: Graph, budget: int = DEFAULT_PAIR_BUDGET) -> OracleAnswer:
     """Spanning-cycle oracle (n >= 3): a cycle through vertex 0 exists iff
     some neighbor v of 0 admits a spanning 0-v path."""
     start = time.monotonic()
-    n = g.n
-    if n < 3:
+    if g.n < 3:
         raise BadParameters("Hamilton cycles need order >= 3")
-    total = 0
-    for v in g.neighbors(0):
-        try:
-            path, nodes = _pair_search(g, 0, v, budget)
-        except SearchTimeout:
-            return OracleAnswer(
-                verdict="timeout",
-                nodes_expanded=total,
-                elapsed=time.monotonic() - start,
-            )
-        total += nodes
-        if path is not None:
-            return OracleAnswer(
-                verdict="yes",
-                paths={(0, v): path},
-                nodes_expanded=total,
-                elapsed=time.monotonic() - start,
-            )
-    return OracleAnswer(
-        verdict="no", nodes_expanded=total, elapsed=time.monotonic() - start
-    )
+    return _run_pairs(g, ((0, v) for v in g.neighbors(0)), budget, start, every=False)
 
 
 def is_traceable(g: Graph, budget: int = DEFAULT_PAIR_BUDGET) -> OracleAnswer:
     """Spanning-path oracle: does any Hamilton path exist?"""
     start = time.monotonic()
-    n = g.n
-    if n == 1:
+    if g.n == 1:
         return OracleAnswer(verdict="yes", elapsed=time.monotonic() - start)
-    total = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            try:
-                path, nodes = _pair_search(g, u, v, budget)
-            except SearchTimeout:
-                return OracleAnswer(
-                    verdict="timeout",
-                    nodes_expanded=total,
-                    elapsed=time.monotonic() - start,
-                )
-            total += nodes
-            if path is not None:
-                return OracleAnswer(
-                    verdict="yes",
-                    paths={(u, v): path},
-                    nodes_expanded=total,
-                    elapsed=time.monotonic() - start,
-                )
-    return OracleAnswer(
-        verdict="no", nodes_expanded=total, elapsed=time.monotonic() - start
-    )
+    return _run_pairs(g, _all_pairs(g.n), budget, start, every=False)
 
 
 def validate_path(g: Graph, path: tuple[int, ...]) -> bool:

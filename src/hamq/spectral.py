@@ -69,32 +69,6 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     return bits.astype(np.float64)
 
 
-def q_apply(g: Graph, x: Sequence[float]) -> list[float]:
-    """Matrix-free multiply y = (D + A) x, summed in ascending vertex order."""
-    if len(x) != g.n:
-        raise DimensionMismatch(f"vector length {len(x)} != n={g.n}")
-    out = []
-    for v in range(g.n):
-        acc = g.degree(v) * x[v]
-        for u in iter_bits(g.row(v)):
-            acc += x[u]
-        out.append(acc)
-    return out
-
-
-def eigen_residual(g: Graph, q_hat: float, f: Sequence[float]) -> float:
-    """Max-norm defect of the eigen-equation (q_hat - d(v)) f_v = sum_{u~v} f_u."""
-    if len(f) != g.n:
-        raise DimensionMismatch(f"vector length {len(f)} != n={g.n}")
-    worst = 0.0
-    for v in range(g.n):
-        s = 0.0
-        for u in iter_bits(g.row(v)):
-            s += f[u]
-        worst = max(worst, abs((q_hat - g.degree(v)) * f[v] - s))
-    return worst
-
-
 def perron_pair(
     g: Graph,
     tol: float = DEFAULT_TOL,

@@ -1,13 +1,13 @@
 """Shared fixtures and independent brute-force oracles.
 
 The brute-force routines here deliberately avoid the package's own search
-machinery: paths are checked by permutation enumeration and cliques by
-subset enumeration, so they can arbitrate disagreements.
+machinery: paths are checked by permutation enumeration and eigen-equation
+residuals by a plain neighbor sum, so they can arbitrate disagreements.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import permutations
 
 import pytest
 
@@ -58,19 +58,14 @@ def brute_hamiltonian(g: Graph) -> bool:
     return False
 
 
-def brute_clique_number(g: Graph) -> int:
-    best = 1
-    for size in range(2, g.n + 1):
-        found = False
-        for sub in combinations(range(g.n), size):
-            if all(g.has_edge(a, b) for a, b in combinations(sub, 2)):
-                found = True
-                break
-        if found:
-            best = size
-        else:
-            break
-    return best
+def eigen_residual(g: Graph, q_hat: float, f: list[float]) -> float:
+    """Max-norm defect of the eigen-equation (q_hat - d(v)) f_v = sum_{u~v} f_u."""
+    assert len(f) == g.n
+    worst = 0.0
+    for v in range(g.n):
+        s = sum(f[u] for u in g.neighbors(v))
+        worst = max(worst, abs((q_hat - g.degree(v)) * f[v] - s))
+    return worst
 
 
 def petersen() -> Graph:

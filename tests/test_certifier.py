@@ -9,10 +9,20 @@ from hamq.certifier import (
     OUTCOME_INCONCLUSIVE,
     OUTCOME_NOT_HC,
     CertifyConfig,
+    _separator_confirmation,
     certify,
     explain,
 )
-from hamq.families import build_S, family_member, thresholds
+from hamq.families import (
+    CLASSES,
+    build_S,
+    build_T,
+    enumerate_class,
+    family_member,
+    membership,
+    spanning_subgraph_of,
+    thresholds,
+)
 from hamq.graph import complete, cycle, disjoint_union, path_graph
 from hamq.hamilton import is_hamilton_connected
 from hamq.rng import SplitMix64, gnp
@@ -48,6 +58,50 @@ def test_certify_host_is_exceptional_with_confirmation():
     assert cert.exit_code() == 1
     conditions = [t["condition"] for t in cert.trace]
     assert "EdgeCount" in conditions
+
+
+def test_k3_hosts_confirmed_by_separator_at_paper_order():
+    # no pair search: the count of G - Y settles both hosts at n = 270
+    for host, c in ((build_S(270, 3), 3), (build_T(270, 3), 2)):
+        cert = certify(host.graph)
+        assert cert.outcome == OUTCOME_EXCEPTIONAL and cert.exit_code() == 1
+        assert cert.witnesses["confirmation"] == {"separator": list(host.Y),
+                                                  "components": c}
+        assert cert.trace[-1] == {"condition": "ExceptionalConfirmation",
+                                  "verdict": "confirmed"}
+
+
+def test_separator_confirms_every_small_member():
+    # certify's exceptional stages start at n = 11k, so at n <= 10 the count
+    # is checked on the witnesses those stages would hold, and the exact
+    # oracle arbitrates each member
+    for clazz in CLASSES:
+        for k in (2, 3):
+            for n in range(max(5, 2 * k), 11):
+                for member in enumerate_class(clazz, n, k):
+                    g = member.graph
+                    assert is_hamilton_connected(g).verdict == "no"
+                    cert = certify(g, CertifyConfig(enable_oracle=False))
+                    assert cert.outcome != OUTCOME_CERTIFIED
+                    for w in (membership(g, clazz, k), spanning_subgraph_of(g, clazz[0], k)):
+                        conf = _separator_confirmation(g, w.Y)
+                        assert conf["components"] >= len(conf["separator"]) >= 2
+
+
+def test_members_confirmed_where_the_edge_stage_runs():
+    # every k = 2 member at n = 22 and a k = 3 sample at n = 33; the oracle
+    # arbitrates only k = 2 here (on the k = 3 hosts at n = 33 its first
+    # pair alone spends 10**6 expansions without an answer)
+    members = [m for clazz in CLASSES for m in enumerate_class(clazz, 22, 2)]
+    members += [m for clazz in CLASSES
+                for m in enumerate_class(clazz, 33, 3, mode="sample", seed=1, count=10)]
+    for member in members:
+        cert = certify(member.graph, CertifyConfig(enable_oracle=False))
+        assert cert.outcome == OUTCOME_EXCEPTIONAL and cert.exit_code() == 1
+        conf = cert.witnesses["confirmation"]
+        assert conf["components"] >= len(conf["separator"]) >= 2
+        if member.k == 2:
+            assert is_hamilton_connected(member.graph).verdict == "no"
 
 
 def test_certify_deleted_member_annotated_class2():
@@ -188,7 +242,7 @@ def test_oracle_timeout_outcome():
     # a starved oracle budget surfaces as a Timeout outcome (exit 3)
     rng = SplitMix64(3)
     g = gnp(9, 0.5, rng)
-    cert = certify(g, CertifyConfig(pair_budget=3, confirm_exceptional=False))
+    cert = certify(g, CertifyConfig(pair_budget=3))
     if cert.outcome == OUTCOME_TIMEOUT:
         assert cert.exit_code() == 3
     else:

@@ -2,11 +2,12 @@
 
 import pytest
 
-from hamq.errors import BadParameters, NotAnEdge, ParseError, SizeLimit
+from hamq.errors import BadParameters, NotAnEdge, ParseError
 from hamq.graph import (
     Graph,
     add_edges,
     complete,
+    component_count,
     copies,
     cut_vertex,
     cycle,
@@ -23,10 +24,8 @@ from hamq.graph import (
     path_graph,
     relabel,
 )
-from hamq.graph import clique_number
+from hamq.families import build_S, build_T
 from hamq.rng import SplitMix64, gnp
-
-from conftest import brute_clique_number
 
 
 def test_complete_small():
@@ -101,26 +100,9 @@ def test_relabel_preserves_structure():
     assert h.m == g.m
 
 
-def test_min_degree_and_clique():
+def test_min_degree():
     s62 = join(complete(2), disjoint_union(complete(3), complete(1)))
     assert min_degree(s62) == 2
-    assert clique_number(s62) == 5
-    assert clique_number(complete(7)) == 7
-    for n in (4, 5, 8):
-        assert clique_number(cycle(n)) == 2
-    assert clique_number(cycle(3)) == 3
-
-
-def test_clique_number_matches_brute_force():
-    rng = SplitMix64(17)
-    for _ in range(40):
-        g = gnp(3 + rng.next_below(7), 0.3 + 0.5 * rng.next_float(), rng)
-        assert clique_number(g) == brute_clique_number(g)
-
-
-def test_clique_number_size_gate():
-    with pytest.raises(SizeLimit):
-        clique_number(Graph(65))
 
 
 def test_two_connectivity():
@@ -148,6 +130,21 @@ def test_cut_vertex_examples():
     assert cut_vertex(path_graph(2)) is None
     assert cut_vertex(complete(1)) is None
     assert cut_vertex(cycle(6)) is None
+
+
+def test_component_count():
+    assert component_count(complete(5)) == 1
+    assert component_count(complete(5), [0, 3]) == 1
+    assert component_count(complete(5), range(5)) == 0
+    assert component_count(path_graph(7), [2, 4]) == 3
+    assert component_count(path_graph(7), [0, 6]) == 1
+    assert component_count(disjoint_union(cycle(3), cycle(4))) == 2
+    # the hub set Y of an S host cuts off each of the k - 1 vertices of X
+    # from Z; for a T host it cuts the clique on X off from Z
+    s, t = build_S(12, 3), build_T(12, 3)
+    assert component_count(s.graph, s.Y) == 3
+    assert component_count(t.graph, t.Y) == 2
+    assert component_count(s.graph, s.Y[:2]) == 1
 
 
 def test_cut_vertex_matches_brute_force():

@@ -10,6 +10,8 @@ from hamq.graph import (
     cycle,
     delete_edges,
     disjoint_union,
+    is_2_connected,
+    is_connected,
     join,
     path_graph,
 )
@@ -120,6 +122,33 @@ def test_ore_examples():
     assert is_hamilton_connected(k6_minus_pm).verdict == "yes"
 
 
+def test_ore_check_equals_the_classical_statement(small_connected):
+    # the classical statement asks for 2-connectivity as well; the degree
+    # sums imply it (see ore_check), so both agree on every graph
+    def classical(g):
+        n, deg = g.n, g.degrees()
+        sums = all(g.has_edge(u, v) or deg[u] + deg[v] >= n + 1
+                   for u in range(n) for v in range(u + 1, n))
+        return is_2_connected(g) and sums
+
+    graphs = [g for n in range(1, 8) for g in small_connected[n]]
+    rng = SplitMix64(97)
+    for _ in range(1000):
+        n = 1 + rng.next_below(14)
+        graphs.append(gnp(n, 0.3 + 0.7 * rng.next_float(), rng))
+    # two cliques sharing a cut vertex, and two disjoint cliques
+    for a in range(1, 7):
+        for b in range(1, 7):
+            graphs.append(join(complete(1), disjoint_union(complete(a), complete(b))))
+            graphs.append(disjoint_union(complete(a), complete(b)))
+    assert any(not is_connected(g) for g in graphs)
+    fired = 0
+    for g in graphs:
+        assert ore_check(g) == classical(g)
+        fired += ore_check(g)
+    assert fired > 100
+
+
 def test_hamiltonian_and_traceable():
     assert is_hamiltonian(cycle(5)).verdict == "yes"
     assert is_hamiltonian(path_graph(5)).verdict == "no"
@@ -166,6 +195,14 @@ def test_budget_timeout():
         hamilton_path_between(complete(12), 0, 1, budget=5)
     ans = is_hamilton_connected(complete(12), budget=5)
     assert ans.verdict == "timeout"
+    # the aborted pair's expansions count: it spent its whole budget
+    assert ans.nodes_expanded == 5
+    ans = is_hamilton_connected(cycle(9), 3)
+    assert ans.verdict == "timeout" and ans.nodes_expanded == 3
+    ans = is_hamiltonian(complete(12), budget=5)
+    assert ans.verdict == "timeout" and ans.nodes_expanded == 5
+    ans = is_traceable(complete(12), budget=5)
+    assert ans.verdict == "timeout" and ans.nodes_expanded == 5
 
 
 def test_all_pairs_search_on_exhaustive_corpus(small_connected):

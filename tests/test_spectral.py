@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hamq.errors import DimensionMismatch, NotConnected, ZeroVector
+from hamq.errors import NotConnected, ZeroVector
 from hamq.graph import (
     complete,
     cycle,
@@ -13,30 +13,21 @@ from hamq.graph import (
     disjoint_union,
     is_connected,
     join,
-    path_graph,
 )
 from hamq.rng import SplitMix64, gnp, random_connected_gnp
 from hamq.spectral import (
     adjacency_matrix,
     adjacent_pair_identity_defect,
-    eigen_residual,
     perron_pair,
-    q_apply,
     rayleigh_quotient_exact,
     upper_bound_edge_count,
 )
 
+from conftest import eigen_residual
+
 
 def s62():
     return join(complete(2), disjoint_union(complete(3), complete(1)))
-
-
-def test_q_apply_examples():
-    assert q_apply(complete(3), [1.0, 1.0, 1.0]) == [4.0, 4.0, 4.0]
-    assert q_apply(cycle(4), [1.0] * 4) == [4.0] * 4
-    assert q_apply(path_graph(3), [1.0, 0.0, 0.0]) == [1.0, 1.0, 0.0]
-    with pytest.raises(DimensionMismatch):
-        q_apply(complete(3), [1.0, 2.0])
 
 
 def test_perron_regular_graphs():
