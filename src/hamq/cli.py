@@ -111,42 +111,39 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(p) for p in text.split(",") if p]
 
 
+def _case_grid(args: argparse.Namespace) -> list[tuple] | None:
+    if not (args.k and args.n):
+        return None
+    mode = args.mode or "exhaustive"
+    return [(k, n, mode, args.count or 0)
+            for k in _parse_int_list(args.k) for n in _parse_int_list(args.n)]
+
+
+_K_VALUES = ("k_values", lambda a: _parse_int_list(a.k) if a.k else None)
+_N_VALUES = ("n_values", lambda a: _parse_int_list(a.n) if a.n else None)
+_SEED = ("seed", lambda a: a.seed)
+
+# suite -> (keyword, reader) rules; a reader returning None passes nothing,
+# so the suite keeps its own default
+_VERIFY_KWARGS = {
+    "appendix": (_K_VALUES,),
+    "corollary": (_K_VALUES, _N_VALUES),
+    "family-nonhc": (_K_VALUES, _N_VALUES),
+    "q-lower": (("cases", _case_grid), _SEED),
+    "q-upper": (("cases", _case_grid), _SEED),
+    "ore": (("trials", lambda a: a.trials), _SEED),
+    "kelmans": (("count", lambda a: a.count), _SEED),
+    "qbound": (("count", lambda a: a.count), _SEED),
+    "closure": (("random_per_n", lambda a: a.count), _SEED),
+}
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     params: dict = {}
-    if args.suite in ("appendix",):
-        if args.k:
-            params["k_values"] = _parse_int_list(args.k)
-    elif args.suite in ("corollary", "family-nonhc"):
-        if args.k:
-            params["k_values"] = _parse_int_list(args.k)
-        if args.n:
-            params["n_values"] = _parse_int_list(args.n)
-    elif args.suite in ("q-lower", "q-upper"):
-        if args.k and args.n:
-            mode = args.mode or "exhaustive"
-            count = args.count or 0
-            params["cases"] = [
-                (k, n, mode, count)
-                for k in _parse_int_list(args.k)
-                for n in _parse_int_list(args.n)
-            ]
-        if args.seed is not None:
-            params["seed"] = args.seed
-    elif args.suite in ("ore",):
-        if args.trials is not None:
-            params["trials"] = args.trials
-        if args.seed is not None:
-            params["seed"] = args.seed
-    elif args.suite in ("kelmans", "qbound"):
-        if args.count is not None:
-            params["count"] = args.count
-        if args.seed is not None:
-            params["seed"] = args.seed
-    elif args.suite in ("closure",):
-        if args.count is not None:
-            params["random_per_n"] = args.count
-        if args.seed is not None:
-            params["seed"] = args.seed
+    for key, read in _VERIFY_KWARGS[args.suite]:
+        value = read(args)
+        if value is not None:
+            params[key] = value
     report = run_suite(args.suite, **params)
     print(report.to_stable_json())
     print(f"suite {report.suite}: {report.cases} cases, "

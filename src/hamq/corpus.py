@@ -15,11 +15,13 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import permutations
 from math import comb
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import SizeLimit
 from .graph import Graph, is_connected
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CANON_SIZE_GATE = 8
 
@@ -41,6 +43,8 @@ def _pair_index(n: int) -> dict[tuple[int, int], int]:
 @lru_cache(maxsize=None)
 def _perm_slot_table(n: int) -> np.ndarray:
     """Row p maps edge-slot i of the permuted graph to a source slot."""
+    import numpy as np
+
     idx = _pair_index(n)
     slots = list(idx)
     table = np.empty((len(list(permutations(range(n)))), len(slots)), dtype=np.int16)
@@ -53,11 +57,15 @@ def _perm_slot_table(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _slot_weights(n: int) -> np.ndarray:
+    import numpy as np
+
     nbits = comb(n, 2)
     return (1 << np.arange(nbits, dtype=np.uint64))[::-1].astype(np.uint64)
 
 
 def _edge_bits(g: Graph) -> np.ndarray:
+    import numpy as np
+
     bits = np.zeros(comb(g.n, 2), dtype=np.uint64)
     t = 0
     for u in range(g.n):

@@ -319,14 +319,16 @@ def membership(g: Graph, clazz: str, k: int) -> MembershipWitness | None:
             y_set = tuple(iter_bits(key & ~x_bits))
             if len(y_set) != 2:
                 continue
-        yz = sorted(set(range(n)) - set(x_set))
+        yz_bits = ((1 << n) - 1) & ~x_bits
+        yz = list(iter_bits(yz_bits))
         z_set = tuple(v for v in yz if v not in y_set)
+        # missing pairs (u, v), u < v, inside Y u Z: one mask per row, where
+        # ``above`` holds the Y u Z vertices after u
         missing = []
-        ok = True
-        for i, u in enumerate(yz):
-            for v in yz[i + 1:]:
-                if not g.has_edge(u, v):
-                    missing.append((u, v))
+        above = yz_bits
+        for u in yz:
+            above ^= 1 << u
+            missing.extend((u, v) for v in iter_bits(above & ~g.row(u)))
         if not _class_size_ok(clazz, k, len(missing)):
             continue
         return MembershipWitness(

@@ -12,6 +12,13 @@ top of them (see :mod:`hamq.families`) are reproducible:
 * ``join(G, H)`` keeps G's vertices first (``0..n_G-1``), then H's.
 * ``disjoint_union(G, H)`` and ``copies(k, G)`` lay blocks out left to right.
 
+Structural queries work on whole row masks.  ``cut_vertex`` applies the
+lowpoint criterion for articulation points (Hopcroft-Tarjan 1973) to subtree
+masks of one depth-first search: every non-tree edge joins an ancestor to a
+descendant, so a non-root p is a cut vertex exactly when some child subtree
+has no outside neighbour but p.  That is O(n) big-integer operations, not one
+reachability sweep per vertex.
+
 Serialization supports the standard graph6 byte layout (bit-exact) and a
 plain edge-list text format (first line ``"n m"``, then ``m`` lines ``"u v"``).
 """
@@ -258,15 +265,59 @@ def cut_vertex(g: Graph) -> int | None:
     """The smallest vertex v such that G - v is disconnected, or None.
 
     Graphs of order <= 2 have none: removing a vertex leaves at most one.
+
+    On a connected graph this is the smallest articulation point, found by
+    one depth-first search from vertex 0 over the row masks.  ``sub[c]`` is
+    the vertex mask of c's subtree and ``nb[c]`` the union of its rows.  The
+    root is a cut vertex iff it has two or more tree children; any other p
+    is one iff some child c has ``nb[c] & ~sub[c] == 1 << p``, i.e. no edge
+    leaves c's subtree except the tree edge to p (non-tree edges join
+    ancestors to descendants, so nothing else can lie outside).  Cost: O(n)
+    operations on n-bit integers.
+
+    On a disconnected graph G - v stays disconnected for every v unless G
+    is one isolated vertex u plus one connected component; the answer is 0,
+    or 1 when u = 0.
     """
     n = g.n
+    if n < 3:
+        return None
+    rows = g._rows
     full = (1 << n) - 1
-    for v in range(n):
-        allowed = full ^ (1 << v)
-        start = 0 if v != 0 else 1
-        if _reach_mask(g._rows, start, allowed) != allowed:
-            return v
-    return None
+    parent = [0] * n
+    order = [0]
+    stack = [0]
+    unvisited = full ^ 1
+    root_children = 0
+    while stack and unvisited:
+        nxt = rows[stack[-1]] & unvisited
+        if nxt:
+            b = nxt & -nxt
+            unvisited ^= b
+            c = b.bit_length() - 1
+            parent[c] = stack[-1]
+            root_children += len(stack) == 1
+            order.append(c)
+            stack.append(c)
+        else:
+            stack.pop()
+    if unvisited:
+        if len(order) == 1 and _reach_mask(rows, 1, full ^ 1) == full ^ 1:
+            return 1
+        return 0
+    if root_children >= 2:
+        return 0
+    sub = [1 << v for v in range(n)]
+    nb = list(rows)
+    best = None
+    for c in reversed(order[1:]):
+        p = parent[c]
+        s = sub[c]
+        if p and nb[c] & ~s == 1 << p and (best is None or p < best):
+            best = p
+        sub[p] |= s
+        nb[p] |= nb[c]
+    return best
 
 
 def component_count(g: Graph, removed: Iterable[int] = ()) -> int:
@@ -284,7 +335,7 @@ def component_count(g: Graph, removed: Iterable[int] = ()) -> int:
 def is_2_connected(g: Graph) -> bool:
     """Connected with no cut vertex; graphs of order < 3 are not
     2-connected under this convention."""
-    return g.n >= 3 and is_connected(g) and cut_vertex(g) is None
+    return g.n >= 3 and cut_vertex(g) is None
 
 
 # -- graph6 and edge-list serialization --------------------------------------

@@ -24,12 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import BadParameters, DimensionMismatch, NotConnected, ZeroVector
 from .graph import Graph, is_connected, iter_bits
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_TOL = 1e-10
 
@@ -58,6 +59,8 @@ class SpectralEstimate:
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
     """Dense 0/1 adjacency as float64 (row-major, vertex order preserved)."""
+    import numpy as np
+
     n = g.n
     nbytes = (n + 7) // 8
     buf = b"".join(g.row(v).to_bytes(nbytes, "little") for v in range(n))
@@ -80,6 +83,8 @@ def perron_pair(
     disconnected input (Perron positivity needs irreducibility); callers
     decompose into components themselves.
     """
+    import numpy as np
+
     n = g.n
     if n < 2:
         raise BadParameters("perron_pair needs n >= 2")

@@ -147,3 +147,107 @@ def test_family_sample_without_count_exit_code(capsys):
                  "--mode", "sample"]
     )
     assert code == 4
+
+
+def test_certify_runs_without_numpy(tmp_path):
+    # numpy is imported only by the spectral stages and the corpus, so a
+    # graph that Ore settles is certified without loading it
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import hamq
+    from hamq.graph import emit_edgelist
+
+    f = tmp_path / "k8.txt"
+    f.write_text(emit_edgelist(complete(8)))
+    script = ("import sys\nfrom hamq.cli import main\nrc = main(sys.argv[1:])\n"
+              "print('numpy' in sys.modules)\nsys.exit(rc)")
+    env = dict(os.environ)
+    src = str(Path(hamq.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    res = run("certify", str(f))
+    assert res.returncode == 0, res.stderr
+    assert "Ore" in res.stdout and res.stdout.splitlines()[-1] == "False"
+    res = run("spectrum", str(f))
+    assert res.returncode == 0, res.stderr
+    assert "q_hat    = 14.0" in res.stdout
+
+
+def _reference_verify_kwargs(args):
+    """The per-suite flag handling the table in ``hamq.cli`` replaced."""
+    from hamq.cli import _parse_int_list
+
+    params = {}
+    if args.suite in ("appendix",):
+        if args.k:
+            params["k_values"] = _parse_int_list(args.k)
+    elif args.suite in ("corollary", "family-nonhc"):
+        if args.k:
+            params["k_values"] = _parse_int_list(args.k)
+        if args.n:
+            params["n_values"] = _parse_int_list(args.n)
+    elif args.suite in ("q-lower", "q-upper"):
+        if args.k and args.n:
+            mode = args.mode or "exhaustive"
+            count = args.count or 0
+            params["cases"] = [
+                (k, n, mode, count)
+                for k in _parse_int_list(args.k)
+                for n in _parse_int_list(args.n)
+            ]
+        if args.seed is not None:
+            params["seed"] = args.seed
+    elif args.suite in ("ore",):
+        if args.trials is not None:
+            params["trials"] = args.trials
+        if args.seed is not None:
+            params["seed"] = args.seed
+    elif args.suite in ("kelmans", "qbound"):
+        if args.count is not None:
+            params["count"] = args.count
+        if args.seed is not None:
+            params["seed"] = args.seed
+    elif args.suite in ("closure",):
+        if args.count is not None:
+            params["random_per_n"] = args.count
+        if args.seed is not None:
+            params["seed"] = args.seed
+    return params
+
+
+def test_verify_passes_every_flag_combination(capsys, monkeypatch):
+    from itertools import product
+    from types import SimpleNamespace
+
+    import hamq.cli
+    from hamq.cli import build_parser
+    from hamq.verify import SUITES
+
+    calls = []
+
+    def fake_run_suite(suite, **kwargs):
+        calls.append((suite, kwargs))
+        return SimpleNamespace(suite=suite, cases=0, failures=[], elapsed=0.0,
+                               ok=True, to_stable_json=lambda: "{}")
+
+    monkeypatch.setattr(hamq.cli, "run_suite", fake_run_suite)
+    flags = [("--k", "2,3"), ("--n", "40..41"), ("--mode", "sample"),
+             ("--count", "5"), ("--trials", "0"), ("--seed", "0")]
+    parser = build_parser()
+    for suite in sorted(SUITES):
+        for chosen in product((False, True), repeat=len(flags)):
+            argv = ["verify", suite]
+            for on, pair in zip(chosen, flags):
+                argv += list(pair) if on else []
+            assert main(argv) == 0
+            got_suite, got = calls.pop()
+            want = _reference_verify_kwargs(parser.parse_args(argv))
+            assert got_suite == suite and got == want, argv
+    capsys.readouterr()

@@ -7,6 +7,7 @@ import pytest
 
 from hamq.errors import BadParameters, BudgetExceeded, NotInE0
 from hamq.families import (
+    CLASSES,
     appendix_check,
     build_S,
     build_T,
@@ -432,3 +433,43 @@ def test_spanning_subgraph_T_matches_brute_force():
         if u in x_set or v in x_set:
             other = v if u in x_set else u
             assert other in y_set or other in x_set
+
+
+def _pairwise_missing(g, w):
+    """Reference: every non-adjacent pair inside Y u Z, one pair at a time."""
+    yz = sorted(set(range(g.n)) - set(w.X))
+    return frozenset(
+        (u, v) for i, u in enumerate(yz) for v in yz[i + 1:] if not g.has_edge(u, v)
+    )
+
+
+def test_membership_deleted_matches_pairwise_scan_on_small_members():
+    checked = 0
+    for k in (2, 3):
+        for n in range(max(5, 2 * k), 11):
+            for clazz in CLASSES:
+                for member in enumerate_class(clazz, n, k, "exhaustive"):
+                    w = membership(member.graph, clazz, k)
+                    assert w is not None, (clazz, n, k, sorted(member.deleted))
+                    assert w.deleted == _pairwise_missing(member.graph, w)
+                    assert len(w.deleted) == len(member.deleted)
+                    checked += 1
+    assert checked > 1000
+
+
+def test_membership_deleted_matches_pairwise_scan_at_paper_orders():
+    rng = SplitMix64(101)
+    for n, k in ((92, 2), (270, 3)):
+        assert membership(complete(n), "S1", k) is None
+        for clazz in CLASSES:
+            for member in enumerate_class(clazz, n, k, "sample", seed=n, count=3):
+                perm = rng.permutation(n)
+                g = relabel(member.graph, perm)
+                w = membership(g, clazz, k)
+                assert w is not None
+                assert w.deleted == _pairwise_missing(g, w)
+                assert w.deleted == {
+                    tuple(sorted((perm[u], perm[v]))) for u, v in member.deleted
+                }
+                if clazz[1] == "2":  # one deletion too many for class 1
+                    assert membership(g, clazz[0] + "1", k) is None

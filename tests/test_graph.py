@@ -5,6 +5,7 @@ import pytest
 from hamq.errors import BadParameters, NotAnEdge, ParseError
 from hamq.graph import (
     Graph,
+    _reach_mask,
     add_edges,
     complete,
     component_count,
@@ -124,12 +125,101 @@ def _brute_cut_vertex(g):
     return None
 
 
+def _sweep_cut_vertex(g):
+    """Reference: one reachability sweep of G - v per vertex v."""
+    full = (1 << g.n) - 1
+    for v in range(g.n):
+        allowed = full ^ (1 << v)
+        if _reach_mask(g._rows, 1 if v == 0 else 0, allowed) != allowed:
+            return v
+    return None
+
+
 def test_cut_vertex_examples():
     assert cut_vertex(path_graph(3)) == 1
     assert cut_vertex(join(complete(1), copies(3, complete(1)))) == 0  # star, hub 0
     assert cut_vertex(path_graph(2)) is None
     assert cut_vertex(complete(1)) is None
     assert cut_vertex(cycle(6)) is None
+
+
+def test_cut_vertex_small_orders():
+    assert cut_vertex(complete(1)) is None
+    assert cut_vertex(complete(2)) is None
+    assert cut_vertex(copies(2, complete(1))) is None
+    assert cut_vertex(complete(3)) is None
+    assert cut_vertex(path_graph(3)) == 1
+    assert cut_vertex(Graph(3, [(0, 2), (1, 2)])) == 2
+    assert cut_vertex(disjoint_union(complete(1), complete(2))) == 1
+    assert cut_vertex(disjoint_union(complete(2), complete(1))) == 0
+    assert cut_vertex(copies(3, complete(1))) == 0
+
+
+def _blocks(rng, sizes, p):
+    """Blocks of the given sizes chained left to right, each sharing its
+    first vertex with the previous block's last; every block is a cycle
+    through its vertices plus gnp(p) chords, hence 2-connected."""
+    edges, shared, start = set(), [], 0
+    for i, size in enumerate(sizes):
+        block = list(range(start, start + size))
+        edges |= {tuple(sorted((block[j], block[(j + 1) % size]))) for j in range(size)}
+        for a in range(size):
+            for b in range(a + 2, size):
+                if rng.next_float() < p:
+                    edges.add((block[a], block[b]))
+        if i:
+            shared.append(start)
+        start += size - 1
+    return Graph(start + 1, edges), shared
+
+
+def _relabel_with(rng, g, fixed):
+    """A random relabeling that sends each key of ``fixed`` to its value."""
+    perm = rng.permutation(g.n)
+    for v, target in fixed.items():
+        w = perm.index(target)
+        perm[v], perm[w] = target, perm[v]
+    return relabel(g, perm), perm
+
+
+def test_cut_vertex_two_dense_blocks_at_paper_orders():
+    rng = SplitMix64(41)
+    for n in (92, 270):
+        g, (shared,) = _blocks(rng, [n // 2 + 1, n - n // 2], 0.6)
+        assert g.n == n
+        for target in (0, n // 2, n - 1):
+            h, _ = _relabel_with(rng, g, {shared: target})
+            assert cut_vertex(h) == target == _sweep_cut_vertex(h)
+            assert not is_2_connected(h)
+
+
+def test_cut_vertex_chain_of_blocks_returns_the_smallest():
+    rng = SplitMix64(43)
+    g, shared = _blocks(rng, [9, 3, 12, 5, 8], 0.5)
+    assert cut_vertex(g) == min(shared) == _sweep_cut_vertex(g)
+    for _ in range(20):
+        h, perm = _relabel_with(rng, g, {})
+        assert cut_vertex(h) == min(perm[v] for v in shared) == _sweep_cut_vertex(h)
+
+
+def test_cut_vertex_path_and_cycle_at_depth_652():
+    n = 652
+    assert cut_vertex(path_graph(n)) == 1
+    assert cut_vertex(cycle(n)) is None and is_2_connected(cycle(n))
+    perm = SplitMix64(47).permutation(n)
+    inner = [perm[v] for v in range(1, n - 1)]
+    assert cut_vertex(relabel(path_graph(n), perm)) == min(inner)
+    assert cut_vertex(relabel(cycle(n), perm)) is None
+
+
+def test_cut_vertex_isolated_vertices_plus_a_clique():
+    # G - v is connected only when v is the isolated vertex of K1 + K_{n-1}
+    for n in (3, 4, 10, 92):
+        two = copies(2, complete(1))
+        assert cut_vertex(disjoint_union(complete(1), complete(n - 1))) == 1
+        assert cut_vertex(disjoint_union(complete(n - 1), complete(1))) == 0
+        assert cut_vertex(disjoint_union(two, complete(n - 2))) == 0
+        assert cut_vertex(disjoint_union(complete(n - 2), two)) == 0
 
 
 def test_component_count():
@@ -149,11 +239,11 @@ def test_component_count():
 
 def test_cut_vertex_matches_brute_force():
     rng = SplitMix64(31)
-    for _ in range(300):
-        n = 2 + rng.next_below(10)
-        g = gnp(n, 0.15 + 0.5 * rng.next_float(), rng)
+    for _ in range(1000):
+        n = 2 + rng.next_below(13)
+        g = gnp(n, 0.1 + 0.5 * rng.next_float(), rng)
         cut = cut_vertex(g)
-        assert cut == _brute_cut_vertex(g)
+        assert cut == _brute_cut_vertex(g) == _sweep_cut_vertex(g)
         assert is_2_connected(g) == (n >= 3 and is_connected(g) and cut is None)
 
 
