@@ -3,23 +3,37 @@
 ``certify`` runs, in order: a structural screen (disconnected graphs and
 graphs with a cut vertex are never Hamilton-connected at order >= 3), the
 degree-sum condition, the closure-completeness gate, the edge-count
-condition with a host-embedding escape, the spectral threshold condition
-with a family-membership escape, the host-comparison variant, and finally
+condition with its exceptional hosts, the spectral annotation, and finally
 (size-gated) the exact oracle.  The first decisive step wins and the full
 attempt trace is kept on the certificate.
 
-Two comparison rules keep certificates sound:
+The edge-count stage runs for k from min(delta, n/11) down to 2, so delta
+>= k and n >= 11k hold; once also m > C(n-k, 2) + k(k+1) it decides.  It
+needs no search budget: a graph with d >= k vertices of degree k has
+m <= C(n-d, 2) + dk, which is convex in d and, for n >= 11k and
+k <= d <= n, never exceeds C(n-k, 2) + k^2, so at most k-1 vertices have
+degree k.  Embedding into S(n, k) or T(n, k) then forces X to be all of
+them, sharing one open (S) or closed (T) neighborhood: exactly the one
+group ``hub_partitions`` can yield.  The same item names the deleted-edge
+class (S1, T1, S2, T2, first match).
 
-* spectral thresholds are compared against the certified interval only --
-  the condition fires when ``lo >= threshold`` and is inconclusive when the
-  threshold lies inside ``[lo, hi]``;
-* an exceptional finding (the graph embeds into a host or is a relabeled
-  family member) asserts non-Hamilton-connectivity only once confirmed on
-  the graph itself: the witness names the host's hub set Y, and removing Y
-  must leave at least |Y| >= 2 components.  A Hamilton-connected graph has
-  c(G - S) <= |S| - 1 for every vertex set S with |S| >= 2, since a spanning
-  path between two vertices of S falls into at most |S| - 1 pieces once S
-  is removed (Chvatal 1973), so the count settles the verdict in O(n + m).
+The spectral stage is an annotation.  The paper's spectral theorem reaches
+its dense regime through q <= 2m/(n-1) + n - 2: a lower bound lo >= 2n - 2k
+at some k with n >= n_min(k) (so n >= 11k) would give 2m >= (n-1)(n-2k+2),
+which is the edge threshold plus (2n - 3k^2 - k - 2)/2 > 0 edges, and the
+edge-count stage would already have decided that k.  So the stage records
+q's enclosure and a ``fail`` or ``inconclusive-interval`` verdict per k and
+never decides.  The host-comparison variant (lo >= q(S(n, k))) is not run:
+q(S(n, k)) >= 2n - 2k + k(k-1)/(n-k+1) (the indicator Rayleigh quotient on
+Y u Z), so it could only fire where the spectral threshold had.
+
+An exceptional finding asserts non-Hamilton-connectivity only once
+confirmed on the graph itself: the witness names the host's hub set Y, and
+removing Y must leave at least |Y| >= 2 components.  A Hamilton-connected
+graph has c(G - S) <= |S| - 1 for every vertex set S with |S| >= 2, since
+a spanning path between two vertices of S falls into at most |S| - 1
+pieces once S is removed (Chvatal 1973), so the count settles the verdict
+in O(n + m).
 """
 
 from __future__ import annotations
@@ -27,22 +41,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Any
 
-from .families import (
-    EmbeddingWitness,
-    MembershipWitness,
-    build_S,
-    build_T,
-    membership,
-    spanning_subgraph_of,
-    thresholds,
-)
-from .errors import BudgetExceeded
+from .families import CLASSES, EmbeddingWitness, class_size_ok, hub_partitions, thresholds
 from .graph import Graph, component_count, cut_vertex, is_connected, min_degree
 from .hamilton import DEFAULT_PAIR_BUDGET, is_hamilton_connected, ore_check
-from .spectral import DEFAULT_TOL, SpectralEstimate, perron_pair
+from .spectral import DEFAULT_TOL, perron_pair
 from .transforms import closure
 
 OUTCOME_CERTIFIED = "CertifiedHamiltonConnected"
@@ -70,7 +74,6 @@ class CertifyConfig:
     oracle_gate: int = 9  # run the standalone exact oracle only for n <= gate
     pair_budget: int = DEFAULT_PAIR_BUDGET  # per path search of that oracle
     enable_oracle: bool = True
-    embed_budget: int = 200_000
     tol: float = DEFAULT_TOL
 
 
@@ -98,11 +101,9 @@ def _jsonable(obj: Any) -> Any:
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, frozenset):
-        return sorted(_jsonable(v) for v in obj)
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, (MembershipWitness, EmbeddingWitness)):
+    if isinstance(obj, EmbeddingWitness):
         return _jsonable(obj.__dict__)
     return obj
 
@@ -136,12 +137,14 @@ def certify(g: Graph, config: CertifyConfig | None = None) -> Certificate:
             trace=trace,
         )
 
-    # structural screen: these graphs cannot be Hamilton-connected
-    if n >= 2 and not is_connected(g):
+    # structural screen: these graphs cannot be Hamilton-connected.  For
+    # n >= 3 every disconnected graph has a vertex whose removal leaves it
+    # disconnected, so connectivity is asked only when cut_vertex finds one
+    cut = cut_vertex(g)
+    if (cut is not None or n == 2) and not is_connected(g):
         trace.append({"condition": "Connectivity", "verdict": "fail",
                       "hypotheses": [_hyp("connected", True, False)]})
         return done(OUTCOME_NOT_HC, None, {"reason": "disconnected"})
-    cut = cut_vertex(g)
     if cut is not None:
         trace.append({"condition": "TwoConnectivity", "verdict": "fail",
                       "hypotheses": [_hyp("two_connected", True, False)]})
@@ -167,9 +170,8 @@ def certify(g: Graph, config: CertifyConfig | None = None) -> Certificate:
         return done(OUTCOME_CERTIFIED, {"name": "ClosureComplete"},
                     {"closure_additions": list(cl_trace.added)})
 
-    exceptional: dict[str, Any] | None = None
-
-    # edge-count condition, k from large to small
+    # edge-count condition, k from large to small; the first k whose
+    # hypotheses pass decides (see the module docstring)
     for k in range(min(delta, n // 11, n // 2), 1, -1):
         th = thresholds(k)
         need = th.edge(n)
@@ -184,103 +186,50 @@ def certify(g: Graph, config: CertifyConfig | None = None) -> Certificate:
             entry["verdict"] = "fail"
             trace.append(entry)
             continue
-        try:
-            ws = spanning_subgraph_of(g, "S", k, cfg.embed_budget)
-            wt = spanning_subgraph_of(g, "T", k, cfg.embed_budget)
-        except BudgetExceeded:
-            entry["verdict"] = "budget-exceeded"
-            trace.append(entry)
-            continue
-        if ws is None and wt is None:
+        found = {}
+        for kind in "ST":
+            item = next(hub_partitions(g, kind, k), None)
+            if item is not None:
+                found[kind] = item
+        if not found:
             entry["verdict"] = "fired"
             trace.append(entry)
             return done(OUTCOME_CERTIFIED, {"name": "EdgeCount", "k": k},
                         {"edge_threshold": need})
         entry["verdict"] = "exceptional"
         trace.append(entry)
-        if exceptional is None:
-            w = ws if ws is not None else wt
-            exceptional = {"stage": "EdgeCount", "k": k, "embedding": w}
-        break  # an embedding into a host settles the graph's status
-
-    if exceptional is None:
-        # spectral condition, certified-interval comparison
-        ks = [k for k in range(min(delta, n // 2), 1, -1) if n >= thresholds(k).n_min]
-        est: SpectralEstimate | None = None
-        if ks:
-            est = perron_pair(g, cfg.tol)
-            params["q_interval"] = [est.lo, est.hi]
-            params["q_converged"] = est.converged
-        for k in ks:
-            thr = float(thresholds(k).spectral(n))
-            hyps = [
-                _hyp("min_degree", k, delta),
-                _hyp("order", thresholds(k).n_min, n),
-            ]
-            entry = {"condition": "Spectral", "k": k, "threshold": thr,
-                     "interval": [est.lo, est.hi], "hypotheses": hyps}
-            if est.lo >= thr:
-                mem_s = membership(g, "S1", k)
-                mem_t = membership(g, "T1", k)
-                entry["membership_S1"] = mem_s is not None
-                entry["membership_T1"] = mem_t is not None
-                if mem_s is None and mem_t is None:
-                    entry["verdict"] = "fired"
-                    trace.append(entry)
-                    return done(OUTCOME_CERTIFIED, {"name": "Spectral", "k": k},
-                                {"threshold": thr, "q_lower": est.lo})
-                entry["verdict"] = "exceptional"
-                trace.append(entry)
-                mem = mem_s if mem_s is not None else mem_t
-                exceptional = {"stage": "Spectral", "k": k, "membership": mem}
-                break
-            elif est.hi < thr:
-                entry["verdict"] = "fail"
-            else:
-                entry["verdict"] = "inconclusive-interval"
-            trace.append(entry)
-
-        # host-comparison variant: q(G) at least the S-host radius
-        if exceptional is None:
-            for k in ks:
-                host = _host_interval("S", n, k, cfg.tol)
-                entry = {"condition": "CorollarySpectral", "k": k,
-                         "host_interval": [host.lo, host.hi],
-                         "interval": [est.lo, est.hi]}
-                if est.lo >= host.hi:
-                    mem = membership(g, "S1", k)
-                    if mem is not None and not mem.deleted:
-                        entry["verdict"] = "exceptional"
-                        trace.append(entry)
-                        exceptional = {"stage": "CorollarySpectral", "k": k,
-                                       "membership": mem}
-                        break
-                    entry["verdict"] = "fired"
-                    trace.append(entry)
-                    return done(
-                        OUTCOME_CERTIFIED,
-                        {"name": "CorollarySpectral", "k": k},
-                        {"host_q_upper": host.hi, "q_lower": est.lo},
-                    )
-                entry["verdict"] = "fail"
-                trace.append(entry)
-
-    if exceptional is not None:
-        k = exceptional["k"]
-        key = "embedding" if "embedding" in exceptional else "membership"
-        w = exceptional[key]
+        kind = "S" if "S" in found else "T"
+        x_set, y_set, z_set, _ = found[kind]
         witnesses: dict[str, Any] = {
-            "host": {"kind": w.kind, "n": n, "k": k},
-            "family_class": _annotate_class(g, k),
-            key: w,
+            "host": {"kind": kind, "n": n, "k": k},
+            "family_class": next((c for c in CLASSES if c[0] in found
+                                  and class_size_ok(c, k, len(found[c[0]][3]))), None),
+            "embedding": EmbeddingWitness(kind=kind, k=k, X=x_set, Y=y_set, Z=z_set),
         }
-        confirmation = _separator_confirmation(g, w.Y)
+        confirmation = _separator_confirmation(g, y_set)
         if confirmation is not None:
             witnesses["confirmation"] = confirmation
         witnesses["non_hamilton_connected"] = True if confirmation else None
         trace.append({"condition": "ExceptionalConfirmation",
                       "verdict": "confirmed" if confirmation else "unconfirmed"})
         return done(OUTCOME_EXCEPTIONAL, None, witnesses)
+
+    # spectral annotation: q's enclosure against 2n - 2k at every k the
+    # theorem covers; it never decides (see the module docstring)
+    ks = [k for k in range(min(delta, n // 2), 1, -1) if n >= thresholds(k).n_min]
+    if ks:
+        est = perron_pair(g, cfg.tol)
+        params["q_interval"] = [est.lo, est.hi]
+        params["q_converged"] = est.converged
+        for k in ks:
+            thr = float(thresholds(k).spectral(n))
+            trace.append({
+                "condition": "Spectral", "k": k, "threshold": thr,
+                "interval": [est.lo, est.hi],
+                "hypotheses": [_hyp("min_degree", k, delta),
+                               _hyp("order", thresholds(k).n_min, n)],
+                "verdict": "fail" if est.hi < thr else "inconclusive-interval",
+            })
 
     # exact oracle, size-gated
     if cfg.enable_oracle and n <= cfg.oracle_gate:
@@ -295,20 +244,6 @@ def certify(g: Graph, config: CertifyConfig | None = None) -> Certificate:
         return done(OUTCOME_TIMEOUT, {"name": "Oracle"}, {})
 
     return done(OUTCOME_INCONCLUSIVE, None, {})
-
-
-def _annotate_class(g: Graph, k: int) -> str | None:
-    """Which deleted-edge class (if any) the graph belongs to, by search."""
-    for clazz in ("S1", "T1", "S2", "T2"):
-        if membership(g, clazz, k) is not None:
-            return clazz
-    return None
-
-
-@lru_cache(maxsize=256)
-def _host_interval(kind: str, n: int, k: int, tol: float) -> SpectralEstimate:
-    handle = build_S(n, k) if kind == "S" else build_T(n, k)
-    return perron_pair(handle.graph, tol)
 
 
 def explain(cert: Certificate) -> dict[str, Any]:

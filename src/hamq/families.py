@@ -18,9 +18,14 @@ eligible deletion set E0.  A *family member* deletes a subset E' of E0:
   ``floor((k-1)/2)`` (T);
 * class 2 members have exactly one more deletion than the class-1 maximum.
 
-``membership`` recognizes a relabeled member and returns the partition
-witness; ``spanning_subgraph_of`` searches for a host embedding (every edge
-of G mapped onto a host edge).  ``appendix_check`` evaluates, in exact
+``hub_partitions`` groups the degree-k vertices by open (S) or closed (T)
+neighborhood and yields each candidate partition ``(X, Y, Z, missing Y u Z
+pairs)``; ``membership`` recognizes a relabeled member by filtering those
+items by class size, and the certifier's edge-count stage reads both its
+host embedding and its class from them.  ``spanning_subgraph_of`` searches
+for a host embedding (every edge of G mapped onto a host edge) over all
+vertices of degree <= k, under a node budget, so it also answers when the
+minimum degree is below k.  ``appendix_check`` evaluates, in exact
 rational arithmetic, the closed-form inequality (split on k mod 4) that
 bounds the class-2 spectral radius strictly below 2n - 2k once n clears the
 order threshold ``n_min(k) = k^4 + 5k^3 + 2k^2 + 8k + 12``.
@@ -275,29 +280,34 @@ def enumerate_class(
 # -- recognition --------------------------------------------------------------
 
 
-def _class_size_ok(clazz: str, k: int, size: int) -> bool:
+def class_size_ok(clazz: str, k: int, size: int) -> bool:
+    """Whether ``size`` deletions fit the class: at most its bound for
+    class 1, exactly its bound for class 2."""
     bound = class_bound(clazz, k)
     return size <= bound if clazz[1] == "1" else size == bound
 
 
-def membership(g: Graph, clazz: str, k: int) -> MembershipWitness | None:
-    """Recognize a (possibly relabeled) class member; None means absent.
+def hub_partitions(
+    g: Graph, kind: str, k: int
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], list[Edge]]]:
+    """Candidate host partitions ``(X, Y, Z, missing)`` of g for one kind.
 
     Candidate X vertices must have degree exactly k (deletions never touch
     X).  For S the members of X share one open neighborhood of size k; for T
-    they share one closed neighborhood of size k+1.  Grouping degree-k
-    vertices by that neighborhood makes the search linear; the remaining
-    structure (Y u Z clique minus E', no X-Z edges) is verified directly.
+    they share one closed neighborhood of size k+1.  Degree-k vertices are
+    grouped by that neighborhood; every group of at least k-1 that fits
+    (independent for S, two outside vertices for T) yields X = its k-1
+    smallest vertices, the hub set Y, Z = the rest, and the pairs inside
+    Y u Z that are not edges, ascending.  Groups come in increasing mask
+    order.  X then touches nothing outside Y, so every item is also a host
+    embedding; ``membership`` filters the items by class size.
     """
-    if clazz not in CLASSES:
-        raise BadParameters(f"unknown class {clazz!r}")
     n = g.n
     if n < 5 or k < 2 or 2 * k > n:
-        return None
-    kind = clazz[0]
+        return
     cands = [v for v in range(n) if g.degree(v) == k]
     if len(cands) < k - 1:
-        return None
+        return
     buckets: dict[int, list[int]] = {}
     for v in cands:
         key = g.row(v) if kind == "S" else g.row(v) | (1 << v)
@@ -329,16 +339,28 @@ def membership(g: Graph, clazz: str, k: int) -> MembershipWitness | None:
         for u in yz:
             above ^= 1 << u
             missing.extend((u, v) for v in iter_bits(above & ~g.row(u)))
-        if not _class_size_ok(clazz, k, len(missing)):
-            continue
-        return MembershipWitness(
-            kind=kind,
-            k=k,
-            X=x_set,
-            Y=y_set,
-            Z=z_set,
-            deleted=frozenset(missing),
-        )
+        yield x_set, y_set, z_set, missing
+
+
+def membership(g: Graph, clazz: str, k: int) -> MembershipWitness | None:
+    """Recognize a (possibly relabeled) class member; None means absent.
+
+    The first ``hub_partitions`` item whose missing pairs fit the class is
+    the witness; the remaining structure (Y u Z clique minus E', no X-Z
+    edges) holds by construction of the item.
+    """
+    if clazz not in CLASSES:
+        raise BadParameters(f"unknown class {clazz!r}")
+    for x_set, y_set, z_set, missing in hub_partitions(g, clazz[0], k):
+        if class_size_ok(clazz, k, len(missing)):
+            return MembershipWitness(
+                kind=clazz[0],
+                k=k,
+                X=x_set,
+                Y=y_set,
+                Z=z_set,
+                deleted=frozenset(missing),
+            )
     return None
 
 

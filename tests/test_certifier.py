@@ -15,17 +15,30 @@ from hamq.certifier import (
 )
 from hamq.families import (
     CLASSES,
+    _prefix_pair_unrank,
     build_S,
     build_T,
     enumerate_class,
     family_member,
+    hub_partitions,
     membership,
     spanning_subgraph_of,
     thresholds,
 )
-from hamq.graph import complete, cycle, disjoint_union, path_graph
+from hamq.graph import (
+    Graph,
+    add_edges,
+    complete,
+    cycle,
+    delete_edges,
+    disjoint_union,
+    is_connected,
+    min_degree,
+    path_graph,
+    relabel,
+)
 from hamq.hamilton import is_hamilton_connected
-from hamq.rng import SplitMix64, gnp
+from hamq.rng import SplitMix64, gnm, gnp
 
 
 def test_certify_complete_graph_fires_ore():
@@ -46,6 +59,34 @@ def test_certify_quick_negatives():
     cert = certify(path_graph(4))
     assert cert.outcome == OUTCOME_NOT_HC
     assert cert.witnesses["reason"] == "cut-vertex"
+
+
+def test_screen_reports_disconnection_from_the_cut_vertex_search(monkeypatch):
+    import hamq.certifier as certifier
+
+    calls = []
+
+    def counted(g):
+        calls.append(g.n)
+        return is_connected(g)
+
+    monkeypatch.setattr(certifier, "is_connected", counted)
+    cases = [Graph(2, [])]  # 2K1
+    for n in (3, 4, 10, 92):
+        lone0 = disjoint_union(complete(1), complete(n - 1))  # vertex 0 isolated
+        lone1 = relabel(lone0, [1, 0] + list(range(2, n)))  # vertex 1 isolated
+        cases += [lone0, lone1]
+    for g in cases:
+        cert = certify(g)
+        assert cert.outcome == OUTCOME_NOT_HC and cert.exit_code() == 1
+        assert cert.witnesses == {"reason": "disconnected"}
+        assert [t["condition"] for t in cert.trace] == ["Connectivity"]
+    assert len(calls) == len(cases)
+    # a connected graph is asked only when a cut vertex turns up
+    calls.clear()
+    for g in (complete(1), complete(2), complete(5), cycle(6), path_graph(4)):
+        certify(g)
+    assert calls == [2, 4]
 
 
 def test_certify_host_is_exceptional_with_confirmation():
@@ -184,29 +225,104 @@ def test_certificate_json_roundtrip():
     assert data["witnesses"]["host"]["kind"] == "S"
 
 
-def test_spectral_stage_escape_when_embedding_budget_exhausted():
-    # with the embedding search starved, the host is caught by the spectral
-    # stage's membership escape instead of the edge stage
-    host = build_S(92, 2)
-    cert = certify(host.graph, CertifyConfig(embed_budget=0))
-    assert cert.outcome == OUTCOME_EXCEPTIONAL
-    edge_entry = next(t for t in cert.trace if t["condition"] == "EdgeCount")
-    assert edge_entry["verdict"] == "budget-exceeded"
-    spectral_entry = next(t for t in cert.trace if t["condition"] == "Spectral")
-    assert spectral_entry["verdict"] == "exceptional"
-    assert cert.witnesses["family_class"] == "S1"
+def _annotate_class(g, k):
+    # the class search certify ran before it read the class off its edge
+    # stage's partition: membership for S1, T1, S2, T2 in turn
+    for clazz in CLASSES:
+        if membership(g, clazz, k) is not None:
+            return clazz
+    return None
 
 
-def test_spectral_and_corollary_fail_traces_on_class2_member():
-    # class-2 members sit strictly below every spectral threshold, so with
-    # the edge stage starved the run ends inconclusive with fail traces
-    member = family_member(build_S(92, 2), [(3, 5), (7, 9)])
-    cert = certify(member.graph, CertifyConfig(embed_budget=0))
-    assert cert.outcome == OUTCOME_INCONCLUSIVE
-    verdicts = {t["condition"]: t["verdict"] for t in cert.trace}
-    assert verdicts["Spectral"] == "fail"
-    assert verdicts["CorollarySpectral"] == "fail"
-    assert cert.parameters["q_interval"][1] < 180
+def _near_host(rng, kind, n, k, deletions, adds):
+    """A relabeled host minus ``deletions`` pairs inside Y u Z, plus ``adds``
+    distinct X-Z edges."""
+    host = build_S(n, k) if kind == "S" else build_T(n, k)
+    dels = [_prefix_pair_unrank(n - k + 1, i)
+            for i in rng.sample_distinct(deletions, host.e0_size)]
+    extra = set()
+    while len(extra) < adds:
+        extra.add((host.Z[rng.next_below(len(host.Z))], host.X[rng.next_below(len(host.X))]))
+    g = add_edges(delete_edges(host.graph, dels), sorted(extra))
+    return relabel(g, rng.permutation(n))
+
+
+def _edge_stage_corpus():
+    rng = SplitMix64(2024)
+    for clazz in CLASSES:
+        for m in enumerate_class(clazz, 22, 2):
+            yield relabel(m.graph, rng.permutation(22))
+    for n, count in ((33, 8), (270, 2)):
+        for clazz in CLASSES:
+            for m in enumerate_class(clazz, n, 3, mode="sample", seed=n, count=count):
+                yield relabel(m.graph, rng.permutation(n))
+    for n in (22, 33, 44):
+        k = n // 11
+        lo, hi = thresholds(k).edge(n) + 1, n * (n - 1) // 2
+        done = 0
+        while done < 40:
+            g = gnm(n, lo + rng.next_below(hi - lo + 1), rng)
+            if min_degree(g) >= k:
+                done += 1
+                yield g
+    for kind in "ST":
+        for adds in (0, 1, 2, 3):
+            for _ in range(6):
+                yield _near_host(rng, kind, 92, 2, 2 + rng.next_below(5), adds)
+
+
+def test_edge_stage_partition_equals_the_embedding_search():
+    # arbiter for the edge stage: where its hypotheses pass, the one
+    # degree-k partition per kind gives the same embedding as the budgeted
+    # search (S tried first, then T) and the same class as the membership
+    # search; the pigeonhole bound on degree-k vertices is what makes it so
+    exceptional = 0
+    for g in _edge_stage_corpus():
+        cert = certify(g, CertifyConfig(enable_oracle=False))
+        for k in range(min(min_degree(g), g.n // 11), 1, -1):
+            if g.m <= thresholds(k).edge(g.n):
+                continue
+            assert sum(d == k for d in g.degrees()) <= k - 1
+            found = {}
+            for kind in "ST":
+                item = next(hub_partitions(g, kind, k), None)
+                found[kind] = spanning_subgraph_of(g, kind, k)
+                assert (item is None) == (found[kind] is None)
+                if item is not None:
+                    assert item[:3] == (found[kind].X, found[kind].Y, found[kind].Z)
+            w = found["S"] or found["T"]
+            entries = [t for t in cert.trace if t["condition"] == "EdgeCount"
+                       and t["k"] == k and t["verdict"] != "fail"]
+            if entries:
+                assert entries[0]["verdict"] == ("exceptional" if w else "fired")
+                assert cert.witnesses.get("embedding") == w
+                if w is not None:
+                    exceptional += 1
+                    assert cert.witnesses["family_class"] == _annotate_class(g, k)
+                    assert cert.witnesses["host"] == {"kind": w.kind, "n": g.n, "k": k}
+            break
+    assert exceptional > 400
+
+
+def test_spectral_entries_are_annotations_on_near_hosts():
+    # hosts at n = 92 with enough deletions to drop below every edge
+    # threshold reach the spectral stage; the edge-count bound on q keeps
+    # every lower bound under 2n - 2k, so the stage records and never decides
+    rng = SplitMix64(92)
+    n = 92
+    for kind in "ST":
+        for k in (2, 3, 4):
+            for _ in range(4):
+                g = _near_host(rng, kind, n, k, n - 3 * k + 1 + rng.next_below(30), 0)
+                cert = certify(g)
+                assert cert.outcome == OUTCOME_INCONCLUSIVE and cert.fired_condition is None
+                assert all(t["condition"] != "CorollarySpectral" for t in cert.trace)
+                spectral = [t for t in cert.trace if t["condition"] == "Spectral"]
+                assert [t["k"] for t in spectral] == [2]
+                for entry in spectral:
+                    assert entry["interval"] == cert.parameters["q_interval"]
+                    assert entry["interval"][0] < entry["threshold"]
+                    assert entry["verdict"] in ("fail", "inconclusive-interval")
 
 
 def test_dense_regime_soundness():
