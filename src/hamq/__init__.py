@@ -33,10 +33,7 @@ from .graph import (
 )
 from .hamilton import (
     OracleAnswer,
-    hamilton_path_between,
     is_hamilton_connected,
-    is_hamiltonian,
-    is_traceable,
     ore_check,
 )
 from .spectral import (
@@ -75,10 +72,7 @@ __all__ = [
     "enumerate_class",
     "explain",
     "family_member",
-    "hamilton_path_between",
     "is_hamilton_connected",
-    "is_hamiltonian",
-    "is_traceable",
     "join",
     "kelmans",
     "membership",

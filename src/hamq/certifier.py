@@ -237,7 +237,8 @@ def certify(g: Graph, config: CertifyConfig | None = None) -> Certificate:
         trace.append({"condition": "Oracle", "verdict": ans.verdict,
                       "nodes_expanded": ans.nodes_expanded})
         if ans.verdict == "yes":
-            return done(OUTCOME_EXACT_YES, {"name": "Oracle"}, {})
+            return done(OUTCOME_EXACT_YES, {"name": "Oracle"},
+                        {"paths": list(ans.paths.values())})
         if ans.verdict == "no":
             return done(OUTCOME_EXACT_NO, {"name": "Oracle"},
                         {"failing_pair": list(ans.failing_pair)})

@@ -1,6 +1,6 @@
-"""Exact Hamilton-path and Hamilton-connectivity oracles, plus the Ore check.
+"""Exact Hamilton-connectivity oracle, plus the Ore check.
 
-The pair search is depth-first backtracking over bit-mask states with three
+The pair search is depth-first backtracking over bit-mask states with four
 sound prunes:
 
 (a) every unvisited vertex other than the target must keep at least two
@@ -9,26 +9,36 @@ sound prunes:
     a predecessor and a successor there; the target itself needs at least
     one entry point;
 (b) the open region must be reachable from the frontier;
-(c) for n <= 24, failed (visited-set, frontier) states are memoized.
+(c) for n <= 24, failed (visited-set, frontier) states are memoized;
+(d) an unvisited vertex with exactly two links into the open region uses
+    both as path edges, and the frontier and the target each have one path
+    edge left, so the state is dead once two such vertices link to the
+    frontier or two link to the target (the degree-2 forced-edge rule of
+    Vandegriend and Culberson 1998).  It is checked inside (a)'s loop.
 
 Neighbor expansion is in ascending index order, so verdicts, witnesses and
 node counts are deterministic.  Budgets count node expansions, not wall
 time, which keeps Timeout verdicts reproducible.
 
+``is_hamilton_connected`` scans the pairs in ascending order and searches
+only those that have no path yet.  Every path a search finds is closed
+under Posa rotations (Posa 1976) at both ends: if the end e of
+(p0 ... pi pi+1 ... e) is adjacent to pi, then (p0 ... pi e ... pi+1) is a
+spanning p0-pi+1 path.  Each newly reached pair is recorded once and
+rotated in turn, at O(n + deg) per recorded path.  Rotation only adds valid
+paths and is not budgeted; the search alone decides, so a "no" names the
+same minimum failing pair as a search of every pair would.
+
 Conventions at tiny orders: a one-vertex graph is Hamilton-connected
 vacuously, a two-vertex graph is Hamilton-connected iff its edge exists.
-Hamilton cycles require order >= 3.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
 
-from .errors import BadParameters, SearchTimeout
+from .errors import SearchTimeout
 from .graph import Graph
-from .transforms import closure
 
 DEFAULT_PAIR_BUDGET = 10**8
 MEMO_SIZE_GATE = 24
@@ -38,17 +48,15 @@ MEMO_SIZE_GATE = 24
 class OracleAnswer:
     """Outcome of an exhaustive search: Yes/No with a witness, or Timeout.
 
-    For a Yes on Hamilton-connectivity, ``paths`` maps each vertex pair to a
-    spanning path; for a No, ``failing_pair`` is the smallest pair (in
-    ascending order) with no spanning path between its ends.
+    For a Yes, ``paths`` maps each vertex pair (u, v), u < v, in ascending
+    order to a spanning path from u to v; for a No, ``failing_pair`` is the
+    smallest pair with no spanning path between its ends.
     """
 
     verdict: str  # "yes" | "no" | "timeout"
     paths: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)
     failing_pair: tuple[int, int] | None = None
     nodes_expanded: int = 0
-    elapsed: float = 0.0
-    closure_complete: bool | None = None
 
     @property
     def yes(self) -> bool:
@@ -78,22 +86,31 @@ def _pair_search(
             return [cur, v] if rows[cur] & target_bit else None
         if memo is not None and (visited, cur) in memo:
             return None
+        cur_bit = 1 << cur
         open_ = full & ~visited & ~target_bit
-        region = open_ | (1 << cur) | target_bit
+        region = open_ | cur_bit | target_bit
         feasible = True
+        forced_cur = forced_target = 0
         m = open_
         while m:
             b = m & -m
             m ^= b
             aw = rows[b.bit_length() - 1] & (region & ~b)
-            if not aw or not aw & (aw - 1):  # fewer than two links left
+            rest = aw & (aw - 1)
+            if not rest:  # (a): fewer than two links left
                 feasible = False
                 break
-        if feasible and not rows[v] & (open_ | (1 << cur)):
+            if not rest & (rest - 1):  # (d): exactly two links, both forced
+                forced_cur += bool(aw & cur_bit)
+                forced_target += bool(aw & target_bit)
+                if forced_cur > 1 or forced_target > 1:
+                    feasible = False
+                    break
+        if feasible and not rows[v] & (open_ | cur_bit):
             feasible = False
         if feasible:
             # reachability sweep over the open region
-            reached = 1 << cur
+            reached = cur_bit
             frontier = reached
             while frontier:
                 nxt = 0
@@ -124,72 +141,29 @@ def _pair_search(
     return (tuple(path) if path is not None else None), expanded
 
 
-def hamilton_path_between(
-    g: Graph, u: int, v: int, budget: int = DEFAULT_PAIR_BUDGET
-) -> tuple[int, ...] | None:
-    """A spanning path from u to v, or None if none exists.
-
-    Raises SearchTimeout if the node-expansion budget runs out first.
-    """
-    if u == v:
-        raise BadParameters("endpoints must be distinct")
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise BadParameters(f"endpoints ({u},{v}) out of range")
-    path, _ = _pair_search(g, u, v, budget)
-    return path
-
-
-def _run_pairs(
-    g: Graph,
-    pairs: Iterable[tuple[int, int]],
-    budget: int,
-    start: float,
-    *,
-    every: bool,
-    closure_complete: bool | None = None,
-) -> OracleAnswer:
-    """Search the pairs in order until the stop rule decides.
-
-    With ``every`` set, each pair needs a spanning path: the first pair
-    without one ends the scan with "no" (and is the failing pair), and "yes"
-    carries a path for every pair.  Otherwise one path is enough: the first
-    pair with one ends the scan with "yes", and "no" means no pair has one.
-    A timed-out pair search adds its spent budget to ``nodes_expanded``.
-    """
-    total = 0
-    paths: dict[tuple[int, int], tuple[int, ...]] = {}
-    failing: tuple[int, int] | None = None
-    for u, v in pairs:
-        try:
-            path, nodes = _pair_search(g, u, v, budget)
-        except SearchTimeout as exc:
-            return OracleAnswer(
-                verdict="timeout",
-                nodes_expanded=total + exc.budget,
-                elapsed=time.monotonic() - start,
-                closure_complete=closure_complete,
-            )
-        total += nodes
-        if path is not None:
-            paths[(u, v)] = path
-            if not every:
-                break
-        elif every:
-            failing = (u, v)
-            break
-    found = failing is None if every else bool(paths)
-    return OracleAnswer(
-        verdict="yes" if found else "no",
-        paths=paths if found else {},
-        failing_pair=failing,
-        nodes_expanded=total,
-        elapsed=time.monotonic() - start,
-        closure_complete=closure_complete,
-    )
-
-
-def _all_pairs(n: int) -> Iterator[tuple[int, int]]:
-    return ((u, v) for u in range(n) for v in range(u + 1, n))
+def _rotate_fill(
+    rows: tuple[int, ...], path: tuple[int, ...], paths: dict[tuple[int, int], tuple[int, ...]]
+) -> None:
+    """Record every spanning path reachable from the recorded ``path`` by
+    Posa rotations at either end, each under its end pair and oriented from
+    the smaller end."""
+    pending = [path]
+    while pending:
+        p = pending.pop()
+        last = len(p) - 1
+        for q in (p, p[::-1]):  # rotate at the far end, keeping q[0] fixed
+            pos = {w: i for i, w in enumerate(q)}
+            m = rows[q[last]] & ~(1 << q[last - 1])
+            while m:
+                b = m & -m
+                m ^= b
+                i = pos[b.bit_length() - 1]
+                x, y = q[0], q[i + 1]
+                key = (x, y) if x < y else (y, x)
+                if key not in paths:
+                    new = q[: i + 1] + q[: i : -1]
+                    paths[key] = new if x < y else new[::-1]
+                    pending.append(new)
 
 
 def is_hamilton_connected(
@@ -197,17 +171,31 @@ def is_hamilton_connected(
 ) -> OracleAnswer:
     """Exhaustive Hamilton-connectivity oracle.
 
-    Computes the (n+1)-closure first as a fast equivalence gate; witnesses
-    are always searched on the input graph itself (paths in the closure need
-    not exist in g).  Pairs are scanned in ascending order with early exit on
-    the first failing pair, so the reported No pair is the minimum one.
+    Pairs are scanned in ascending order; a pair without a path yet is
+    searched with ``budget`` node expansions, and each path found is closed
+    under rotations (see the module docstring).  The first pair the search
+    refutes ends the scan with "no", so the reported pair is the minimum
+    one; "yes" carries a path for every pair.  A timed-out pair search adds
+    its spent budget to ``nodes_expanded``.
     """
-    start = time.monotonic()
     n = g.n
-    cl, _ = closure(g, n + 1)
-    cl_complete = cl.m == n * (n - 1) // 2
-    return _run_pairs(g, _all_pairs(n), budget, start, every=True,
-                      closure_complete=cl_complete)
+    paths: dict[tuple[int, int], tuple[int, ...]] = {}
+    total = 0
+    for u in range(n):
+        for v in range(u + 1, n):
+            if (u, v) in paths:
+                continue
+            try:
+                path, nodes = _pair_search(g, u, v, budget)
+            except SearchTimeout as exc:
+                return OracleAnswer(verdict="timeout", nodes_expanded=total + exc.budget)
+            total += nodes
+            if path is None:
+                return OracleAnswer(verdict="no", failing_pair=(u, v), nodes_expanded=total)
+            paths[(u, v)] = path
+            _rotate_fill(g._rows, path, paths)
+    return OracleAnswer(verdict="yes", paths=dict(sorted(paths.items())),
+                        nodes_expanded=total)
 
 
 def ore_check(g: Graph) -> bool:
@@ -231,23 +219,6 @@ def ore_check(g: Graph) -> bool:
             if not (row >> v & 1) and deg[u] + deg[v] < n + 1:
                 return False
     return True
-
-
-def is_hamiltonian(g: Graph, budget: int = DEFAULT_PAIR_BUDGET) -> OracleAnswer:
-    """Spanning-cycle oracle (n >= 3): a cycle through vertex 0 exists iff
-    some neighbor v of 0 admits a spanning 0-v path."""
-    start = time.monotonic()
-    if g.n < 3:
-        raise BadParameters("Hamilton cycles need order >= 3")
-    return _run_pairs(g, ((0, v) for v in g.neighbors(0)), budget, start, every=False)
-
-
-def is_traceable(g: Graph, budget: int = DEFAULT_PAIR_BUDGET) -> OracleAnswer:
-    """Spanning-path oracle: does any Hamilton path exist?"""
-    start = time.monotonic()
-    if g.n == 1:
-        return OracleAnswer(verdict="yes", elapsed=time.monotonic() - start)
-    return _run_pairs(g, _all_pairs(g.n), budget, start, every=False)
 
 
 def validate_path(g: Graph, path: tuple[int, ...]) -> bool:

@@ -25,37 +25,15 @@ def brute_hamilton_path(g: Graph, u: int, v: int) -> tuple[int, ...] | None:
     return None
 
 
-def brute_hamilton_connected(g: Graph) -> bool:
+def brute_failing_pair(g: Graph) -> tuple[int, int] | None:
+    """The smallest pair u < v with no Hamilton u-v path, or None if every
+    pair has one (so a one-vertex graph is Hamilton-connected vacuously)."""
     n = g.n
-    if n == 1:
-        return True
-    if n == 2:
-        return g.has_edge(0, 1)
-    return all(
-        brute_hamilton_path(g, u, v) is not None
-        for u in range(n)
-        for v in range(u + 1, n)
+    return next(
+        ((u, v) for u in range(n) for v in range(u + 1, n)
+         if brute_hamilton_path(g, u, v) is None),
+        None,
     )
-
-
-def brute_traceable(g: Graph) -> bool:
-    if g.n == 1:
-        return True
-    return any(
-        brute_hamilton_path(g, u, v) is not None
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-    )
-
-
-def brute_hamiltonian(g: Graph) -> bool:
-    n = g.n
-    if n < 3:
-        return False
-    for v in g.neighbors(0):
-        if brute_hamilton_path(g, 0, v) is not None:
-            return True
-    return False
 
 
 def eigen_residual(g: Graph, q_hat: float, f: list[float]) -> float:
@@ -66,13 +44,6 @@ def eigen_residual(g: Graph, q_hat: float, f: list[float]) -> float:
         s = sum(f[u] for u in g.neighbors(v))
         worst = max(worst, abs((q_hat - g.degree(v)) * f[v] - s))
     return worst
-
-
-def petersen() -> Graph:
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    spokes = [(i, i + 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return Graph(10, outer + spokes + inner)
 
 
 @pytest.fixture(scope="session")

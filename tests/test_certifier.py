@@ -5,6 +5,7 @@ import json
 from hamq.certifier import (
     OUTCOME_CERTIFIED,
     OUTCOME_EXACT_NO,
+    OUTCOME_EXACT_YES,
     OUTCOME_EXCEPTIONAL,
     OUTCOME_INCONCLUSIVE,
     OUTCOME_NOT_HC,
@@ -37,7 +38,7 @@ from hamq.graph import (
     path_graph,
     relabel,
 )
-from hamq.hamilton import is_hamilton_connected
+from hamq.hamilton import is_hamilton_connected, validate_path
 from hamq.rng import SplitMix64, gnm, gnp
 
 
@@ -130,9 +131,8 @@ def test_separator_confirms_every_small_member():
 
 
 def test_members_confirmed_where_the_edge_stage_runs():
-    # every k = 2 member at n = 22 and a k = 3 sample at n = 33; the oracle
-    # arbitrates only k = 2 here (on the k = 3 hosts at n = 33 its first
-    # pair alone spends 10**6 expansions without an answer)
+    # every k = 2 member at n = 22 and a k = 3 sample at n = 33, each
+    # arbitrated by the oracle within 10**6 expansions per pair
     members = [m for clazz in CLASSES for m in enumerate_class(clazz, 22, 2)]
     members += [m for clazz in CLASSES
                 for m in enumerate_class(clazz, 33, 3, mode="sample", seed=1, count=10)]
@@ -141,8 +141,7 @@ def test_members_confirmed_where_the_edge_stage_runs():
         assert cert.outcome == OUTCOME_EXCEPTIONAL and cert.exit_code() == 1
         conf = cert.witnesses["confirmation"]
         assert conf["components"] >= len(conf["separator"]) >= 2
-        if member.k == 2:
-            assert is_hamilton_connected(member.graph).verdict == "no"
+        assert is_hamilton_connected(member.graph, 10**6).verdict == "no"
 
 
 def test_certify_deleted_member_annotated_class2():
@@ -161,6 +160,25 @@ def test_certify_cycle_exact_no():
     assert cert.outcome == OUTCOME_EXACT_NO
     assert cert.witnesses["failing_pair"] == [0, 2]
     assert cert.exit_code() == 1
+
+
+def test_exact_yes_carries_a_path_table(small_connected):
+    # the oracle's spanning paths, one per pair u < v in pair order
+    graphs = [g for n in (6, 7) for g in small_connected[n]]
+    rng = SplitMix64(11)
+    graphs += [gnp(9, 0.5 + 0.3 * rng.next_float(), rng) for _ in range(100)]
+    seen = 0
+    for g in graphs:
+        cert = certify(g)
+        if cert.outcome != OUTCOME_EXACT_YES:
+            continue
+        seen += 1
+        paths = cert.witnesses["paths"]
+        ends = [(p[0], p[-1]) for p in paths]
+        assert ends == [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+        assert all(validate_path(g, p) for p in paths)
+        assert explain(cert)["witnesses"]["paths"] == [list(p) for p in paths]
+    assert seen >= 14
 
 
 def test_certify_inconclusive_beyond_gate():

@@ -1,8 +1,9 @@
-"""Exact oracles: pair search, Hamilton-connectivity, degree-sum check."""
+"""Exact oracle: pair search, Hamilton-connectivity, degree-sum check."""
 
 import pytest
 
-from hamq.errors import BadParameters, SearchTimeout
+from hamq.errors import SearchTimeout
+from hamq.families import CLASSES, build_S, build_T, enumerate_class
 from hamq.graph import (
     Graph,
     add_edges,
@@ -16,38 +17,41 @@ from hamq.graph import (
     path_graph,
 )
 from hamq.hamilton import (
-    hamilton_path_between,
+    _pair_search,
     is_hamilton_connected,
-    is_hamiltonian,
-    is_traceable,
     ore_check,
     validate_path,
 )
 from hamq.rng import SplitMix64, gnp
 from hamq.transforms import closure
 
-from conftest import (
-    brute_hamilton_connected,
-    brute_hamilton_path,
-    brute_hamiltonian,
-    brute_traceable,
-    petersen,
-)
+from conftest import brute_failing_pair, brute_hamilton_path
 
 
 def s62():
     return join(complete(2), disjoint_union(complete(3), complete(1)))
 
 
+def path_between(g, u, v, budget=10**8):
+    return _pair_search(g, u, v, budget)[0]
+
+
+def assert_path_table(g, ans):
+    # a "yes" carries one spanning u-v path per pair u < v, in pair order
+    n = g.n
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    assert list(ans.paths) == pairs
+    for (u, v), path in ans.paths.items():
+        assert validate_path(g, path) and path[0] == u and path[-1] == v
+
+
 def test_path_between_examples():
-    p = hamilton_path_between(complete(4), 0, 3)
+    p = path_between(complete(4), 0, 3)
     assert p is not None and validate_path(complete(4), p)
     c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    assert hamilton_path_between(c4, 0, 2) is None
+    assert path_between(c4, 0, 2) is None
     p4 = path_graph(4)
-    assert hamilton_path_between(p4, 0, 3) == (0, 1, 2, 3)
-    with pytest.raises(BadParameters):
-        hamilton_path_between(p4, 1, 1)
+    assert path_between(p4, 0, 3) == (0, 1, 2, 3)
 
 
 def test_path_search_matches_brute_force():
@@ -59,7 +63,7 @@ def test_path_search_matches_brute_force():
         v = rng.next_below(n)
         if u == v:
             continue
-        ours = hamilton_path_between(g, u, v)
+        ours = path_between(g, u, v)
         brute = brute_hamilton_path(g, u, v)
         assert (ours is None) == (brute is None)
         if ours is not None:
@@ -84,15 +88,56 @@ def test_hamilton_connected_conventions():
 def test_hamilton_connected_witnesses_validate():
     g = complete(6)
     ans = is_hamilton_connected(g)
-    assert ans.verdict == "yes" and len(ans.paths) == 15
-    for (u, v), path in ans.paths.items():
-        assert validate_path(g, path) and path[0] == u and path[-1] == v
+    assert ans.verdict == "yes"
+    assert_path_table(g, ans)
 
 
 def test_oracle_matches_brute_force_on_corpus(small_connected):
-    for n in (1, 2, 3, 4, 5, 6):
+    # verdict and failing pair against permutation enumeration; most pairs
+    # of a "yes" come from rotations, so every path of the table is checked
+    for n in range(1, 8):
         for g in small_connected[n]:
-            assert (is_hamilton_connected(g).verdict == "yes") == brute_hamilton_connected(g)
+            ans = is_hamilton_connected(g)
+            failing = brute_failing_pair(g)
+            assert ans.verdict == ("yes" if failing is None else "no")
+            assert ans.failing_pair == failing
+            if failing is None:
+                assert_path_table(g, ans)
+
+
+def test_yes_answers_carry_every_pair_on_random_graphs():
+    rng = SplitMix64(101)
+    yes = 0
+    for _ in range(300):
+        n = 3 + rng.next_below(12)  # 3..14
+        g = gnp(n, 0.4 + 0.55 * rng.next_float(), rng)
+        ans = is_hamilton_connected(g)
+        if ans.verdict == "yes":
+            yes += 1
+            assert_path_table(g, ans)
+        else:
+            assert ans.verdict == "no" and not ans.paths
+            assert path_between(g, *ans.failing_pair) is None
+    assert yes > 100
+
+
+def test_dense_random_graph_needs_few_expansions():
+    # one search finds a path; rotations fill the other C(n, 2) - 1 pairs
+    g = gnp(92, 0.5, SplitMix64(1))
+    ans = is_hamilton_connected(g)
+    assert ans.verdict == "yes" and ans.nodes_expanded <= 10 * g.n
+    assert_path_table(g, ans)
+
+
+def test_k3_hosts_and_members_refuted_at_n33():
+    # the first pair is refuted by the forced-edge prune: after a few steps
+    # both X vertices keep exactly two links each, both to the target 1
+    for build in (build_S, build_T):
+        ans = is_hamilton_connected(build(33, 3).graph, 10**6)
+        assert ans.verdict == "no" and ans.failing_pair == (0, 1)
+    for clazz in CLASSES:
+        for member in enumerate_class(clazz, 33, 3, mode="sample", seed=1, count=5):
+            assert is_hamilton_connected(member.graph, 10**6).verdict == "no"
 
 
 def test_monotone_under_edge_addition():
@@ -149,37 +194,6 @@ def test_ore_check_equals_the_classical_statement(small_connected):
     assert fired > 100
 
 
-def test_hamiltonian_and_traceable():
-    assert is_hamiltonian(cycle(5)).verdict == "yes"
-    assert is_hamiltonian(path_graph(5)).verdict == "no"
-    assert is_traceable(path_graph(5)).verdict == "yes"
-    pet = petersen()
-    assert is_hamiltonian(pet).verdict == "no"  # classical hypohamiltonicity
-    assert is_traceable(pet).verdict == "yes"
-    with pytest.raises(BadParameters):
-        is_hamiltonian(complete(2))
-
-
-def test_cycle_and_path_oracles_match_brute_force():
-    rng = SplitMix64(83)
-    for _ in range(120):
-        n = 3 + rng.next_below(4)
-        g = gnp(n, 0.3 + 0.5 * rng.next_float(), rng)
-        assert (is_hamiltonian(g).verdict == "yes") == brute_hamiltonian(g)
-        assert (is_traceable(g).verdict == "yes") == brute_traceable(g)
-
-
-def test_hierarchy_on_small_corpus(small_connected):
-    # spanning-path hierarchy; cycle oracle needs order >= 3
-    for n in (3, 4, 5, 6, 7):
-        for g in small_connected[n]:
-            hc = is_hamilton_connected(g).verdict == "yes"
-            ham = is_hamiltonian(g).verdict == "yes"
-            tr = is_traceable(g).verdict == "yes"
-            assert not hc or ham
-            assert not ham or tr
-
-
 def test_closure_gate_consistency():
     rng = SplitMix64(89)
     for _ in range(150):
@@ -192,17 +206,13 @@ def test_closure_gate_consistency():
 
 def test_budget_timeout():
     with pytest.raises(SearchTimeout):
-        hamilton_path_between(complete(12), 0, 1, budget=5)
+        path_between(complete(12), 0, 1, budget=5)
     ans = is_hamilton_connected(complete(12), budget=5)
     assert ans.verdict == "timeout"
     # the aborted pair's expansions count: it spent its whole budget
     assert ans.nodes_expanded == 5
     ans = is_hamilton_connected(cycle(9), 3)
     assert ans.verdict == "timeout" and ans.nodes_expanded == 3
-    ans = is_hamiltonian(complete(12), budget=5)
-    assert ans.verdict == "timeout" and ans.nodes_expanded == 5
-    ans = is_traceable(complete(12), budget=5)
-    assert ans.verdict == "timeout" and ans.nodes_expanded == 5
 
 
 def test_all_pairs_search_on_exhaustive_corpus(small_connected):
@@ -210,6 +220,6 @@ def test_all_pairs_search_on_exhaustive_corpus(small_connected):
     for g in small_connected[6]:
         for u in range(6):
             for v in range(u + 1, 6):
-                ours = hamilton_path_between(g, u, v)
+                ours = path_between(g, u, v)
                 brute = brute_hamilton_path(g, u, v)
                 assert (ours is None) == (brute is None)
