@@ -73,8 +73,6 @@ class CertifyConfig:
 
     oracle_gate: int = 9  # run the standalone exact oracle only for n <= gate
     pair_budget: int = DEFAULT_PAIR_BUDGET  # per path search of that oracle
-    enable_oracle: bool = True
-    tol: float = DEFAULT_TOL
 
 
 @dataclass
@@ -218,7 +216,7 @@ def certify(g: Graph, config: CertifyConfig | None = None) -> Certificate:
     # theorem covers; it never decides (see the module docstring)
     ks = [k for k in range(min(delta, n // 2), 1, -1) if n >= thresholds(k).n_min]
     if ks:
-        est = perron_pair(g, cfg.tol)
+        est = perron_pair(g, DEFAULT_TOL)
         params["q_interval"] = [est.lo, est.hi]
         params["q_converged"] = est.converged
         for k in ks:
@@ -232,7 +230,7 @@ def certify(g: Graph, config: CertifyConfig | None = None) -> Certificate:
             })
 
     # exact oracle, size-gated
-    if cfg.enable_oracle and n <= cfg.oracle_gate:
+    if n <= cfg.oracle_gate:
         ans = is_hamilton_connected(g, cfg.pair_budget)
         trace.append({"condition": "Oracle", "verdict": ans.verdict,
                       "nodes_expanded": ans.nodes_expanded})

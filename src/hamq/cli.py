@@ -14,6 +14,10 @@ Subcommands:
 * ``verify``: run one named verification suite and print its stable report.
 * ``hunt``: random/exhaustive certifier-vs-oracle consistency search.
 
+``verify`` and ``hunt`` run in-process and exit 0 on a clean report, 1 when
+it lists failures, and 4 on malformed input (a bad model, trial count or
+integer list); the wall time of the run goes to stderr.
+
 Input graphs are read from a file (or stdin with ``-``); the format is
 sniffed from the first line: ``"n m"`` headers select the edge-list reader,
 anything else is treated as graph6.
@@ -24,10 +28,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 from .certifier import CertifyConfig, certify, explain
-from .errors import HamqError, ParseError
+from .errors import BadParameters, HamqError, ParseError
 from .families import build_S, build_T, enumerate_class
 from .graph import Graph, emit_graph6, parse_edgelist, parse_graph6
 from .hamilton import DEFAULT_PAIR_BUDGET
@@ -105,10 +110,13 @@ def _cmd_family(args: argparse.Namespace) -> int:
 
 
 def _parse_int_list(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(p) for p in text.split(",") if p]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return [int(p) for p in text.split(",") if p]
+    except ValueError:
+        raise BadParameters(f"not an integer list or range: {text!r}") from None
 
 
 def _case_grid(args: argparse.Namespace) -> list[tuple] | None:
@@ -144,25 +152,31 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         value = read(args)
         if value is not None:
             params[key] = value
+    start = time.monotonic()
     report = run_suite(args.suite, **params)
     print(report.to_stable_json())
     print(f"suite {report.suite}: {report.cases} cases, "
-          f"{len(report.failures)} failure(s), {report.elapsed:.1f}s",
+          f"{len(report.failures)} failure(s), {time.monotonic() - start:.1f}s",
           file=sys.stderr)
     return 0 if report.ok else 1
 
 
 def _cmd_hunt(args: argparse.Namespace) -> int:
     trials: int | str = args.trials
-    if isinstance(trials, str) and trials != "exhaustive":
-        trials = int(trials)
     model = args.model
-    if trials == "exhaustive" and model != "all-connected":
+    if trials == "exhaustive":
         model = "all-connected"
+    else:
+        try:
+            trials = int(trials)
+        except ValueError:
+            raise BadParameters(f"--trials takes an integer or 'exhaustive', "
+                                f"got {trials!r}") from None
+    start = time.monotonic()
     report = run_hunt(n=args.n, trials=trials, seed=args.seed, model=model)
     print(report.to_stable_json())
     print(f"hunt: {report.cases} cases, {len(report.failures)} disagreement(s), "
-          f"{report.elapsed:.1f}s", file=sys.stderr)
+          f"{time.monotonic() - start:.1f}s", file=sys.stderr)
     return 0 if report.ok else 1
 
 

@@ -17,7 +17,7 @@ from itertools import permutations
 from math import comb
 from typing import TYPE_CHECKING
 
-from .errors import SizeLimit
+from .errors import BadParameters, SizeLimit
 from .graph import Graph, is_connected
 
 if TYPE_CHECKING:
@@ -94,6 +94,8 @@ def all_graphs(n: int) -> tuple[Graph, ...]:
     """All graphs of order n up to isomorphism (n <= 7)."""
     if n > 7:
         raise SizeLimit("exhaustive corpus is gated at n <= 7")
+    if n < 1:
+        raise BadParameters(f"graph order must be >= 1, got {n}")
     if n == 1:
         return (Graph(1),)
     reps: dict[int, Graph] = {}

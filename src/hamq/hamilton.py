@@ -219,10 +219,3 @@ def ore_check(g: Graph) -> bool:
             if not (row >> v & 1) and deg[u] + deg[v] < n + 1:
                 return False
     return True
-
-
-def validate_path(g: Graph, path: tuple[int, ...]) -> bool:
-    """Does the path visit every vertex exactly once along edges of g?"""
-    if len(path) != g.n or len(set(path)) != g.n:
-        return False
-    return all(g.has_edge(path[i], path[i + 1]) for i in range(len(path) - 1))

@@ -1,23 +1,18 @@
 """Named verification suites: every inequality the toolkit relies on, at desk
 scale, against independent oracles.
 
-Each suite replays one verified claim over a deterministic case set derived
-from a single seed (per-case generator streams are forked up front, so the
-case set does not depend on execution order).  Failures carry the graph6
-string of the offending graph and the violated inequality with its numbers,
-so every failure is replayable.  Reports are byte-stable for fixed (params,
-seed): the stable serialization excludes wall-clock time.
-
-``HAMQ_THREADS`` caps the process pool used for the embarrassingly parallel
-suites (default 1 = sequential; results are identical either way).
+Each suite replays one verified claim, in-process, over a deterministic
+case set derived from a single seed (per-case generator streams are forked
+up front, so the case set does not depend on execution order).  Failures
+carry the graph6 string of the offending graph and the violated inequality
+with its numbers, so every failure is replayable.  Reports carry no timing
+and keep their failures sorted, so they are byte-stable for fixed (params,
+seed); callers that want wall time measure the call.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -33,6 +28,7 @@ from .certifier import (
 from .corpus import connected_graphs
 from .errors import BadParameters, BadSuite
 from .families import (
+    Thresholds,
     build_S,
     build_T,
     indicator_rayleigh_value,
@@ -52,59 +48,35 @@ from .spectral import (
 )
 from .transforms import closure, kelmans
 
-ORACLE_BUDGET = 10**8
-
 
 @dataclass
 class SuiteReport:
-    """Outcome of one suite run; empty ``failures`` means success."""
+    """Outcome of one suite run; empty ``failures`` means success.  The
+    failures are sorted on construction, so the report is byte-stable."""
 
     suite: str
     params: dict[str, Any]
     cases: int
     failures: list[dict[str, Any]] = field(default_factory=list)
-    elapsed: float = 0.0
+
+    def __post_init__(self) -> None:
+        self.failures.sort(key=lambda f: (f.get("graph6", ""), str(sorted(f.items()))))
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
-    def finalize(self) -> "SuiteReport":
-        self.failures.sort(key=lambda f: (f.get("graph6", ""), str(sorted(f.items()))))
-        return self
-
     def to_stable_json(self) -> str:
-        # wall-clock time is excluded: reports must be byte-stable per build
-        return json.dumps(
-            {
-                "suite": self.suite,
-                "params": self.params,
-                "cases": self.cases,
-                "failures": self.failures,
-            },
-            sort_keys=True,
-        )
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("HAMQ_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn: Callable, items: list) -> list:
-    cap = _threads()
-    if cap <= 1 or len(items) < 4:
-        return [fn(x) for x in items]
-    chunk = max(1, len(items) // (cap * 8))
-    with ProcessPoolExecutor(max_workers=cap) as ex:
-        return list(ex.map(fn, items, chunksize=chunk))
+        return json.dumps(vars(self), sort_keys=True)
 
 
 def _case_seeds(seed: int, count: int) -> list[int]:
     rng = SplitMix64(seed)
     return [rng.next_u64() for _ in range(count)]
+
+
+def _failures(check: Callable[[Any], dict | None], cases: Iterable) -> list[dict]:
+    return [f for f in map(check, cases) if f is not None]
 
 
 # -- ore: degree-sum sufficiency ------------------------------------------------
@@ -116,7 +88,7 @@ def _ore_case(case_seed: int) -> dict | None:
     g = gnp(n, 0.15 + 0.7 * rng.next_float(), rng)
     if not ore_check(g):
         return None
-    ans = is_hamilton_connected(g, ORACLE_BUDGET)
+    ans = is_hamilton_connected(g)
     if ans.verdict == "yes":
         return None
     return {
@@ -128,27 +100,24 @@ def _ore_case(case_seed: int) -> dict | None:
 
 def run_ore(trials: int = 10_000, seed: int = 1) -> SuiteReport:
     """Degree-sum sufficiency: whenever the check fires, the oracle agrees."""
-    start = time.monotonic()
     failures = []
     cases = 0
     for n in range(1, 8):
         for g in connected_graphs(n):
             cases += 1
-            if ore_check(g) and is_hamilton_connected(g, ORACLE_BUDGET).verdict != "yes":
+            if ore_check(g) and is_hamilton_connected(g).verdict != "yes":
                 failures.append({
                     "graph6": emit_graph6(g),
                     "violated": "degree-sum condition held but oracle said no",
                 })
-    results = _pmap(_ore_case, _case_seeds(seed, trials))
+    failures.extend(_failures(_ore_case, _case_seeds(seed, trials)))
     cases += trials
-    failures.extend(r for r in results if r is not None)
     return SuiteReport(
         suite="ore",
         params={"trials": trials, "seed": seed, "corpus": "connected n<=7"},
         cases=cases,
         failures=failures,
-        elapsed=time.monotonic() - start,
-    ).finalize()
+    )
 
 
 # -- closure: equivalence gate and well-definedness -----------------------------
@@ -169,18 +138,11 @@ def _closure_with_order(g: Graph, k: int, order: list[tuple[int, int]]) -> Graph
     return cur
 
 
-def _closure_equiv_case(args: tuple[int, int]) -> dict | None:
-    case_seed, n = args
-    rng = SplitMix64(case_seed)
-    g = random_connected_gnp(n, 0.2 + 0.6 * rng.next_float(), rng)
-    return _closure_equiv_check(g)
-
-
 def _closure_equiv_check(g: Graph) -> dict | None:
     n = g.n
     cl, _ = closure(g, n + 1)
-    a = is_hamilton_connected(g, ORACLE_BUDGET).verdict
-    b = is_hamilton_connected(cl, ORACLE_BUDGET).verdict
+    a = is_hamilton_connected(g).verdict
+    b = is_hamilton_connected(cl).verdict
     if a != b:
         return {
             "graph6": emit_graph6(g),
@@ -197,22 +159,13 @@ def run_closure(
 ) -> SuiteReport:
     """Closure preserves the Hamilton-connectivity verdict; the closure edge
     set is scan-order independent and the operator is idempotent."""
-    start = time.monotonic()
-    failures = []
-    cases = 0
-    for n in exhaustive_n:
-        for g in connected_graphs(n):
-            cases += 1
-            f = _closure_equiv_check(g)
-            if f:
-                failures.append(f)
-    items = []
-    seeds = _case_seeds(seed, 2 * random_per_n)
-    for i, s in enumerate(seeds):
-        items.append((s, 8 if i < random_per_n else 9))
-    results = _pmap(_closure_equiv_case, items)
-    cases += len(items)
-    failures.extend(r for r in results if r is not None)
+    graphs = [g for n in exhaustive_n for g in connected_graphs(n)]
+    for i, s in enumerate(_case_seeds(seed, 2 * random_per_n)):
+        rng = SplitMix64(s)
+        n = 8 if i < random_per_n else 9
+        graphs.append(random_connected_gnp(n, 0.2 + 0.6 * rng.next_float(), rng))
+    failures = _failures(_closure_equiv_check, graphs)
+    cases = len(graphs)
 
     # well-definedness: scan order does not change the closure edge set
     rng = SplitMix64(seed ^ 0xC10)
@@ -252,8 +205,7 @@ def run_closure(
                 "seed": seed, "corpus": f"connected n in {sorted(exhaustive_n)}"},
         cases=cases,
         failures=failures,
-        elapsed=time.monotonic() - start,
-    ).finalize()
+    )
 
 
 # -- kelmans: spectral monotonicity ---------------------------------------------
@@ -285,16 +237,12 @@ def _kelmans_case(case_seed: int) -> dict | None:
 
 def run_kelmans(count: int = 1000, seed: int = 3) -> SuiteReport:
     """The neighborhood-shift transformation never decreases the radius."""
-    start = time.monotonic()
-    results = _pmap(_kelmans_case, _case_seeds(seed, count))
-    failures = [r for r in results if r is not None]
     return SuiteReport(
         suite="kelmans",
         params={"count": count, "seed": seed, "n_max": 30},
         cases=count,
-        failures=failures,
-        elapsed=time.monotonic() - start,
-    ).finalize()
+        failures=_failures(_kelmans_case, _case_seeds(seed, count)),
+    )
 
 
 # -- qbound: edge-count upper bound and eigen-equation checks --------------------
@@ -345,16 +293,12 @@ def _qbound_case(case_seed: int) -> dict | None:
 
 def run_qbound(count: int = 10_000, seed: int = 4) -> SuiteReport:
     """Edge-count bound on the radius, plus residual/identity sanity."""
-    start = time.monotonic()
-    results = _pmap(_qbound_case, _case_seeds(seed, count))
-    failures = [r for r in results if r is not None]
     return SuiteReport(
         suite="qbound",
         params={"count": count, "seed": seed, "n_max": 50},
         cases=count,
-        failures=failures,
-        elapsed=time.monotonic() - start,
-    ).finalize()
+        failures=_failures(_qbound_case, _case_seeds(seed, count)),
+    )
 
 
 # -- q-lower: exact class-1 certificates -----------------------------------------
@@ -368,7 +312,6 @@ def run_qlower(
     The generic rational quotient must also equal the closed-form value
     derived from the member's deletion count (two independent routes).
     """
-    start = time.monotonic()
     if cases is None:
         cases = []
         for k in (2, 3):
@@ -398,8 +341,7 @@ def run_qlower(
         params={"cases": [list(c) for c in cases], "seed": seed},
         cases=total,
         failures=failures,
-        elapsed=time.monotonic() - start,
-    ).finalize()
+    )
 
 
 # -- q-upper: class-2 members sit strictly below the threshold -------------------
@@ -480,7 +422,6 @@ def run_qupper(
     The strict upper bound only holds once n clears the order threshold
     (quartic in k); running a case below it reports honest failures.
     """
-    start = time.monotonic()
     if cases is None:
         cases = [(2, thresholds(2).n_min, "exhaustive", 0),
                  (3, thresholds(3).n_min, "sample", 200)]
@@ -512,8 +453,7 @@ def run_qupper(
         params={"cases": [list(c) for c in cases], "seed": seed},
         cases=total,
         failures=failures,
-        elapsed=time.monotonic() - start,
-    ).finalize()
+    )
 
 
 # -- appendix: exact rational inequality -----------------------------------------
@@ -524,7 +464,6 @@ def run_appendix(k_values: Iterable[int] = range(2, 13)) -> SuiteReport:
     order threshold and comfortably above it, over all four k mod 4 branches."""
     from .families import appendix_check
 
-    start = time.monotonic()
     failures = []
     cases = 0
     branches = set()
@@ -551,8 +490,7 @@ def run_appendix(k_values: Iterable[int] = range(2, 13)) -> SuiteReport:
         params={"k_values": ks},
         cases=cases,
         failures=failures,
-        elapsed=time.monotonic() - start,
-    ).finalize()
+    )
 
 
 # -- corollary: host radius ordering ---------------------------------------------
@@ -566,7 +504,6 @@ def run_corollary(
     The k=2 case is skipped: the S and T hosts coincide there, so the first
     comparison is void by construction (recorded in the report params).
     """
-    start = time.monotonic()
     failures = []
     cases = 0
     ks = [k for k in k_values if k != 2]
@@ -588,8 +525,7 @@ def run_corollary(
                 "skipped": "k=2 (S and T hosts coincide)"},
         cases=cases,
         failures=failures,
-        elapsed=time.monotonic() - start,
-    ).finalize()
+    )
 
 
 # -- family-nonhc: exceptional families really are exceptional -------------------
@@ -599,7 +535,6 @@ def run_family_nonhc(
     k_values: Iterable[int] = (2, 3), n_values: Iterable[int] = range(8, 13)
 ) -> SuiteReport:
     """Every class-1 member at desk scale fails the exact oracle."""
-    start = time.monotonic()
     failures = []
     cases = 0
     for k in k_values:
@@ -609,7 +544,7 @@ def run_family_nonhc(
             for clazz in ("S1", "T1"):
                 for member in enumerate_class(clazz, n, k, "exhaustive"):
                     cases += 1
-                    ans = is_hamilton_connected(member.graph, ORACLE_BUDGET)
+                    ans = is_hamilton_connected(member.graph)
                     if ans.verdict != "no":
                         failures.append({
                             "graph6": emit_graph6(member.graph),
@@ -621,52 +556,24 @@ def run_family_nonhc(
         params={"k_values": list(k_values), "n_values": list(n_values)},
         cases=cases,
         failures=failures,
-        elapsed=time.monotonic() - start,
-    ).finalize()
+    )
 
 
 # -- hunt: certifier vs oracle consistency ----------------------------------------
 
 
 def _hunt_check(g: Graph) -> dict | None:
-    cert = certify(g, CertifyConfig(enable_oracle=False))
-    oracle = is_hamilton_connected(g, ORACLE_BUDGET).verdict
-    outcome = cert.outcome
-    if outcome == OUTCOME_CERTIFIED and oracle != "yes":
-        pass_ok = False
-    elif outcome == OUTCOME_NOT_HC and oracle != "no":
-        pass_ok = False
-    elif outcome == OUTCOME_EXCEPTIONAL and oracle == "yes":
-        # hosts and their spanning subgraphs are never Hamilton-connected
-        pass_ok = False
-    else:
-        pass_ok = True
-    if pass_ok:
-        return None
-    return {
-        "graph6": emit_graph6(g),
-        "violated": f"certifier said {outcome} but oracle said {oracle}",
-    }
-
-
-def _hunt_case(args: tuple[int, int, str, float, int]) -> dict | None:
-    case_seed, n, model, p, m_or_k = args
-    rng = SplitMix64(case_seed)
-    if model == "gnp":
-        g = gnp(n, p, rng)
-    elif model == "gnm":
-        g = gnm(n, m_or_k, rng)
-    elif model == "dense-above-edge-threshold":
-        k = m_or_k
-        lo = thresholds(k).edge(n) + 1
-        hi = comb(n, 2)
-        while True:
-            g = gnm(n, lo + rng.next_below(hi - lo + 1), rng)
-            if min_degree(g) >= k:
-                break
-    else:
-        raise BadParameters(f"unknown hunt model {model!r}")
-    return _hunt_check(g)
+    outcome = certify(g, CertifyConfig(oracle_gate=0)).outcome
+    oracle = is_hamilton_connected(g).verdict
+    if ((outcome == OUTCOME_CERTIFIED and oracle != "yes")
+            or (outcome == OUTCOME_NOT_HC and oracle != "no")
+            # hosts and their spanning subgraphs are never Hamilton-connected
+            or (outcome == OUTCOME_EXCEPTIONAL and oracle == "yes")):
+        return {
+            "graph6": emit_graph6(g),
+            "violated": f"certifier said {outcome} but oracle said {oracle}",
+        }
+    return None
 
 
 def run_hunt(
@@ -677,47 +584,68 @@ def run_hunt(
 ) -> SuiteReport:
     """Random (or exhaustive) consistency search: the condition pipeline must
     never contradict the exact oracle.  A hit would be an implementation bug."""
-    start = time.monotonic()
-    name, arg = _parse_model(model)
-    failures: list[dict] = []
-    if name == "all-connected":
+    sample = _parse_model(model)
+    if sample is None:
         graphs = connected_graphs(n)
-        results = _pmap(_hunt_check, list(graphs))
         cases = len(graphs)
-        failures = [r for r in results if r is not None]
     else:
-        if not isinstance(trials, int):
-            raise BadParameters("numeric models need an integer trial count")
-        p = arg if name == "gnp" else 0.0
-        mk = int(arg) if name in ("gnm", "dense-above-edge-threshold") else 0
-        items = [(s, n, name, p, mk) for s in _case_seeds(seed, trials)]
-        results = _pmap(_hunt_case, items)
+        if not isinstance(trials, int) or trials < 0:
+            raise BadParameters("numeric models need a non-negative integer trial count")
+        graphs = (sample(n, SplitMix64(s)) for s in _case_seeds(seed, trials))
         cases = trials
-        failures = [r for r in results if r is not None]
     return SuiteReport(
         suite="hunt",
         params={"n": n, "trials": trials, "seed": seed, "model": model},
         cases=cases,
-        failures=failures,
-        elapsed=time.monotonic() - start,
-    ).finalize()
+        failures=_failures(_hunt_check, graphs),
+    )
 
 
-def _parse_model(model: str) -> tuple[str, float]:
+def _parse_model(model: str) -> Callable[[int, SplitMix64], Graph] | None:
+    """The sampler ``(n, rng) -> Graph`` a hunt model names, or None for
+    ``all-connected``, which enumerates instead of sampling."""
     model = model.strip()
     if model == "all-connected":
-        return "all-connected", 0.0
-    if "(" in model and model.endswith(")"):
-        name, arg = model[:-1].split("(", 1)
+        return None
+    name, paren, arg = model.partition("(")
+    if paren and arg.endswith(")"):
+        arg = arg[:-1]
         if name == "gnp":
-            return "gnp", float(arg)
+            p = _model_number(float, arg, model)
+            if not 0 <= p <= 1:
+                raise BadParameters(f"gnp probability must lie in [0, 1]: {model!r}")
+            return lambda n, rng: gnp(n, p, rng)
         if name == "gnm":
-            return "gnm", float(arg)
+            m = _model_number(int, arg, model)
+            if m < 0:
+                raise BadParameters(f"gnm edge count must be non-negative: {model!r}")
+            return lambda n, rng: gnm(n, m, rng)
         if name == "dense-above-edge-threshold":
             if not arg.startswith("k="):
                 raise BadParameters("dense model takes k=<int>")
-            return "dense-above-edge-threshold", float(arg[2:])
+            th = thresholds(_model_number(int, arg[2:], model))
+            return lambda n, rng: _dense_sample(n, th, rng)
     raise BadParameters(f"unknown model {model!r}")
+
+
+def _model_number(kind: type, text: str, model: str) -> Any:
+    try:
+        return kind(text)
+    except ValueError:
+        raise BadParameters(f"bad {kind.__name__} {text!r} in model {model!r}") from None
+
+
+def _dense_sample(n: int, th: Thresholds, rng: SplitMix64) -> Graph:
+    """gnm with m uniform above the edge threshold, redrawn until
+    min degree >= k."""
+    hi = comb(n, 2)
+    if n < th.k or th.edge(n) >= hi:
+        raise BadParameters(f"no graph of order {n} lies above the k={th.k} edge threshold")
+    lo = th.edge(n) + 1
+    while True:
+        g = gnm(n, lo + rng.next_below(hi - lo + 1), rng)
+        if min_degree(g) >= th.k:
+            return g
 
 
 # -- registry and claim coverage ---------------------------------------------------

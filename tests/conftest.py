@@ -1,8 +1,9 @@
 """Shared fixtures and independent brute-force oracles.
 
 The brute-force routines here deliberately avoid the package's own search
-machinery: paths are checked by permutation enumeration and eigen-equation
-residuals by a plain neighbor sum, so they can arbitrate disagreements.
+machinery: paths are found by permutation enumeration and checked edge by
+edge, and eigen-equation residuals by a plain neighbor sum, so they can
+arbitrate disagreements.
 """
 
 from __future__ import annotations
@@ -23,6 +24,13 @@ def brute_hamilton_path(g: Graph, u: int, v: int) -> tuple[int, ...] | None:
         if all(g.has_edge(path[i], path[i + 1]) for i in range(n - 1)):
             return path
     return None
+
+
+def validate_path(g: Graph, path: tuple[int, ...]) -> bool:
+    """Does the path visit every vertex exactly once along edges of g?"""
+    if len(path) != g.n or len(set(path)) != g.n:
+        return False
+    return all(g.has_edge(path[i], path[i + 1]) for i in range(len(path) - 1))
 
 
 def brute_failing_pair(g: Graph) -> tuple[int, int] | None:

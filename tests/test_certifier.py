@@ -38,8 +38,10 @@ from hamq.graph import (
     path_graph,
     relabel,
 )
-from hamq.hamilton import is_hamilton_connected, validate_path
+from hamq.hamilton import is_hamilton_connected
 from hamq.rng import SplitMix64, gnm, gnp
+
+from conftest import validate_path
 
 
 def test_certify_complete_graph_fires_ore():
@@ -123,7 +125,7 @@ def test_separator_confirms_every_small_member():
                 for member in enumerate_class(clazz, n, k):
                     g = member.graph
                     assert is_hamilton_connected(g).verdict == "no"
-                    cert = certify(g, CertifyConfig(enable_oracle=False))
+                    cert = certify(g, CertifyConfig(oracle_gate=0))
                     assert cert.outcome != OUTCOME_CERTIFIED
                     for w in (membership(g, clazz, k), spanning_subgraph_of(g, clazz[0], k)):
                         conf = _separator_confirmation(g, w.Y)
@@ -137,7 +139,7 @@ def test_members_confirmed_where_the_edge_stage_runs():
     members += [m for clazz in CLASSES
                 for m in enumerate_class(clazz, 33, 3, mode="sample", seed=1, count=10)]
     for member in members:
-        cert = certify(member.graph, CertifyConfig(enable_oracle=False))
+        cert = certify(member.graph, CertifyConfig(oracle_gate=0))
         assert cert.outcome == OUTCOME_EXCEPTIONAL and cert.exit_code() == 1
         conf = cert.witnesses["confirmation"]
         assert conf["components"] >= len(conf["separator"]) >= 2
@@ -184,7 +186,7 @@ def test_exact_yes_carries_a_path_table(small_connected):
 def test_certify_inconclusive_beyond_gate():
     rng = SplitMix64(1)
     g = gnp(10, 0.2, rng)
-    cert = certify(g, CertifyConfig(enable_oracle=False))
+    cert = certify(g, CertifyConfig(oracle_gate=0))
     assert cert.outcome in (OUTCOME_INCONCLUSIVE, OUTCOME_NOT_HC)
     if cert.outcome == OUTCOME_INCONCLUSIVE:
         assert cert.exit_code() == 2
@@ -194,7 +196,7 @@ def test_certified_implies_oracle_yes_small():
     rng = SplitMix64(5)
     for _ in range(300):
         g = gnp(3 + rng.next_below(6), 0.3 + 0.6 * rng.next_float(), rng)
-        cert = certify(g, CertifyConfig(enable_oracle=False))
+        cert = certify(g, CertifyConfig(oracle_gate=0))
         if cert.outcome == OUTCOME_CERTIFIED:
             assert is_hamilton_connected(g).verdict == "yes"
         elif cert.outcome == OUTCOME_NOT_HC:
@@ -216,7 +218,7 @@ def test_edge_threshold_is_strict():
         if min_degree(g) < 2:
             continue
         tried += 1
-        cert = certify(g, CertifyConfig(enable_oracle=False))
+        cert = certify(g, CertifyConfig(oracle_gate=0))
         for entry in cert.trace:
             if entry["condition"] == "EdgeCount":
                 assert entry["verdict"] == "fail"
@@ -296,7 +298,7 @@ def test_edge_stage_partition_equals_the_embedding_search():
     # search; the pigeonhole bound on degree-k vertices is what makes it so
     exceptional = 0
     for g in _edge_stage_corpus():
-        cert = certify(g, CertifyConfig(enable_oracle=False))
+        cert = certify(g, CertifyConfig(oracle_gate=0))
         for k in range(min(min_degree(g), g.n // 11), 1, -1):
             if g.m <= thresholds(k).edge(g.n):
                 continue
@@ -360,7 +362,7 @@ def test_dense_regime_soundness():
         if min_degree(g) < 2:
             continue
         done += 1
-        cert = certify(g, CertifyConfig(enable_oracle=False))
+        cert = certify(g, CertifyConfig(oracle_gate=0))
         assert cert.outcome in (OUTCOME_CERTIFIED, OUTCOME_EXCEPTIONAL)
         oracle_yes = is_hamilton_connected(g).verdict == "yes"
         if cert.outcome == OUTCOME_CERTIFIED:

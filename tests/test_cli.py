@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from hamq.cli import main
 from hamq.families import build_S
 from hamq.graph import complete, cycle, emit_graph6, path_graph
@@ -136,6 +138,26 @@ def test_certify_pinned_random_regressions(capsys, monkeypatch):
     assert code == 2 and "Inconclusive" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["hunt", "--model", "gnp(x)"],
+    ["hunt", "--model", "gnp(1.5)"],
+    ["hunt", "--model", "gnm(3.5)"],
+    ["hunt", "--model", "gnm(-1)"],
+    ["hunt", "--model", "dense-above-edge-threshold(k=two)"],
+    ["hunt", "--model", "dense-above-edge-threshold(k=1)", "--trials", "0"],
+    ["hunt", "--n", "1", "--model", "dense-above-edge-threshold(k=2)", "--trials", "1"],
+    ["hunt", "--n", "0", "--trials", "exhaustive"],
+    ["hunt", "--trials", "abc"],
+    ["hunt", "--trials", "-3"],
+    ["verify", "appendix", "--k", "a..b"],
+    ["verify", "corollary", "--n", "30,x"],
+])
+def test_malformed_suite_input_is_an_input_error(capsys, argv):
+    # exit 1 means "the report lists failures"; bad input must not read so
+    code, out, err = run_cli(capsys, argv)
+    assert code == 4 and err.startswith("error: ") and out == ""
+
+
 def test_family_invalid_params_exit_code(capsys):
     code, _, err = run_cli(capsys, ["family", "S", "--n", "6", "--k", "5"])
     assert code == 4 and "error" in err
@@ -151,7 +173,8 @@ def test_family_sample_without_count_exit_code(capsys):
 
 def test_certify_runs_without_numpy(tmp_path):
     # numpy is imported only by the spectral stages and the corpus, so a
-    # graph that Ore settles is certified without loading it
+    # graph that Ore settles is certified without loading it; the suites run
+    # in-process, so no process-pool machinery is loaded either
     import os
     import subprocess
     import sys
@@ -163,7 +186,8 @@ def test_certify_runs_without_numpy(tmp_path):
     f = tmp_path / "k8.txt"
     f.write_text(emit_edgelist(complete(8)))
     script = ("import sys\nfrom hamq.cli import main\nrc = main(sys.argv[1:])\n"
-              "print('numpy' in sys.modules)\nsys.exit(rc)")
+              "print(sorted(m for m in ('numpy', 'concurrent.futures', 'multiprocessing')"
+              " if m in sys.modules))\nsys.exit(rc)")
     env = dict(os.environ)
     src = str(Path(hamq.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
@@ -174,7 +198,7 @@ def test_certify_runs_without_numpy(tmp_path):
 
     res = run("certify", str(f))
     assert res.returncode == 0, res.stderr
-    assert "Ore" in res.stdout and res.stdout.splitlines()[-1] == "False"
+    assert "Ore" in res.stdout and res.stdout.splitlines()[-1] == "[]"
     res = run("spectrum", str(f))
     assert res.returncode == 0, res.stderr
     assert "q_hat    = 14.0" in res.stdout

@@ -20,12 +20,11 @@ from hamq.hamilton import (
     _pair_search,
     is_hamilton_connected,
     ore_check,
-    validate_path,
 )
 from hamq.rng import SplitMix64, gnp
 from hamq.transforms import closure
 
-from conftest import brute_failing_pair, brute_hamilton_path
+from conftest import brute_failing_pair, brute_hamilton_path, validate_path
 
 
 def s62():
