@@ -7,15 +7,20 @@ condition with its exceptional hosts, the spectral annotation, and finally
 (size-gated) the exact oracle.  The first decisive step wins and the full
 attempt trace is kept on the certificate.
 
-The edge-count stage runs for k from min(delta, n/11) down to 2, so delta
->= k and n >= 11k hold; once also m > C(n-k, 2) + k(k+1) it decides.  It
-needs no search budget: a graph with d >= k vertices of degree k has
-m <= C(n-d, 2) + dk, which is convex in d and, for n >= 11k and
-k <= d <= n, never exceeds C(n-k, 2) + k^2, so at most k-1 vertices have
-degree k.  Embedding into S(n, k) or T(n, k) then forces X to be all of
-them, sharing one open (S) or closed (T) neighborhood: exactly the one
-group ``hub_partitions`` can yield.  The same item names the deleted-edge
-class (S1, T1, S2, T2, first match).
+The edge-count stage checks one k, min(delta, n/11), so delta >= k and
+n >= 11k hold; once also m > C(n-k, 2) + k(k+1) it decides.  That k has
+the lowest threshold: it drops by n - 3k - 3 > 0 from k to k+1, so a graph
+that fails there fails at every smaller k.  The stage needs no search
+budget: a graph with d >= k vertices of degree k has m <= C(n-d, 2) + dk,
+which is convex in d and, for n >= 11k and k <= d <= n, never exceeds
+C(n-k, 2) + k^2, so at most k-1 vertices have degree k.  Embedding into
+S(n, k) or T(n, k) then forces X to be all of them, sharing one open (S) or
+closed (T) neighborhood: exactly the one group ``hub_partitions`` can
+yield.  The same item names the deleted-edge class (S1, T1, S2, T2, first
+match).  When neither kind yields an item the stage certifies on the
+paper's edge-count theorem alone, and that branch is live: at n = 55, K_51
+plus a 4-cycle X = {51..54} with every X vertex joined to {0, 1, 2} has
+m = 1291 > 1255, fails Ore and closure, and has no item at k = 5.
 
 The spectral stage is an annotation.  The paper's spectral theorem reaches
 its dense regime through q <= 2m/(n-1) + n - 2: a lower bound lo >= 2n - 2k
@@ -27,20 +32,21 @@ never decides.  The host-comparison variant (lo >= q(S(n, k))) is not run:
 q(S(n, k)) >= 2n - 2k + k(k-1)/(n-k+1) (the indicator Rayleigh quotient on
 Y u Z), so it could only fire where the spectral threshold had.
 
-An exceptional finding asserts non-Hamilton-connectivity only once
-confirmed on the graph itself: the witness names the host's hub set Y, and
-removing Y must leave at least |Y| >= 2 components.  A Hamilton-connected
-graph has c(G - S) <= |S| - 1 for every vertex set S with |S| >= 2, since
-a spanning path between two vertices of S falls into at most |S| - 1
-pieces once S is removed (Chvatal 1973), so the count settles the verdict
-in O(n + m).
+An exceptional finding is confirmed on the graph itself: the witness names
+the host's hub set Y, and removing Y leaves at least |Y| >= 2 components.
+A Hamilton-connected graph has c(G - S) <= |S| - 1 for every vertex set S
+with |S| >= 2, since a spanning path between two vertices of S falls into
+at most |S| - 1 pieces once S is removed (Chvatal 1973), so the count,
+found in O(n + m), is the witness.  Every item leaves that many: for S,
+G - Y has the k - 1 X vertices as isolated vertices plus a nonempty Z; for
+T, X has no edge to Z and both are nonempty.  A short count is therefore an
+internal error, never a verdict.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Any
 
 from .families import CLASSES, EmbeddingWitness, class_size_ok, hub_partitions, thresholds
@@ -62,6 +68,7 @@ EXIT_CODES = {
     OUTCOME_EXACT_YES: 0,
     OUTCOME_EXACT_NO: 1,
     OUTCOME_NOT_HC: 1,
+    OUTCOME_EXCEPTIONAL: 1,
     OUTCOME_INCONCLUSIVE: 2,
     OUTCOME_TIMEOUT: 3,
 }
@@ -86,12 +93,10 @@ class Certificate:
     trace: list[dict[str, Any]] = field(default_factory=list)
 
     def exit_code(self) -> int:
-        if self.outcome == OUTCOME_EXCEPTIONAL:
-            return 1 if self.witnesses.get("non_hamilton_connected") else 2
         return EXIT_CODES[self.outcome]
 
     def to_json(self) -> str:
-        return json.dumps(_jsonable(self.__dict__), sort_keys=True)
+        return json.dumps(explain(self), sort_keys=True)
 
 
 def _jsonable(obj: Any) -> Any:
@@ -99,19 +104,17 @@ def _jsonable(obj: Any) -> Any:
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, EmbeddingWitness):
         return _jsonable(obj.__dict__)
     return obj
 
 
-def _separator_confirmation(g: Graph, y: tuple[int, ...]) -> dict[str, Any] | None:
-    """The separator witness c(G - Y) >= |Y| >= 2, or None if it fails."""
+def _separator_confirmation(g: Graph, y: tuple[int, ...]) -> dict[str, Any]:
+    """The separator witness c(G - Y) >= |Y| >= 2 of a host partition's Y."""
     c = component_count(g, y)
-    if len(y) >= 2 and c >= len(y):
-        return {"separator": sorted(y), "components": c}
-    return None
+    if not 2 <= len(y) <= c:
+        raise AssertionError(f"hub set {sorted(y)} leaves {c} components")
+    return {"separator": sorted(y), "components": c}
 
 
 def _hyp(name: str, required: Any, actual: Any) -> dict[str, Any]:
@@ -168,49 +171,44 @@ def certify(g: Graph, config: CertifyConfig | None = None) -> Certificate:
         return done(OUTCOME_CERTIFIED, {"name": "ClosureComplete"},
                     {"closure_additions": list(cl_trace.added)})
 
-    # edge-count condition, k from large to small; the first k whose
-    # hypotheses pass decides (see the module docstring)
-    for k in range(min(delta, n // 11, n // 2), 1, -1):
-        th = thresholds(k)
-        need = th.edge(n)
-        hyps = [
-            _hyp("min_degree", k, delta),
-            _hyp("order", 11 * k, n),
-            {"name": "edge_count_exceeds", "required": need, "actual": g.m,
-             "passed": g.m > need},
-        ]
-        entry: dict[str, Any] = {"condition": "EdgeCount", "k": k, "hypotheses": hyps}
-        if not all(h["passed"] for h in hyps):
-            entry["verdict"] = "fail"
-            trace.append(entry)
-            continue
+    # edge-count condition at the k with the lowest threshold (see the
+    # module docstring)
+    k = min(delta, n // 11)
+    if k >= 2:
+        need = thresholds(k).edge(n)
+        above = g.m > need
         found = {}
-        for kind in "ST":
-            item = next(hub_partitions(g, kind, k), None)
-            if item is not None:
-                found[kind] = item
-        if not found:
-            entry["verdict"] = "fired"
-            trace.append(entry)
+        if above:
+            for kind in "ST":
+                item = next(hub_partitions(g, kind, k), None)
+                if item is not None:
+                    found[kind] = item
+        trace.append({
+            "condition": "EdgeCount", "k": k,
+            "hypotheses": [
+                _hyp("min_degree", k, delta),
+                _hyp("order", 11 * k, n),
+                {"name": "edge_count_exceeds", "required": need, "actual": g.m,
+                 "passed": above},
+            ],
+            "verdict": "exceptional" if found else "fired" if above else "fail",
+        })
+        if above and not found:
             return done(OUTCOME_CERTIFIED, {"name": "EdgeCount", "k": k},
                         {"edge_threshold": need})
-        entry["verdict"] = "exceptional"
-        trace.append(entry)
-        kind = "S" if "S" in found else "T"
-        x_set, y_set, z_set, _ = found[kind]
-        witnesses: dict[str, Any] = {
-            "host": {"kind": kind, "n": n, "k": k},
-            "family_class": next((c for c in CLASSES if c[0] in found
-                                  and class_size_ok(c, k, len(found[c[0]][3]))), None),
-            "embedding": EmbeddingWitness(kind=kind, k=k, X=x_set, Y=y_set, Z=z_set),
-        }
-        confirmation = _separator_confirmation(g, y_set)
-        if confirmation is not None:
-            witnesses["confirmation"] = confirmation
-        witnesses["non_hamilton_connected"] = True if confirmation else None
-        trace.append({"condition": "ExceptionalConfirmation",
-                      "verdict": "confirmed" if confirmation else "unconfirmed"})
-        return done(OUTCOME_EXCEPTIONAL, None, witnesses)
+        if found:
+            kind = "S" if "S" in found else "T"
+            x_set, y_set, z_set, _ = found[kind]
+            witnesses: dict[str, Any] = {
+                "host": {"kind": kind, "n": n, "k": k},
+                "family_class": next((c for c in CLASSES if c[0] in found
+                                      and class_size_ok(c, k, len(found[c[0]][3]))), None),
+                "embedding": EmbeddingWitness(kind=kind, k=k, X=x_set, Y=y_set, Z=z_set),
+                "confirmation": _separator_confirmation(g, y_set),
+                "non_hamilton_connected": True,
+            }
+            trace.append({"condition": "ExceptionalConfirmation", "verdict": "confirmed"})
+            return done(OUTCOME_EXCEPTIONAL, None, witnesses)
 
     # spectral annotation: q's enclosure against 2n - 2k at every k the
     # theorem covers; it never decides (see the module docstring)

@@ -4,8 +4,8 @@ Subcommands:
 
 * ``spectrum``: print the certified radius enclosure of one graph.
 * ``certify``: run the certification pipeline; exit code encodes the outcome
-  (0 certified/exact-yes, 1 exact-no/exceptional-confirmed/not-connected,
-  2 inconclusive or unconfirmed-exceptional, 3 timeout, 4 input error).
+  (0 certified/exact-yes, 1 exact-no/exceptional/not-connected,
+  2 inconclusive, 3 timeout, 4 input error).
   An exceptional finding is confirmed by a separator count on the input
   graph; ``--budget`` bounds only the exact oracle, which runs for
   ``n <= --oracle-gate``.

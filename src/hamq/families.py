@@ -51,7 +51,7 @@ from .graph import (
     iter_bits,
     join,
 )
-from .rng import SplitMix64
+from .rng import SplitMix64, pair_unrank
 
 CLASSES = ("S1", "T1", "S2", "T2")
 DEFAULT_ENUM_BUDGET = 1_000_000
@@ -222,15 +222,6 @@ def refined_partition(handle: FamilyHandle) -> dict[str, tuple[int, ...]]:
 # -- enumeration --------------------------------------------------------------
 
 
-def _prefix_pair_unrank(p: int, index: int) -> Edge:
-    """index-th pair (u, v), u < v < p, in lexicographic order."""
-    u = 0
-    while index >= p - 1 - u:
-        index -= p - 1 - u
-        u += 1
-    return (u, u + 1 + index)
-
-
 def enumerate_class(
     clazz: str,
     n: int,
@@ -264,7 +255,7 @@ def enumerate_class(
             )
         for s in sizes:
             for idxs in combinations(range(e0), s):
-                yield family_member(base, [_prefix_pair_unrank(p, i) for i in idxs])
+                yield family_member(base, [pair_unrank(p, i) for i in idxs])
     elif mode == "sample":
         if count is None:
             raise BadParameters("sample mode needs a count")
@@ -272,7 +263,7 @@ def enumerate_class(
         for _ in range(count):
             s = sizes[rng.next_below(len(sizes))] if len(sizes) > 1 else sizes[0]
             idxs = rng.sample_distinct(s, e0)
-            yield family_member(base, [_prefix_pair_unrank(p, i) for i in idxs])
+            yield family_member(base, [pair_unrank(p, i) for i in idxs])
     else:
         raise BadParameters(f"unknown mode {mode!r}")
 
@@ -295,12 +286,15 @@ def hub_partitions(
     Candidate X vertices must have degree exactly k (deletions never touch
     X).  For S the members of X share one open neighborhood of size k; for T
     they share one closed neighborhood of size k+1.  Degree-k vertices are
-    grouped by that neighborhood; every group of at least k-1 that fits
-    (independent for S, two outside vertices for T) yields X = its k-1
-    smallest vertices, the hub set Y, Z = the rest, and the pairs inside
-    Y u Z that are not edges, ascending.  Groups come in increasing mask
-    order.  X then touches nothing outside Y, so every item is also a host
-    embedding; ``membership`` filters the items by class size.
+    grouped by that neighborhood; every group of at least k-1 yields X = its
+    k-1 smallest vertices, the hub set Y, Z = the rest, and the pairs inside
+    Y u Z that are not edges, ascending.  Every group fits its host: for S,
+    X is independent, since a vertex is never in its own open neighborhood
+    and all members share one; for T, every member lies in the shared
+    closed neighborhood, so Y = key - X has (k+1) - (k-1) = 2 vertices.
+    Groups come in increasing mask order.  X then touches nothing outside
+    Y, so every item is also a host embedding; ``membership`` filters the
+    items by class size.
     """
     n = g.n
     if n < 5 or k < 2 or 2 * k > n:
@@ -321,14 +315,7 @@ def hub_partitions(
         x_bits = 0
         for x in x_set:
             x_bits |= 1 << x
-        if kind == "S":
-            if key & x_bits:  # X must be independent
-                continue
-            y_set = tuple(iter_bits(key))
-        else:
-            y_set = tuple(iter_bits(key & ~x_bits))
-            if len(y_set) != 2:
-                continue
+        y_set = tuple(iter_bits(key & ~x_bits))
         yz_bits = ((1 << n) - 1) & ~x_bits
         yz = list(iter_bits(yz_bits))
         z_set = tuple(v for v in yz if v not in y_set)

@@ -429,13 +429,21 @@ def parse_graph6(text: str) -> Graph:
 
 
 def parse_edgelist(text: str) -> Graph:
-    """Parse the edge-list format: first line ``n m``, then m lines ``u v``."""
-    lines = text.splitlines(keepends=True)
-    stripped = [(ln.strip(), off) for ln, off in _with_offsets(lines)]
-    rows = [(ln, off) for ln, off in stripped if ln]
-    if not rows:
+    """Parse the edge-list format: first line ``n m``, then m lines ``u v``.
+
+    Each edge is checked once, as its row bits are set, so the rows go
+    straight to the graph.
+    """
+    lines = []
+    offset = 0
+    for ln in text.splitlines(keepends=True):
+        stripped = ln.strip()
+        if stripped:
+            lines.append((stripped, offset))
+        offset += len(ln.encode("utf-8"))
+    if not lines:
         raise ParseError("empty edge list", 0)
-    header, hoff = rows[0]
+    header, hoff = lines[0]
     parts = header.split()
     if len(parts) != 2:
         raise ParseError("header must be 'n m'", hoff)
@@ -445,11 +453,10 @@ def parse_edgelist(text: str) -> Graph:
         raise ParseError("header must contain two integers", hoff) from None
     if n < 1 or m < 0:
         raise ParseError(f"invalid header n={n} m={m}", hoff)
-    if len(rows) - 1 != m:
-        raise ParseError(f"expected {m} edge lines, found {len(rows) - 1}", hoff)
-    edges = []
-    seen = set()
-    for ln, off in rows[1:]:
+    if len(lines) - 1 != m:
+        raise ParseError(f"expected {m} edge lines, found {len(lines) - 1}", hoff)
+    rows = [0] * n
+    for ln, off in lines[1:]:
         ps = ln.split()
         if len(ps) != 2:
             raise ParseError("edge line must be 'u v'", off)
@@ -461,19 +468,11 @@ def parse_edgelist(text: str) -> Graph:
             raise ParseError(f"loop at vertex {u}", off)
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(f"edge ({u},{v}) out of range", off)
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
+        if rows[u] >> v & 1:
             raise ParseError(f"duplicate edge ({u},{v})", off)
-        seen.add(key)
-        edges.append(key)
-    return Graph(n, edges)
-
-
-def _with_offsets(lines: list[str]) -> Iterator[tuple[str, int]]:
-    offset = 0
-    for ln in lines:
-        yield ln, offset
-        offset += len(ln.encode("utf-8"))
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return Graph._from_rows(n, rows)
 
 
 def emit_edgelist(g: Graph) -> str:

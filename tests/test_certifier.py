@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from hamq.certifier import (
     OUTCOME_CERTIFIED,
     OUTCOME_EXACT_NO,
@@ -16,7 +18,6 @@ from hamq.certifier import (
 )
 from hamq.families import (
     CLASSES,
-    _prefix_pair_unrank,
     build_S,
     build_T,
     enumerate_class,
@@ -39,7 +40,7 @@ from hamq.graph import (
     relabel,
 )
 from hamq.hamilton import is_hamilton_connected
-from hamq.rng import SplitMix64, gnm, gnp
+from hamq.rng import SplitMix64, gnm, gnp, pair_unrank
 
 from conftest import validate_path
 
@@ -157,6 +158,59 @@ def test_certify_deleted_member_annotated_class2():
     assert entry["verdict"] == "exceptional"
 
 
+def test_short_separator_count_is_an_internal_error():
+    # every host partition's hub set leaves c(G - Y) >= |Y|, so a shorter
+    # count is a bug and must not become a verdict
+    with pytest.raises(AssertionError):
+        _separator_confirmation(complete(5), (0, 1))
+
+
+def _k5_graph(hub, x_edges):
+    """K_51 on 0..50 plus X = {51..54} with edges ``x_edges``, every X
+    vertex joined to ``hub``."""
+    edges = [(u, v) for u in range(51) for v in range(u + 1, 51)]
+    edges += x_edges + [(h, x) for x in range(51, 55) for h in hub]
+    return Graph(55, edges)
+
+
+def test_edge_count_fires_without_a_host_at_k5():
+    # the edge-count theorem's own branch: above the threshold 1255 at
+    # n = 55, k = 5, not Ore, closure not complete, and neither host holds
+    # the graph.  The exact oracle times out here at 10**6 expansions per
+    # pair, so Hamilton-connectivity rests on the theorem alone
+    rng = SplitMix64(55)
+    for g in (_k5_graph((0, 1, 2), [(51, 52), (52, 53), (53, 54), (51, 54)]),
+              _k5_graph((0, 1, 2, 3), [(51, 52), (53, 54)])):
+        assert g.m > thresholds(5).edge(55) == 1255 and min_degree(g) == 5
+        for h in (g, relabel(g, rng.permutation(55))):
+            cert = certify(h)
+            assert cert.outcome == OUTCOME_CERTIFIED and cert.exit_code() == 0
+            assert cert.fired_condition == {"name": "EdgeCount", "k": 5}
+            assert [(t["condition"], t["verdict"]) for t in cert.trace] == [
+                ("Ore", "fail"), ("ClosureComplete", "fail"), ("EdgeCount", "fired")]
+            for kind in "ST":
+                assert next(hub_partitions(h, kind, 5), None) is None
+                assert spanning_subgraph_of(h, kind, 5) is None
+
+
+def test_edge_count_checks_only_the_lowest_threshold():
+    # the threshold C(n-k, 2) + k(k+1) drops by n - 3k - 3 > 0 from k to
+    # k+1, so a graph that fails at k = min(delta, n/11) fails at every
+    # smaller k and the stage tries that one k
+    for n in range(22, 200):
+        for k in range(2, n // 11):
+            drop = thresholds(k).edge(n) - thresholds(k + 1).edge(n)
+            assert drop == n - 3 * k - 3 > 0
+    rng = SplitMix64(56)
+    for kind, deletions in (("S", 40), ("T", 45), ("S", 2), ("T", 2)):
+        g = _near_host(rng, kind, 55, 5, deletions, 0)
+        cert = certify(g, CertifyConfig(oracle_gate=0))
+        entries = [t for t in cert.trace if t["condition"] == "EdgeCount"]
+        assert [t["k"] for t in entries] == [min(min_degree(g), 5)] == [5]
+        above = g.m > thresholds(5).edge(55)
+        assert entries[0]["verdict"] == ("exceptional" if above else "fail")
+
+
 def test_certify_cycle_exact_no():
     cert = certify(cycle(6))
     assert cert.outcome == OUTCOME_EXACT_NO
@@ -258,7 +312,7 @@ def _near_host(rng, kind, n, k, deletions, adds):
     """A relabeled host minus ``deletions`` pairs inside Y u Z, plus ``adds``
     distinct X-Z edges."""
     host = build_S(n, k) if kind == "S" else build_T(n, k)
-    dels = [_prefix_pair_unrank(n - k + 1, i)
+    dels = [pair_unrank(n - k + 1, i)
             for i in rng.sample_distinct(deletions, host.e0_size)]
     extra = set()
     while len(extra) < adds:

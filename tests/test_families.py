@@ -15,13 +15,14 @@ from hamq.families import (
     class_bound,
     enumerate_class,
     family_member,
+    hub_partitions,
     indicator_vector,
     membership,
     refined_partition,
     spanning_subgraph_of,
     thresholds,
 )
-from hamq.graph import complete, cycle, delete_edges, relabel
+from hamq.graph import Graph, complete, component_count, cycle, delete_edges, relabel
 from hamq.rng import SplitMix64
 from hamq.spectral import rayleigh_quotient_exact
 
@@ -373,12 +374,37 @@ def test_enumerate_budget_boundary():
 
 
 def test_prefix_pair_unrank_matches_sorted_edges():
-    from hamq.families import _prefix_pair_unrank
+    from hamq.rng import pair_unrank
 
     base = build_S(11, 3)
     p = 11 - 3 + 1
-    unranked = [_prefix_pair_unrank(p, i) for i in range(base.e0_size)]
+    unranked = [pair_unrank(p, i) for i in range(base.e0_size)]
     assert unranked == sorted(base.e0_edges())
+
+
+def test_hub_partition_items_fit_their_host():
+    # what lets hub_partitions skip fit checks and certify trust its count:
+    # an S item's X is independent with open neighbourhood Y, a T item has
+    # |Y| = 2 and no X-Z edge, and either leaves c(G - Y) >= |Y| >= 2
+    rng = SplitMix64(17)
+    graphs = [(m.graph, k) for k in (2, 3) for clazz in CLASSES
+              for m in enumerate_class(clazz, 12, k, mode="sample", seed=k, count=4)]
+    graphs += [(Graph(n, [(u, v) for u in range(k) for v in range(k, n)]), k)
+               for n in (6, 9) for k in (2, 3)]
+    graphs += [(relabel(g, rng.permutation(g.n)), k) for g, k in graphs]
+    items = 0
+    for g, k in graphs:
+        for kind in "ST":
+            for x, y, z, _ in hub_partitions(g, kind, k):
+                items += 1
+                y_bits = sum(1 << v for v in y)
+                z_bits = sum(1 << v for v in z)
+                assert len(x) == k - 1 and len(y) == (k if kind == "S" else 2)
+                if kind == "S":
+                    assert all(g.row(v) == y_bits for v in x)
+                assert all(g.row(v) & z_bits == 0 for v in x)
+                assert component_count(g, y) >= len(y) >= 2
+    assert items >= len(graphs)
 
 
 def test_appendix_terms_equal_product_form_exactly():

@@ -305,6 +305,42 @@ def test_edgelist_roundtrip_and_errors():
         parse_edgelist("3 2\n0 1\n0 1")
 
 
+def test_edgelist_error_messages_and_offsets():
+    # every message and byte offset of the reader, one case per check; the
+    # offset counts utf-8 bytes of skipped blank lines too (\xa0 is two)
+    cases = [
+        ("", "empty edge list", 0),
+        ("\n  \n", "empty edge list", 0),
+        ("1 2 3\n", "header must be 'n m'", 0),
+        ("\n\n3 x\n", "header must contain two integers", 2),
+        ("0 0\n", "invalid header n=0 m=0", 0),
+        ("3 2\n0 1\n", "expected 2 edge lines, found 1", 0),
+        ("3 1\n0 1 2\n", "edge line must be 'u v'", 4),
+        ("3 1\n0 a\n", "edge line must contain two integers", 4),
+        ("3 1\n2 2\n", "loop at vertex 2", 4),
+        ("3 1\n0 3\n", "edge (0,3) out of range", 4),
+        ("3 1\n-1 2\n", "edge (-1,2) out of range", 4),
+        ("3 2\n0 1\n1 0\n", "duplicate edge (1,0)", 8),
+        ("3 2\n\xa0\n0 1\n\r\n1 1\n", "loop at vertex 1", 13),
+    ]
+    for text, message, offset in cases:
+        with pytest.raises(ParseError) as err:
+            parse_edgelist(text)
+        assert str(err.value) == f"{message} (byte offset {offset})"
+        assert err.value.offset == offset
+
+
+def test_edgelist_reader_matches_the_constructor():
+    rng = SplitMix64(23)
+    for _ in range(30):
+        n = 1 + rng.next_below(40)
+        edges = gnp(n, rng.next_float(), rng).edges()
+        lines = [f"{v} {u}" if rng.next_below(2) else f"{u} {v}" for u, v in edges]
+        g = parse_edgelist("\n".join([f"{n} {len(edges)}", *lines]) + "\n")
+        assert g == Graph(n, edges)
+        assert g.m == len(edges) and g.degrees() == Graph(n, edges).degrees()
+
+
 def test_constructor_rejects_bad_input():
     with pytest.raises(BadParameters):
         Graph(0)

@@ -3,6 +3,8 @@
 import pytest
 
 from hamq.errors import BadSuite
+from hamq.graph import parse_graph6
+from hamq.spectral import perron_pair
 from hamq.verify import (
     CLAIM_COVERAGE,
     SUITES,
@@ -50,10 +52,15 @@ def test_reports_are_byte_stable():
 
 
 def test_failures_are_replayable():
-    # force a failure by breaking an expectation: run q-lower on a class-2
-    # case, where the certificate is allowed to dip below the threshold
-    report = run_qlower(cases=[(2, 9, "exhaustive", 0)])
-    assert report.ok  # class-1 members always pass; sanity that default path works
+    # force failures: q-upper's strict bound q < 2n - 2k holds only from
+    # n_min(2) = 92 on, so at n = 5 class-2 members break it, and each
+    # failure's graph6 must replay the violation
+    n, k = 5, 2
+    report = run_qupper(cases=[(k, n, "exhaustive", 0)])
+    assert report.cases == 12 and report.failures
+    for failure in report.failures:
+        g = parse_graph6(failure["graph6"])
+        assert g.n == n and perron_pair(g).hi >= 2 * n - 2 * k
 
 
 def test_reduced_scale_suites_pass():
