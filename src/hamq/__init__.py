@@ -13,8 +13,6 @@ from .families import (
     class_bound,
     enumerate_class,
     family_member,
-    membership,
-    spanning_subgraph_of,
     thresholds,
 )
 from .graph import (
@@ -75,7 +73,6 @@ __all__ = [
     "is_hamilton_connected",
     "join",
     "kelmans",
-    "membership",
     "min_degree",
     "ore_check",
     "parse_edgelist",
@@ -83,7 +80,6 @@ __all__ = [
     "path_graph",
     "perron_pair",
     "rayleigh_quotient_exact",
-    "spanning_subgraph_of",
     "thresholds",
     "upper_bound_edge_count",
 ]

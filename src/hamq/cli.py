@@ -43,7 +43,12 @@ EXIT_INPUT_ERROR = 4
 
 
 def _read_graph(source: str) -> Graph:
-    text = sys.stdin.read() if source == "-" else Path(source).read_text()
+    try:
+        text = sys.stdin.read() if source == "-" else Path(source).read_text()
+    except OSError as exc:
+        raise BadParameters(f"cannot read {source}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError("input is not valid text", exc.start) from None
     stripped = text.strip()
     if not stripped:
         raise ParseError("empty input", 0)
@@ -83,6 +88,8 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_family(args: argparse.Namespace) -> int:
+    if args.clazz is not None and args.clazz[0] != args.kind:
+        raise BadParameters(f"class {args.clazz} is not of kind {args.kind}")
     out = sys.stdout if args.out is None else open(args.out, "w")
     sidecars = []
     try:

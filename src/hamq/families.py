@@ -82,10 +82,6 @@ class FamilyHandle:
     def e0_size(self) -> int:
         return comb(self.n - self.k + 1, 2)
 
-    def e0_contains(self, pair: Edge) -> bool:
-        u, v = pair
-        return 0 <= u < v <= self.n - self.k
-
     def e0_edges(self) -> frozenset[Edge]:
         """Materialized E0 (all pairs inside Y u Z); intended for small n."""
         p = self.n - self.k + 1
@@ -177,9 +173,9 @@ def family_member(base: FamilyHandle, edges: Iterable[Edge]) -> FamilyHandle:
     if base.deleted:
         raise BadParameters("family_member needs a pristine host handle")
     deleted = edge_set(edges)
-    for pair in deleted:
-        if not base.e0_contains(pair):
-            raise NotInE0(f"{pair} has an endpoint outside Y u Z")
+    for u, v in deleted:  # u < v; Y u Z is 0..n-k
+        if u < 0 or v > base.n - base.k:
+            raise NotInE0(f"{(u, v)} has an endpoint outside Y u Z")
     return FamilyHandle(
         kind=base.kind,
         n=base.n,

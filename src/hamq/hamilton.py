@@ -58,10 +58,6 @@ class OracleAnswer:
     failing_pair: tuple[int, int] | None = None
     nodes_expanded: int = 0
 
-    @property
-    def yes(self) -> bool:
-        return self.verdict == "yes"
-
 
 def _pair_search(
     g: Graph, u: int, v: int, budget: int

@@ -3,10 +3,14 @@ scale, against independent oracles.
 
 Each suite replays one verified claim, in-process, over a deterministic
 case set derived from a single seed (per-case generator streams are forked
-up front, so the case set does not depend on execution order).  Failures
-carry the graph6 string of the offending graph and the violated inequality
-with its numbers, so every failure is replayable.  Reports carry no timing
-and keep their failures sorted, so they are byte-stable for fixed (params,
+up front, so the case set does not depend on execution order).  A suite is
+its params, a stream of cases and a per-case check that returns the case's
+failures; ``_report`` is the one case loop that walks the stream, counts the
+cases, gathers the failures and builds the ``SuiteReport``.  The class-member
+suites draw their cases from ``_members``.  Failures carry the graph6 string
+of the offending graph and the violated inequality with its numbers
+(``_fail``), so every failure is replayable.  Reports carry no timing and
+keep their failures sorted, so they are byte-stable for fixed (params,
 seed); callers that want wall time measure the call.
 """
 
@@ -15,8 +19,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, repeat
 from math import comb
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 from .certifier import (
     OUTCOME_CERTIFIED,
@@ -28,7 +33,9 @@ from .certifier import (
 from .corpus import connected_graphs
 from .errors import BadParameters, BadSuite
 from .families import (
+    FamilyHandle,
     Thresholds,
+    appendix_check,
     build_S,
     build_T,
     indicator_rayleigh_value,
@@ -41,6 +48,7 @@ from .graph import Graph, add_edges, emit_graph6, is_connected, min_degree
 from .hamilton import is_hamilton_connected, ore_check
 from .rng import SplitMix64, gnm, gnp, random_connected_gnp
 from .spectral import (
+    SpectralEstimate,
     adjacent_pair_identity_defect,
     perron_pair,
     rayleigh_quotient_exact,
@@ -75,48 +83,76 @@ def _case_seeds(seed: int, count: int) -> list[int]:
     return [rng.next_u64() for _ in range(count)]
 
 
-def _failures(check: Callable[[Any], dict | None], cases: Iterable) -> list[dict]:
-    return [f for f in map(check, cases) if f is not None]
+Failures = list[dict[str, Any]]
+
+
+def _fail(g: Graph | None, violated: str) -> dict[str, Any]:
+    """One failure: the offending graph's graph6 ("" for a check on closed
+    forms) and the violated inequality with its numbers."""
+    return {"graph6": "" if g is None else emit_graph6(g), "violated": violated}
+
+
+def _report(
+    suite: str,
+    params: dict[str, Any],
+    *parts: tuple[Iterable[Any], Callable[[Any], Failures]],
+    finish: Callable[[], Failures] | None = None,
+) -> SuiteReport:
+    """The case loop of every suite: walk each ``(cases, check)`` part in
+    order, count every case and gather the failures its check returns, then
+    add the suite-level failures ``finish`` returns once the walk is done."""
+    count = 0
+    failures: Failures = []
+    for cases, check in parts:
+        for case in cases:
+            count += 1
+            failures.extend(check(case))
+    if finish is not None:
+        failures.extend(finish())
+    return SuiteReport(suite, params, count, failures)
+
+
+# a class member tagged with its (case index, class)
+Member = tuple[tuple[int, str], FamilyHandle]
+
+
+def _members(
+    cases: Iterable[tuple[int, int, str, int]], classes: tuple[str, ...], seed: int
+) -> Iterator[Member]:
+    """``((case index, class), member)`` for every member of every class of
+    every ``(k, n, mode, count)`` case; exhaustive mode ignores seed and count."""
+    for i, (k, n, mode, count) in enumerate(cases):
+        for clazz in classes:
+            for member in enumerate_class(clazz, n, k, mode, seed=seed, count=count):
+                yield (i, clazz), member
 
 
 # -- ore: degree-sum sufficiency ------------------------------------------------
 
 
-def _ore_case(case_seed: int) -> dict | None:
+def _ore_sample(case_seed: int) -> Graph:
     rng = SplitMix64(case_seed)
     n = 3 + rng.next_below(6)  # 3..8
-    g = gnp(n, 0.15 + 0.7 * rng.next_float(), rng)
+    return gnp(n, 0.15 + 0.7 * rng.next_float(), rng)
+
+
+def _ore_case(g: Graph) -> Failures:
     if not ore_check(g):
-        return None
-    ans = is_hamilton_connected(g)
-    if ans.verdict == "yes":
-        return None
-    return {
-        "graph6": emit_graph6(g),
-        "violated": "degree-sum condition held but oracle verdict was "
-        + ans.verdict,
-    }
+        return []
+    verdict = is_hamilton_connected(g).verdict
+    if verdict == "yes":
+        return []
+    return [_fail(g, f"degree-sum condition held but oracle verdict was {verdict}")]
 
 
 def run_ore(trials: int = 10_000, seed: int = 1) -> SuiteReport:
-    """Degree-sum sufficiency: whenever the check fires, the oracle agrees."""
-    failures = []
-    cases = 0
-    for n in range(1, 8):
-        for g in connected_graphs(n):
-            cases += 1
-            if ore_check(g) and is_hamilton_connected(g).verdict != "yes":
-                failures.append({
-                    "graph6": emit_graph6(g),
-                    "violated": "degree-sum condition held but oracle said no",
-                })
-    failures.extend(_failures(_ore_case, _case_seeds(seed, trials)))
-    cases += trials
-    return SuiteReport(
-        suite="ore",
-        params={"trials": trials, "seed": seed, "corpus": "connected n<=7"},
-        cases=cases,
-        failures=failures,
+    """Degree-sum sufficiency: whenever the check fires, the oracle agrees,
+    on every connected graph of order <= 7 and on ``trials`` random graphs."""
+    corpus = (g for n in range(1, 8) for g in connected_graphs(n))
+    return _report(
+        "ore",
+        {"trials": trials, "seed": seed, "corpus": "connected n<=7"},
+        (chain(corpus, map(_ore_sample, _case_seeds(seed, trials))), _ore_case),
     )
 
 
@@ -138,17 +174,38 @@ def _closure_with_order(g: Graph, k: int, order: list[tuple[int, int]]) -> Graph
     return cur
 
 
-def _closure_equiv_check(g: Graph) -> dict | None:
-    n = g.n
-    cl, _ = closure(g, n + 1)
+def _closure_equiv_check(g: Graph) -> Failures:
+    cl, _ = closure(g, g.n + 1)
     a = is_hamilton_connected(g).verdict
     b = is_hamilton_connected(cl).verdict
-    if a != b:
-        return {
-            "graph6": emit_graph6(g),
-            "violated": f"oracle(G)={a} but oracle(closure)={b}",
-        }
-    return None
+    if a == b:
+        return []
+    return [_fail(g, f"oracle(G)={a} but oracle(closure)={b}")]
+
+
+def _closure_order_trial(rng: SplitMix64) -> Failures:
+    """Well-definedness on one graph drawn from the shared ``rng``: ten random
+    scan orders give the same closure, which is idempotent and a fixpoint."""
+    n = 4 + rng.next_below(9)  # 4..12
+    g = gnp(n, 0.2 + 0.6 * rng.next_float(), rng)
+    k = n + 1
+    ref, _tr = closure(g, k)
+    bad = []
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for _ in range(10):
+        order = [pairs[i] for i in rng.permutation(len(pairs))]
+        if _closure_with_order(g, k, order) != ref:
+            bad.append(_fail(g, f"closure at k={k} depends on scan order"))
+            break
+    again, tr2 = closure(ref, k)
+    if tr2.added or again != ref:
+        bad.append(_fail(g, "closure is not idempotent"))
+    deg = ref.degrees()
+    for u in range(n):
+        for v in range(u + 1, n):
+            if not ref.has_edge(u, v) and deg[u] + deg[v] >= k:
+                bad.append(_fail(g, f"closure fixpoint violated at pair ({u},{v})"))
+    return bad
 
 
 def run_closure(
@@ -159,59 +216,25 @@ def run_closure(
 ) -> SuiteReport:
     """Closure preserves the Hamilton-connectivity verdict; the closure edge
     set is scan-order independent and the operator is idempotent."""
-    graphs = [g for n in exhaustive_n for g in connected_graphs(n)]
+    ns = list(exhaustive_n)
+    graphs = [g for n in ns for g in connected_graphs(n)]
     for i, s in enumerate(_case_seeds(seed, 2 * random_per_n)):
         rng = SplitMix64(s)
         n = 8 if i < random_per_n else 9
         graphs.append(random_connected_gnp(n, 0.2 + 0.6 * rng.next_float(), rng))
-    failures = _failures(_closure_equiv_check, graphs)
-    cases = len(graphs)
-
-    # well-definedness: scan order does not change the closure edge set
-    rng = SplitMix64(seed ^ 0xC10)
-    for _ in range(order_trials):
-        n = 4 + rng.next_below(9)  # 4..12
-        g = gnp(n, 0.2 + 0.6 * rng.next_float(), rng)
-        k = n + 1
-        ref, _tr = closure(g, k)
-        cases += 1
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        for _ in range(10):
-            order = [pairs[i] for i in rng.permutation(len(pairs))]
-            alt = _closure_with_order(g, k, order)
-            if alt != ref:
-                failures.append({
-                    "graph6": emit_graph6(g),
-                    "violated": f"closure at k={k} depends on scan order",
-                })
-                break
-        again, tr2 = closure(ref, k)
-        if tr2.added or again != ref:
-            failures.append({
-                "graph6": emit_graph6(g),
-                "violated": "closure is not idempotent",
-            })
-        deg = ref.degrees()
-        for u in range(n):
-            for v in range(u + 1, n):
-                if not ref.has_edge(u, v) and deg[u] + deg[v] >= k:
-                    failures.append({
-                        "graph6": emit_graph6(g),
-                        "violated": f"closure fixpoint violated at pair ({u},{v})",
-                    })
-    return SuiteReport(
-        suite="closure",
-        params={"random_per_n": random_per_n, "order_trials": order_trials,
-                "seed": seed, "corpus": f"connected n in {sorted(exhaustive_n)}"},
-        cases=cases,
-        failures=failures,
+    return _report(
+        "closure",
+        {"random_per_n": random_per_n, "order_trials": order_trials,
+         "seed": seed, "corpus": f"connected n in {sorted(ns)}"},
+        (graphs, _closure_equiv_check),
+        (repeat(SplitMix64(seed ^ 0xC10), order_trials), _closure_order_trial),
     )
 
 
 # -- kelmans: spectral monotonicity ---------------------------------------------
 
 
-def _kelmans_case(case_seed: int) -> dict | None:
+def _kelmans_case(case_seed: int) -> Failures:
     rng = SplitMix64(case_seed)
     for _ in range(200):
         n = 4 + rng.next_below(27)  # 4..30
@@ -226,82 +249,68 @@ def _kelmans_case(case_seed: int) -> dict | None:
         a = perron_pair(g)
         b = perron_pair(gs)
         if b.q_hat < a.q_hat - 1e-8 or a.lo > b.hi + 1e-8:
-            return {
-                "graph6": emit_graph6(g),
-                "violated": f"kelmans({u},{v}) dropped the radius: "
-                f"q(G)~{a.q_hat:.12f} vs q(G*)~{b.q_hat:.12f}",
-            }
-        return None
-    return None
+            return [_fail(g, f"kelmans({u},{v}) dropped the radius: "
+                             f"q(G)~{a.q_hat:.12f} vs q(G*)~{b.q_hat:.12f}")]
+        return []
+    return []
 
 
 def run_kelmans(count: int = 1000, seed: int = 3) -> SuiteReport:
     """The neighborhood-shift transformation never decreases the radius."""
-    return SuiteReport(
-        suite="kelmans",
-        params={"count": count, "seed": seed, "n_max": 30},
-        cases=count,
-        failures=_failures(_kelmans_case, _case_seeds(seed, count)),
-    )
+    return _report("kelmans", {"count": count, "seed": seed, "n_max": 30},
+                   (_case_seeds(seed, count), _kelmans_case))
 
 
 # -- qbound: edge-count upper bound and eigen-equation checks --------------------
 
 
-def _qbound_case(case_seed: int) -> dict | None:
+def _qbound_case(case_seed: int) -> Failures:
     rng = SplitMix64(case_seed)
     n = 3 + rng.next_below(48)  # 3..50
     g = random_connected_gnp(n, 0.25 + 0.65 * rng.next_float(), rng)
     est = perron_pair(g, tol=1e-8)
     bound = float(upper_bound_edge_count(g))
     if est.lo > bound + 1e-9:
-        return {
-            "graph6": emit_graph6(g),
-            "violated": f"certified lower bound {est.lo:.12f} above "
-            f"2m/(n-1)+n-2 = {bound:.12f}",
-        }
+        return [_fail(g, f"certified lower bound {est.lo:.12f} above "
+                         f"2m/(n-1)+n-2 = {bound:.12f}")]
     if bound - (est.q_hat - est.residual) < -1e-9:
-        return {
-            "graph6": emit_graph6(g),
-            "violated": f"radius {est.q_hat:.12f} (residual {est.residual:.2e}) "
-            f"exceeds 2m/(n-1)+n-2 = {bound:.12f}",
-        }
+        return [_fail(g, f"radius {est.q_hat:.12f} (residual {est.residual:.2e}) "
+                         f"exceeds 2m/(n-1)+n-2 = {bound:.12f}")]
     if est.converged and est.residual > 10 * est.tol:
-        return {
-            "graph6": emit_graph6(g),
-            "violated": f"eigen-equation residual {est.residual:.2e} > 10*tol",
-        }
+        return [_fail(g, f"eigen-equation residual {est.residual:.2e} > 10*tol")]
     # adjacent-pair identity on one random edge
     edges = g.edges()
     u, v = edges[rng.next_below(len(edges))]
     defect = adjacent_pair_identity_defect(g, est, u, v)
     if est.converged and defect > 10 * est.tol + 1e-9:
-        return {
-            "graph6": emit_graph6(g),
-            "violated": f"adjacent-pair identity defect {defect:.2e} at ({u},{v})",
-        }
+        return [_fail(g, f"adjacent-pair identity defect {defect:.2e} at ({u},{v})")]
     # enclosure soundness: integer-rounded eigenvector stays below hi
     scaled = [round(t * 10**6) for t in est.f]
     exact = rayleigh_quotient_exact(g, scaled)
     if float(exact) > est.hi + 1e-9:
-        return {
-            "graph6": emit_graph6(g),
-            "violated": f"exact quotient {float(exact):.12f} above hi={est.hi:.12f}",
-        }
-    return None
+        return [_fail(g, f"exact quotient {float(exact):.12f} above hi={est.hi:.12f}")]
+    return []
 
 
 def run_qbound(count: int = 10_000, seed: int = 4) -> SuiteReport:
     """Edge-count bound on the radius, plus residual/identity sanity."""
-    return SuiteReport(
-        suite="qbound",
-        params={"count": count, "seed": seed, "n_max": 50},
-        cases=count,
-        failures=_failures(_qbound_case, _case_seeds(seed, count)),
-    )
+    return _report("qbound", {"count": count, "seed": seed, "n_max": 50},
+                   (_case_seeds(seed, count), _qbound_case))
 
 
 # -- q-lower: exact class-1 certificates -----------------------------------------
+
+
+def _qlower_check(item: Member) -> Failures:
+    (_, clazz), member = item
+    n, k = member.n, member.k
+    got = rayleigh_quotient_exact(member.graph, indicator_vector(member))
+    want = indicator_rayleigh_value(member)
+    threshold = Fraction(2 * n - 2 * k)
+    if got == want and got >= threshold:
+        return []
+    return [_fail(member.graph, f"{clazz}(n={n},k={k}) |E'|={len(member.deleted)}: "
+                                f"quotient {got} (closed form {want}) vs threshold {threshold}")]
 
 
 def run_qlower(
@@ -313,42 +322,19 @@ def run_qlower(
     derived from the member's deletion count (two independent routes).
     """
     if cases is None:
-        cases = []
-        for k in (2, 3):
-            for n in (thresholds(k).n_min, 40):
-                cases.append((k, n, "exhaustive", 0))
-        for k in (4, 5):
-            for n in (thresholds(k).n_min, 40):
-                cases.append((k, n, "sample", 500))
-    failures = []
-    total = 0
-    for k, n, mode, count in cases:
-        for clazz in ("S1", "T1"):
-            kw = {"count": count, "seed": seed} if mode == "sample" else {}
-            for member in enumerate_class(clazz, n, k, mode, **kw):
-                total += 1
-                got = rayleigh_quotient_exact(member.graph, indicator_vector(member))
-                want = indicator_rayleigh_value(member)
-                threshold = Fraction(2 * n - 2 * k)
-                if got != want or got < threshold:
-                    failures.append({
-                        "graph6": emit_graph6(member.graph),
-                        "violated": f"{clazz}(n={n},k={k}) |E'|={len(member.deleted)}: "
-                        f"quotient {got} (closed form {want}) vs threshold {threshold}",
-                    })
-    return SuiteReport(
-        suite="q-lower",
-        params={"cases": [list(c) for c in cases], "seed": seed},
-        cases=total,
-        failures=failures,
-    )
+        cases = [(k, n, "exhaustive", 0) for k in (2, 3) for n in (thresholds(k).n_min, 40)]
+        cases += [(k, n, "sample", 500) for k in (4, 5) for n in (thresholds(k).n_min, 40)]
+    cases = list(cases)
+    return _report("q-lower", {"cases": [list(c) for c in cases], "seed": seed},
+                   (_members(cases, ("S1", "T1"), seed), _qlower_check))
 
 
 # -- q-upper: class-2 members sit strictly below the threshold -------------------
 
 
-def _qupper_member_checks(member, est, n: int, k: int) -> list[str]:
+def _qupper_member_checks(member: FamilyHandle, est: SpectralEstimate) -> list[str]:
     bad = []
+    n, k = member.n, member.k
     threshold = 2 * n - 2 * k
     if est.hi >= threshold:
         bad.append(f"hi={est.hi:.12f} not below {threshold}")
@@ -383,19 +369,15 @@ def _qupper_member_checks(member, est, n: int, k: int) -> list[str]:
     return bad
 
 
-def _qupper_maximizer_checks(member, est, n: int, k: int) -> list[str]:
+def _qupper_maximizer_checks(member: FamilyHandle, est: SpectralEstimate) -> list[str]:
+    """The checks only the radius maximizer gets: Z1 above Z2 u Y2, and the
+    hub spread.  (Y1 above Y2 u Z1 is a member check already, and an estimate
+    that did not converge fails there.)"""
     bad = []
+    n, k = member.n, member.k
     parts = refined_partition(member)
     f = est.f
-    y1, y2, z1, z2 = parts["Y1"], parts["Y2"], parts["Z1"], parts["Z2"]
-    if y1 and y2:
-        lo_side = min(f[u] for u in y1)
-        hi_side = max(f[v] for v in y2 + z1)
-        if lo_side <= hi_side:
-            bad.append(
-                f"ordering violated: min f over Y1 = {lo_side:.12f} <= "
-                f"max f over Y2 u Z1 = {hi_side:.12f}"
-            )
+    y2, z1, z2 = parts["Y2"], parts["Z1"], parts["Z2"]
     if z1 and z2 and y2:
         lo_side = min(f[u] for u in z1)
         hi_side = max(f[v] for v in z2 + y2)
@@ -417,7 +399,7 @@ def run_qupper(
 ) -> SuiteReport:
     """Class-2 members: certified interval strictly below the threshold but
     above threshold-1, eigenvector bounds per member, orderings and spread on
-    the radius-maximizing member.
+    the radius-maximizing member of each (case, class).
 
     The strict upper bound only holds once n clears the order threshold
     (quartic in k); running a case below it reports honest failures.
@@ -425,35 +407,25 @@ def run_qupper(
     if cases is None:
         cases = [(2, thresholds(2).n_min, "exhaustive", 0),
                  (3, thresholds(3).n_min, "sample", 200)]
-    failures = []
-    total = 0
-    for k, n, mode, count in cases:
-        for clazz in ("S2", "T2"):
-            kw = {"count": count, "seed": seed} if mode == "sample" else {}
-            best = None  # (q_hat, member, estimate)
-            for member in enumerate_class(clazz, n, k, mode, **kw):
-                total += 1
-                est = perron_pair(member.graph)
-                for msg in _qupper_member_checks(member, est, n, k):
-                    failures.append({
-                        "graph6": emit_graph6(member.graph),
-                        "violated": f"{clazz}(n={n},k={k}): {msg}",
-                    })
-                if best is None or est.q_hat > best[0]:
-                    best = (est.q_hat, member, est)
-            if best is not None:
-                _, member, est = best
-                for msg in _qupper_maximizer_checks(member, est, n, k):
-                    failures.append({
-                        "graph6": emit_graph6(member.graph),
-                        "violated": f"{clazz}(n={n},k={k}) maximizer: {msg}",
-                    })
-    return SuiteReport(
-        suite="q-upper",
-        params={"cases": [list(c) for c in cases], "seed": seed},
-        cases=total,
-        failures=failures,
-    )
+    cases = list(cases)
+    best: dict[tuple[int, str], tuple[FamilyHandle, SpectralEstimate]] = {}
+
+    def check(item: Member) -> Failures:
+        group, member = item
+        est = perron_pair(member.graph)
+        if group not in best or est.q_hat > best[group][1].q_hat:
+            best[group] = (member, est)
+        where = f"{group[1]}(n={member.n},k={member.k})"
+        return [_fail(member.graph, f"{where}: {msg}")
+                for msg in _qupper_member_checks(member, est)]
+
+    def maximizers() -> Failures:
+        return [_fail(member.graph, f"{clazz}(n={member.n},k={member.k}) maximizer: {msg}")
+                for (_, clazz), (member, est) in best.items()
+                for msg in _qupper_maximizer_checks(member, est)]
+
+    return _report("q-upper", {"cases": [list(c) for c in cases], "seed": seed},
+                   (_members(cases, ("S2", "T2"), seed), check), finish=maximizers)
 
 
 # -- appendix: exact rational inequality -----------------------------------------
@@ -462,38 +434,40 @@ def run_qupper(
 def run_appendix(k_values: Iterable[int] = range(2, 13)) -> SuiteReport:
     """The closed-form bounding inequality holds in exact rationals at the
     order threshold and comfortably above it, over all four k mod 4 branches."""
-    from .families import appendix_check
-
-    failures = []
-    cases = 0
-    branches = set()
     ks = list(k_values)
-    for k in ks:
-        n_min = thresholds(k).n_min
-        for n in (n_min, n_min + 1000):
-            cases += 1
-            rep = appendix_check(k, n)
-            branches.add(rep.branch)
-            if not rep.holds or not rep.hypothesis_met:
-                failures.append({
-                    "graph6": "",
-                    "violated": f"k={k} n={n}: holds={rep.holds} "
-                    f"margin={rep.margin} hypothesis_met={rep.hypothesis_met}",
-                })
-    if len(ks) >= 4 and branches != {0, 1, 2, 3}:
-        failures.append({
-            "graph6": "",
-            "violated": f"k mod 4 branches exercised: {sorted(branches)}",
-        })
-    return SuiteReport(
-        suite="appendix",
-        params={"k_values": ks},
-        cases=cases,
-        failures=failures,
-    )
+    branches = set()
+
+    def check(case: tuple[int, int]) -> Failures:
+        k, n = case
+        rep = appendix_check(k, n)
+        branches.add(rep.branch)
+        if rep.holds and rep.hypothesis_met:
+            return []
+        return [_fail(None, f"k={k} n={n}: holds={rep.holds} "
+                            f"margin={rep.margin} hypothesis_met={rep.hypothesis_met}")]
+
+    def coverage() -> Failures:
+        if len(ks) < 4 or branches == {0, 1, 2, 3}:
+            return []
+        return [_fail(None, f"k mod 4 branches exercised: {sorted(branches)}")]
+
+    orders = [(k, n) for k in ks for n in (thresholds(k).n_min, thresholds(k).n_min + 1000)]
+    return _report("appendix", {"k_values": ks}, (orders, check), finish=coverage)
 
 
 # -- corollary: host radius ordering ---------------------------------------------
+
+
+def _corollary_check(case: tuple[int, int]) -> Failures:
+    k, n = case
+    s_host = build_S(n, k).graph
+    s_est = perron_pair(s_host)
+    t_est = perron_pair(build_T(n, k).graph)
+    base = 2 * n - 2 * k
+    if s_est.lo - t_est.hi > 1e-6 and t_est.lo - base > 1e-6:
+        return []
+    return [_fail(s_host, f"k={k} n={n}: q(S)~[{s_est.lo:.9f},{s_est.hi:.9f}] "
+                          f"q(T)~[{t_est.lo:.9f},{t_est.hi:.9f}] base={base}")]
 
 
 def run_corollary(
@@ -504,76 +478,49 @@ def run_corollary(
     The k=2 case is skipped: the S and T hosts coincide there, so the first
     comparison is void by construction (recorded in the report params).
     """
-    failures = []
-    cases = 0
     ks = [k for k in k_values if k != 2]
-    for k in ks:
-        for n in n_values:
-            cases += 1
-            s_est = perron_pair(build_S(n, k).graph)
-            t_est = perron_pair(build_T(n, k).graph)
-            base = 2 * n - 2 * k
-            if not (s_est.lo - t_est.hi > 1e-6 and t_est.lo - base > 1e-6):
-                failures.append({
-                    "graph6": emit_graph6(build_S(n, k).graph),
-                    "violated": f"k={k} n={n}: q(S)~[{s_est.lo:.9f},{s_est.hi:.9f}] "
-                    f"q(T)~[{t_est.lo:.9f},{t_est.hi:.9f}] base={base}",
-                })
-    return SuiteReport(
-        suite="corollary",
-        params={"k_values": ks, "n_values": list(n_values),
-                "skipped": "k=2 (S and T hosts coincide)"},
-        cases=cases,
-        failures=failures,
+    ns = list(n_values)
+    return _report(
+        "corollary",
+        {"k_values": ks, "n_values": ns, "skipped": "k=2 (S and T hosts coincide)"},
+        ([(k, n) for k in ks for n in ns], _corollary_check),
     )
 
 
 # -- family-nonhc: exceptional families really are exceptional -------------------
 
 
+def _family_nonhc_check(item: Member) -> Failures:
+    (_, clazz), member = item
+    verdict = is_hamilton_connected(member.graph).verdict
+    if verdict == "no":
+        return []
+    return [_fail(member.graph, f"{clazz}(n={member.n},k={member.k}) "
+                                f"|E'|={len(member.deleted)}: oracle said {verdict}")]
+
+
 def run_family_nonhc(
     k_values: Iterable[int] = (2, 3), n_values: Iterable[int] = range(8, 13)
 ) -> SuiteReport:
     """Every class-1 member at desk scale fails the exact oracle."""
-    failures = []
-    cases = 0
-    for k in k_values:
-        for n in n_values:
-            if 2 * k > n:
-                continue
-            for clazz in ("S1", "T1"):
-                for member in enumerate_class(clazz, n, k, "exhaustive"):
-                    cases += 1
-                    ans = is_hamilton_connected(member.graph)
-                    if ans.verdict != "no":
-                        failures.append({
-                            "graph6": emit_graph6(member.graph),
-                            "violated": f"{clazz}(n={n},k={k}) |E'|="
-                            f"{len(member.deleted)}: oracle said {ans.verdict}",
-                        })
-    return SuiteReport(
-        suite="family-nonhc",
-        params={"k_values": list(k_values), "n_values": list(n_values)},
-        cases=cases,
-        failures=failures,
-    )
+    ks, ns = list(k_values), list(n_values)
+    cases = [(k, n, "exhaustive", 0) for k in ks for n in ns if 2 * k <= n]
+    return _report("family-nonhc", {"k_values": ks, "n_values": ns},
+                   (_members(cases, ("S1", "T1"), 0), _family_nonhc_check))
 
 
 # -- hunt: certifier vs oracle consistency ----------------------------------------
 
 
-def _hunt_check(g: Graph) -> dict | None:
+def _hunt_check(g: Graph) -> Failures:
     outcome = certify(g, CertifyConfig(oracle_gate=0)).outcome
     oracle = is_hamilton_connected(g).verdict
     if ((outcome == OUTCOME_CERTIFIED and oracle != "yes")
             or (outcome == OUTCOME_NOT_HC and oracle != "no")
             # hosts and their spanning subgraphs are never Hamilton-connected
             or (outcome == OUTCOME_EXCEPTIONAL and oracle == "yes")):
-        return {
-            "graph6": emit_graph6(g),
-            "violated": f"certifier said {outcome} but oracle said {oracle}",
-        }
-    return None
+        return [_fail(g, f"certifier said {outcome} but oracle said {oracle}")]
+    return []
 
 
 def run_hunt(
@@ -586,19 +533,13 @@ def run_hunt(
     never contradict the exact oracle.  A hit would be an implementation bug."""
     sample = _parse_model(model)
     if sample is None:
-        graphs = connected_graphs(n)
-        cases = len(graphs)
+        graphs: Iterable[Graph] = connected_graphs(n)
     else:
         if not isinstance(trials, int) or trials < 0:
             raise BadParameters("numeric models need a non-negative integer trial count")
         graphs = (sample(n, SplitMix64(s)) for s in _case_seeds(seed, trials))
-        cases = trials
-    return SuiteReport(
-        suite="hunt",
-        params={"n": n, "trials": trials, "seed": seed, "model": model},
-        cases=cases,
-        failures=_failures(_hunt_check, graphs),
-    )
+    return _report("hunt", {"n": n, "trials": trials, "seed": seed, "model": model},
+                   (graphs, _hunt_check))
 
 
 def _parse_model(model: str) -> Callable[[int, SplitMix64], Graph] | None:

@@ -171,8 +171,26 @@ def test_family_sample_without_count_exit_code(capsys):
     assert code == 4
 
 
+def test_family_class_of_the_other_kind_is_an_input_error(capsys):
+    code, out, err = run_cli(capsys, ["family", "S", "--n", "8", "--k", "2",
+                                      "--class", "T1"])
+    assert code == 4 and err.startswith("error: ") and out == ""
+
+
+@pytest.mark.parametrize("command", ["certify", "spectrum"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+def test_unreadable_input_is_an_input_error(tmp_path, capsys, command, kind):
+    # exit 1 means "not Hamilton-connected"; an unreadable file must not read so
+    path = {"missing": tmp_path / "missing.g6", "directory": tmp_path,
+            "not-utf8": tmp_path / "bytes.g6"}[kind]
+    if kind == "not-utf8":
+        path.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(capsys, [command, str(path)])
+    assert code == 4 and err.startswith("error: ") and out == ""
+
+
 def test_certify_runs_without_numpy(tmp_path):
-    # numpy is imported only by the spectral stages and the corpus, so a
+    # numpy is imported only by the spectral stages, so a
     # graph that Ore settles is certified without loading it; the suites run
     # in-process, so no process-pool machinery is loaded either
     import os

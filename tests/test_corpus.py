@@ -44,3 +44,21 @@ def test_corpus_members_are_pairwise_nonisomorphic():
 def test_canonical_gate():
     with pytest.raises(SizeLimit):
         canonical_key(complete(9))
+
+
+def test_corpus_builds_without_numpy():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import hamq
+
+    env = dict(os.environ)
+    src = str(Path(hamq.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    script = ("import sys, hamq.corpus; hamq.corpus.connected_graphs(5); "
+              "print('numpy' in sys.modules)")
+    res = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0 and res.stdout.strip() == "False", res.stderr

@@ -57,25 +57,30 @@ def test_failures_are_replayable():
     # failure's graph6 must replay the violation
     n, k = 5, 2
     report = run_qupper(cases=[(k, n, "exhaustive", 0)])
-    assert report.cases == 12 and report.failures
+    assert report.cases == 12 and len(report.failures) == 10
     for failure in report.failures:
         g = parse_graph6(failure["graph6"])
         assert g.n == n and perron_pair(g).hi >= 2 * n - 2 * k
 
 
 def test_reduced_scale_suites_pass():
-    assert run_ore(trials=200, seed=1).ok
-    assert run_closure(random_per_n=20, seed=2, order_trials=30).ok
-    assert run_kelmans(count=60, seed=3).ok
-    assert run_qbound(count=200, seed=4).ok
-    assert run_qlower(cases=[(2, 92, "exhaustive", 0), (3, 40, "exhaustive", 0),
-                             (4, 40, "sample", 60)]).ok
-    assert run_qupper(cases=[(2, 92, "sample", 40)]).ok
-    assert run_appendix().ok
-    assert run_corollary().ok
-    assert run_family_nonhc(k_values=(2, 3), n_values=(8, 9)).ok
-    assert run_hunt(n=7, trials=0, model="all-connected").ok
-    assert run_hunt(n=8, trials=200, seed=42, model="gnp(0.5)").ok
+    # the case counts pin each suite's case set
+    for report, cases in [
+        (run_ore(trials=200, seed=1), 1196),
+        (run_closure(random_per_n=20, seed=2, order_trials=30), 1066),
+        (run_kelmans(count=60, seed=3), 60),
+        (run_qbound(count=200, seed=4), 200),
+        (run_qlower(cases=[(2, 92, "exhaustive", 0), (3, 40, "exhaustive", 0),
+                           (4, 40, "sample", 60)]), 1530),
+        (run_qupper(cases=[(2, 92, "sample", 40)]), 80),
+        (run_appendix(), 22),
+        (run_corollary(), 6),
+        (run_family_nonhc(k_values=(2, 3), n_values=(8, 9)), 80),
+        (run_hunt(n=7, trials=0, model="all-connected"), 853),
+        (run_hunt(n=8, trials=200, seed=42, model="gnp(0.5)"), 200),
+    ]:
+        assert report.ok, report.suite
+        assert report.cases == cases, report.suite
 
 
 def test_hunt_models():
