@@ -22,13 +22,14 @@ paper's edge-count theorem alone, and that branch is live: at n = 55, K_51
 plus a 4-cycle X = {51..54} with every X vertex joined to {0, 1, 2} has
 m = 1291 > 1255, fails Ore and closure, and has no item at k = 5.
 
-The spectral stage is an annotation.  The paper's spectral theorem reaches
-its dense regime through q <= 2m/(n-1) + n - 2: a lower bound lo >= 2n - 2k
-at some k with n >= n_min(k) (so n >= 11k) would give 2m >= (n-1)(n-2k+2),
-which is the edge threshold plus (2n - 3k^2 - k - 2)/2 > 0 edges, and the
-edge-count stage would already have decided that k.  So the stage records
-q's enclosure and a ``fail`` or ``inconclusive-interval`` verdict per k and
-never decides.  The host-comparison variant (lo >= q(S(n, k))) is not run:
+The spectral stage is an annotation and never decides.  It records the
+exact bound U = 2m/(n-1) + n - 2 >= q, through which the paper's spectral
+theorem reaches its dense regime, against 2n - 2k at each k the theorem
+covers.  Such a k has k <= delta and n >= n_min(k) >= 11k, so the edge-count
+stage failed at min(delta, n/11) >= k, where the edge threshold is lowest:
+m <= C(n-k, 2) + k(k+1).  Since (n-1)(n-2k+2) - 2(C(n-k, 2) + k(k+1)) =
+2n - 3k^2 - k - 2 > 0, U < 2n - 2k, and a bound reaching it is an internal
+error.  The host-comparison variant (q >= q(S(n, k))) is not run:
 q(S(n, k)) >= 2n - 2k + k(k-1)/(n-k+1) (the indicator Rayleigh quotient on
 Y u Z), so it could only fire where the spectral threshold had.
 
@@ -52,7 +53,7 @@ from typing import Any
 from .families import CLASSES, EmbeddingWitness, class_size_ok, hub_partitions, thresholds
 from .graph import Graph, component_count, cut_vertex, is_connected, min_degree
 from .hamilton import DEFAULT_PAIR_BUDGET, is_hamilton_connected, ore_check
-from .spectral import DEFAULT_TOL, perron_pair
+from .spectral import upper_bound_edge_count
 from .transforms import closure
 
 OUTCOME_CERTIFIED = "CertifiedHamiltonConnected"
@@ -130,13 +131,7 @@ def certify(g: Graph, config: CertifyConfig | None = None) -> Certificate:
     trace: list[dict[str, Any]] = []
 
     def done(outcome: str, fired: dict[str, Any] | None, witnesses: dict[str, Any]) -> Certificate:
-        return Certificate(
-            outcome=outcome,
-            fired_condition=fired,
-            parameters=params,
-            witnesses=witnesses,
-            trace=trace,
-        )
+        return Certificate(outcome, fired, params, witnesses, trace)
 
     # structural screen: these graphs cannot be Hamilton-connected.  For
     # n >= 3 every disconnected graph has a vertex whose removal leaves it
@@ -210,22 +205,20 @@ def certify(g: Graph, config: CertifyConfig | None = None) -> Certificate:
             trace.append({"condition": "ExceptionalConfirmation", "verdict": "confirmed"})
             return done(OUTCOME_EXCEPTIONAL, None, witnesses)
 
-    # spectral annotation: q's enclosure against 2n - 2k at every k the
-    # theorem covers; it never decides (see the module docstring)
+    # spectral annotation: the exact bound U on q against 2n - 2k at every k
+    # the theorem covers; it never decides (see the module docstring)
     ks = [k for k in range(min(delta, n // 2), 1, -1) if n >= thresholds(k).n_min]
     if ks:
-        est = perron_pair(g, DEFAULT_TOL)
-        params["q_interval"] = [est.lo, est.hi]
-        params["q_converged"] = est.converged
+        bound = upper_bound_edge_count(g)
+        params["q_upper_bound"] = str(bound)
         for k in ks:
-            thr = float(thresholds(k).spectral(n))
-            trace.append({
-                "condition": "Spectral", "k": k, "threshold": thr,
-                "interval": [est.lo, est.hi],
-                "hypotheses": [_hyp("min_degree", k, delta),
-                               _hyp("order", thresholds(k).n_min, n)],
-                "verdict": "fail" if est.hi < thr else "inconclusive-interval",
-            })
+            thr = thresholds(k).spectral(n)
+            if bound >= thr:
+                raise AssertionError(f"q bound {bound} reaches 2n - 2k = {thr} at k = {k}")
+            trace.append({"condition": "Spectral", "k": k, "threshold": thr,
+                          "hypotheses": [_hyp("min_degree", k, delta),
+                                         _hyp("order", thresholds(k).n_min, n)],
+                          "verdict": "fail"})
 
     # exact oracle, size-gated
     if n <= cfg.oracle_gate:

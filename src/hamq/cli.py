@@ -16,7 +16,8 @@ Subcommands:
 
 ``verify`` and ``hunt`` run in-process and exit 0 on a clean report, 1 when
 it lists failures, and 4 on malformed input (a bad model, trial count or
-integer list); the wall time of the run goes to stderr.
+integer list, or a flag the run does not read); the wall time of the run
+goes to stderr.  ``family`` also exits 4 on a flag its mode does not read.
 
 Input graphs are read from a file (or stdin with ``-``); the format is
 sniffed from the first line: ``"n m"`` headers select the edge-list reader,
@@ -90,17 +91,18 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 def _cmd_family(args: argparse.Namespace) -> int:
     if args.clazz is not None and args.clazz[0] != args.kind:
         raise BadParameters(f"class {args.clazz} is not of kind {args.kind}")
+    if args.clazz is None and args.mode is not None:
+        raise BadParameters("--mode needs --class")
+    if args.mode != "sample" and (args.count, args.seed) != (None, None):
+        raise BadParameters("--count and --seed need --class and --mode sample")
     out = sys.stdout if args.out is None else open(args.out, "w")
     sidecars = []
     try:
         if args.clazz is None:
-            handle = (build_S if args.kind == "S" else build_T)(args.n, args.k)
-            members = [handle]
+            members = [(build_S if args.kind == "S" else build_T)(args.n, args.k)]
         else:
-            members = enumerate_class(
-                args.clazz, args.n, args.k,
-                mode=args.mode, seed=args.seed, count=args.count,
-            )
+            members = enumerate_class(args.clazz, args.n, args.k, mode=args.mode or "exhaustive",
+                                      seed=args.seed or 0, count=args.count)
         count = 0
         for handle in members:
             print(emit_graph6(handle.graph), file=out)
@@ -128,34 +130,40 @@ def _parse_int_list(text: str) -> list[int]:
 
 def _case_grid(args: argparse.Namespace) -> list[tuple] | None:
     if not (args.k and args.n):
+        if (args.k, args.n, args.mode, args.count) != (None, None, None, None):
+            raise BadParameters("--k, --n, --mode and --count need both --k and --n")
         return None
-    mode = args.mode or "exhaustive"
-    return [(k, n, mode, args.count or 0)
+    return [(k, n, args.mode or "exhaustive", args.count or 0)
             for k in _parse_int_list(args.k) for n in _parse_int_list(args.n)]
 
 
-_K_VALUES = ("k_values", lambda a: _parse_int_list(a.k) if a.k else None)
-_N_VALUES = ("n_values", lambda a: _parse_int_list(a.n) if a.n else None)
-_SEED = ("seed", lambda a: a.seed)
+_VERIFY_FLAGS = ("k", "n", "mode", "count", "trials", "seed")
+_K_VALUES = ("k_values", ("k",), lambda a: _parse_int_list(a.k) if a.k else None)
+_N_VALUES = ("n_values", ("n",), lambda a: _parse_int_list(a.n) if a.n else None)
+_SEED = ("seed", ("seed",), lambda a: a.seed)
 
-# suite -> (keyword, reader) rules; a reader returning None passes nothing,
-# so the suite keeps its own default
+# suite -> (keyword, flags read, reader) rules; a reader returning None passes
+# nothing, so the suite keeps its own default; a set flag no rule reads is an error
 _VERIFY_KWARGS = {
     "appendix": (_K_VALUES,),
     "corollary": (_K_VALUES, _N_VALUES),
     "family-nonhc": (_K_VALUES, _N_VALUES),
-    "q-lower": (("cases", _case_grid), _SEED),
-    "q-upper": (("cases", _case_grid), _SEED),
-    "ore": (("trials", lambda a: a.trials), _SEED),
-    "kelmans": (("count", lambda a: a.count), _SEED),
-    "qbound": (("count", lambda a: a.count), _SEED),
-    "closure": (("random_per_n", lambda a: a.count), _SEED),
+    "q-lower": (("cases", ("k", "n", "mode", "count"), _case_grid), _SEED),
+    "q-upper": (("cases", ("k", "n", "mode", "count"), _case_grid), _SEED),
+    "ore": (("trials", ("trials",), lambda a: a.trials), _SEED),
+    "kelmans": (("count", ("count",), lambda a: a.count), _SEED),
+    "qbound": (("count", ("count",), lambda a: a.count), _SEED),
+    "closure": (("random_per_n", ("count",), lambda a: a.count), _SEED),
 }
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    stray = [f"--{f}" for f in _VERIFY_FLAGS if getattr(args, f) is not None
+             and all(f not in flags for _, flags, _ in _VERIFY_KWARGS[args.suite])]
+    if stray:
+        raise BadParameters(f"suite {args.suite} does not read {', '.join(stray)}")
     params: dict = {}
-    for key, read in _VERIFY_KWARGS[args.suite]:
+    for key, _, read in _VERIFY_KWARGS[args.suite]:
         value = read(args)
         if value is not None:
             params[key] = value
@@ -169,11 +177,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_hunt(args: argparse.Namespace) -> int:
-    trials: int | str = args.trials
-    model = args.model
-    if trials == "exhaustive":
-        model = "all-connected"
-    else:
+    model = args.model or ("all-connected" if args.trials == "exhaustive" else "gnp(0.5)")
+    exhaustive = model.strip() == "all-connected"
+    trials = args.trials if args.trials is not None else "exhaustive" if exhaustive else 10_000
+    if exhaustive != (trials == "exhaustive"):
+        raise BadParameters(f"--trials {trials} does not go with --model {model}")
+    if not exhaustive:
         try:
             trials = int(trials)
         except ValueError:
@@ -215,9 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--class", dest="clazz", choices=["S1", "T1", "S2", "T2"])
-    p.add_argument("--mode", choices=["exhaustive", "sample"], default="exhaustive")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int)
+    p.add_argument("--mode", choices=["exhaustive", "sample"], help="default exhaustive")
+    p.add_argument("--seed", type=int, help="sample mode only, default 0")
+    p.add_argument("--count", type=int, help="sample mode only")
     p.add_argument("--out", help="write graph6 lines here instead of stdout")
     p.add_argument("--sidecar", help="write a JSON partition sidecar here")
     p.set_defaults(func=_cmd_family)
@@ -234,12 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hunt", help="certifier-vs-oracle consistency search")
     p.add_argument("--n", type=int, default=8)
-    p.add_argument("--trials", default="10000",
-                   help="integer, or 'exhaustive' for the all-connected model")
+    p.add_argument("--trials", help="integer (default 10000), or 'exhaustive' for all-connected")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--model", default="gnp(0.5)",
-                   help="gnp(p) | gnm(m) | dense-above-edge-threshold(k=K) "
-                   "| all-connected")
+    p.add_argument("--model", help="gnp(p) (default gnp(0.5)) | gnm(m) "
+                   "| dense-above-edge-threshold(k=K) | all-connected")
     p.set_defaults(func=_cmd_hunt)
     return parser
 

@@ -1,6 +1,7 @@
 """Certification pipeline outcomes, witnesses, and report stability."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -41,6 +42,7 @@ from hamq.graph import (
 )
 from hamq.hamilton import is_hamilton_connected
 from hamq.rng import SplitMix64, gnm, gnp, pair_unrank
+from hamq.spectral import perron_pair
 
 from conftest import validate_path
 
@@ -380,8 +382,8 @@ def test_edge_stage_partition_equals_the_embedding_search():
 
 def test_spectral_entries_are_annotations_on_near_hosts():
     # hosts at n = 92 with enough deletions to drop below every edge
-    # threshold reach the spectral stage; the edge-count bound on q keeps
-    # every lower bound under 2n - 2k, so the stage records and never decides
+    # threshold reach the spectral stage; the edge-count bound on q stays
+    # under 2n - 2k, so the stage records and never decides
     rng = SplitMix64(92)
     n = 92
     for kind in "ST":
@@ -394,9 +396,49 @@ def test_spectral_entries_are_annotations_on_near_hosts():
                 spectral = [t for t in cert.trace if t["condition"] == "Spectral"]
                 assert [t["k"] for t in spectral] == [2]
                 for entry in spectral:
-                    assert entry["interval"] == cert.parameters["q_interval"]
-                    assert entry["interval"][0] < entry["threshold"]
-                    assert entry["verdict"] in ("fail", "inconclusive-interval")
+                    assert set(entry) == {"condition", "k", "threshold", "hypotheses", "verdict"}
+                    assert entry["verdict"] == "fail"
+                    assert Fraction(cert.parameters["q_upper_bound"]) < entry["threshold"]
+
+
+def _annotated_corpus():
+    rng = SplitMix64(270)
+    for n, seeds in ((92, 3), (270, 1)):
+        for p in (0.1, 0.2, 0.3, 0.4):
+            for _ in range(seeds):
+                yield gnp(n, p, rng)
+    for kind in "ST":
+        for n, k in ((92, 2), (270, 3)):
+            yield _near_host(rng, kind, n, k, n - 3 * k + 1 + rng.next_below(30), 0)
+
+
+def test_spectral_bound_is_exact_and_encloses_q():
+    # the annotation carries 2m/(n-1) + n - 2 as an exact fraction, never a
+    # float, and the float Perron enclosure stays under it
+    def no_floats(text):
+        raise AssertionError(f"JSON float {text} in a certificate")
+
+    for g in _annotated_corpus():
+        cert = certify(g)
+        assert cert.outcome == OUTCOME_INCONCLUSIVE
+        bound = Fraction(2 * g.m, g.n - 1) + g.n - 2
+        assert cert.parameters["q_upper_bound"] == str(bound)
+        assert perron_pair(g).hi <= float(bound) + 1e-9
+        json.loads(cert.to_json(), parse_float=no_floats)
+        spectral = [t for t in cert.trace if t["condition"] == "Spectral"]
+        assert spectral and all(t["threshold"] == 2 * g.n - 2 * t["k"] > bound
+                                and t["verdict"] == "fail" for t in spectral)
+
+
+def test_spectral_bound_reaching_the_threshold_is_an_internal_error(monkeypatch):
+    import hamq.certifier
+
+    g = gnp(92, 0.2, SplitMix64(7))
+    assert certify(g).outcome == OUTCOME_INCONCLUSIVE
+    monkeypatch.setattr(hamq.certifier, "upper_bound_edge_count",
+                        lambda g: Fraction(2 * g.n - 4))
+    with pytest.raises(AssertionError, match="reaches 2n - 2k"):
+        certify(g)
 
 
 def test_dense_regime_soundness():

@@ -149,6 +149,8 @@ def test_certify_pinned_random_regressions(capsys, monkeypatch):
     ["hunt", "--n", "0", "--trials", "exhaustive"],
     ["hunt", "--trials", "abc"],
     ["hunt", "--trials", "-3"],
+    ["hunt", "--n", "7", "--trials", "exhaustive", "--model", "gnp(0.5)"],
+    ["hunt", "--n", "7", "--model", "all-connected", "--trials", "5"],
     ["verify", "appendix", "--k", "a..b"],
     ["verify", "corollary", "--n", "30,x"],
 ])
@@ -171,6 +173,26 @@ def test_family_sample_without_count_exit_code(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("flags", [
+    ["--class", "S1", "--count", "5"],
+    ["--class", "S1", "--seed", "1"],
+    ["--class", "S1", "--mode", "exhaustive", "--count", "5"],
+    ["--mode", "sample", "--count", "5"],
+    ["--mode", "exhaustive"],
+    ["--count", "5"],
+    ["--seed", "0"],
+])
+def test_family_flag_its_mode_does_not_read_is_an_input_error(capsys, flags):
+    code, out, err = run_cli(capsys, ["family", "S", "--n", "9", "--k", "3", *flags])
+    assert code == 4 and err.startswith("error: ") and out == ""
+
+
+def test_family_sample_seed_defaults_to_zero(capsys):
+    argv = ["family", "S", "--n", "92", "--k", "2", "--class", "S2", "--mode", "sample",
+            "--count", "3"]
+    assert run_cli(capsys, argv)[:2] == run_cli(capsys, argv + ["--seed", "0"])[:2]
+
+
 def test_family_class_of_the_other_kind_is_an_input_error(capsys):
     code, out, err = run_cli(capsys, ["family", "S", "--n", "8", "--k", "2",
                                       "--class", "T1"])
@@ -190,9 +212,10 @@ def test_unreadable_input_is_an_input_error(tmp_path, capsys, command, kind):
 
 
 def test_certify_runs_without_numpy(tmp_path):
-    # numpy is imported only by the spectral stages, so a
-    # graph that Ore settles is certified without loading it; the suites run
-    # in-process, so no process-pool machinery is loaded either
+    # numpy is imported only by perron_pair, which certify never calls: a
+    # graph that Ore settles and one that reaches the spectral annotation are
+    # both certified without loading it; the suites run in-process, so no
+    # process-pool machinery is loaded either
     import os
     import subprocess
     import sys
@@ -200,9 +223,12 @@ def test_certify_runs_without_numpy(tmp_path):
 
     import hamq
     from hamq.graph import emit_edgelist
+    from hamq.rng import SplitMix64, gnp
 
     f = tmp_path / "k8.txt"
     f.write_text(emit_edgelist(complete(8)))
+    sparse = tmp_path / "gnp92.g6"
+    sparse.write_text(emit_graph6(gnp(92, 0.2, SplitMix64(7))))
     script = ("import sys\nfrom hamq.cli import main\nrc = main(sys.argv[1:])\n"
               "print(sorted(m for m in ('numpy', 'concurrent.futures', 'multiprocessing')"
               " if m in sys.modules))\nsys.exit(rc)")
@@ -217,6 +243,9 @@ def test_certify_runs_without_numpy(tmp_path):
     res = run("certify", str(f))
     assert res.returncode == 0, res.stderr
     assert "Ore" in res.stdout and res.stdout.splitlines()[-1] == "[]"
+    res = run("certify", str(sparse))
+    assert res.returncode == 2, res.stderr
+    assert "Spectral k=2: fail" in res.stdout and res.stdout.splitlines()[-1] == "[]"
     res = run("spectrum", str(f))
     assert res.returncode == 0, res.stderr
     assert "q_hat    = 14.0" in res.stdout
@@ -264,6 +293,28 @@ def _reference_verify_kwargs(args):
     return params
 
 
+# the flags each suite reads; q-lower and q-upper read --k, --n, --mode and
+# --count only as a case grid, which needs both --k and --n
+_SUITE_FLAGS = {
+    "appendix": {"--k"},
+    "corollary": {"--k", "--n"},
+    "family-nonhc": {"--k", "--n"},
+    "q-lower": {"--k", "--n", "--mode", "--count", "--seed"},
+    "q-upper": {"--k", "--n", "--mode", "--count", "--seed"},
+    "ore": {"--trials", "--seed"},
+    "kelmans": {"--count", "--seed"},
+    "qbound": {"--count", "--seed"},
+    "closure": {"--count", "--seed"},
+}
+
+
+def _suite_reads(suite, given):
+    if not given <= _SUITE_FLAGS[suite]:
+        return False
+    grid = given & {"--k", "--n", "--mode", "--count"}
+    return suite not in ("q-lower", "q-upper") or not grid or {"--k", "--n"} <= grid
+
+
 def test_verify_passes_every_flag_combination(capsys, monkeypatch):
     from itertools import product
     from types import SimpleNamespace
@@ -283,13 +334,25 @@ def test_verify_passes_every_flag_combination(capsys, monkeypatch):
     flags = [("--k", "2,3"), ("--n", "40..41"), ("--mode", "sample"),
              ("--count", "5"), ("--trials", "0"), ("--seed", "0")]
     parser = build_parser()
+    rejected = 0
     for suite in sorted(SUITES):
         for chosen in product((False, True), repeat=len(flags)):
             argv = ["verify", suite]
             for on, pair in zip(chosen, flags):
                 argv += list(pair) if on else []
+            given = {flag for on, (flag, _) in zip(chosen, flags) if on}
+            capsys.readouterr()
+            if not _suite_reads(suite, given):
+                # a flag the suite would drop is an input error, not a default
+                assert main(argv) == 4 and not calls, argv
+                assert capsys.readouterr().err.startswith("error: "), argv
+                rejected += 1
+                continue
             assert main(argv) == 0
             got_suite, got = calls.pop()
             want = _reference_verify_kwargs(parser.parse_args(argv))
             assert got_suite == suite and got == want, argv
+    # accepted: appendix 2, corollary and family-nonhc 4 each, q-lower and
+    # q-upper 10 each, ore, kelmans, qbound and closure 4 each
+    assert rejected == 9 * 64 - 46
     capsys.readouterr()
