@@ -16,11 +16,16 @@ which is convex in d and, for n >= 11k and k <= d <= n, never exceeds
 C(n-k, 2) + k^2, so at most k-1 vertices have degree k.  Embedding into
 S(n, k) or T(n, k) then forces X to be all of them, sharing one open (S) or
 closed (T) neighborhood: exactly the one group ``hub_partitions`` can
-yield.  The same item names the deleted-edge class (S1, T1, S2, T2, first
-match).  When neither kind yields an item the stage certifies on the
-paper's edge-count theorem alone, and that branch is live: at n = 55, K_51
-plus a 4-cycle X = {51..54} with every X vertex joined to {0, 1, 2} has
-m = 1291 > 1255, fails Ore and closure, and has no item at k = 5.
+yield.  It is read for S first, then T: an S and a T group share at most
+one vertex v (the other S members are not adjacent to v, the other T
+members are), so at k >= 3 both would need 2k - 3 > k - 1 vertices of
+degree k; at k = 2 both read X = {v}, Y = N(v), the same Z and missing
+pairs, under equal class bounds (S1/T1 0, S2/T2 1).  Its missing-pair count
+names the class, the first of kind 1, kind 2 that fits.  When neither kind
+yields an item the stage certifies on the paper's edge-count theorem alone,
+and that branch is live: at n = 55, K_51 plus a 4-cycle X = {51..54} with
+every X vertex joined to {0, 1, 2} has m = 1291 > 1255, fails Ore and
+closure, and has no item at k = 5.
 
 The spectral stage is an annotation and never decides.  It records the
 exact bound U = 2m/(n-1) + n - 2 >= q, through which the paper's spectral
@@ -50,7 +55,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from .families import CLASSES, EmbeddingWitness, class_size_ok, hub_partitions, thresholds
+from .families import EmbeddingWitness, class_size_ok, hub_partitions, thresholds
 from .graph import Graph, component_count, cut_vertex, is_connected, min_degree
 from .hamilton import DEFAULT_PAIR_BUDGET, is_hamilton_connected, ore_check
 from .spectral import upper_bound_edge_count
@@ -166,18 +171,15 @@ def certify(g: Graph, config: CertifyConfig | None = None) -> Certificate:
         return done(OUTCOME_CERTIFIED, {"name": "ClosureComplete"},
                     {"closure_additions": list(cl_trace.added)})
 
-    # edge-count condition at the k with the lowest threshold (see the
-    # module docstring)
+    # edge-count condition at the k with the lowest threshold; its host
+    # partition is read for S first, then T (see the module docstring)
     k = min(delta, n // 11)
     if k >= 2:
         need = thresholds(k).edge(n)
         above = g.m > need
-        found = {}
+        part = None
         if above:
-            for kind in "ST":
-                item = next(hub_partitions(g, kind, k), None)
-                if item is not None:
-                    found[kind] = item
+            part = next(hub_partitions(g, "S", k), None) or next(hub_partitions(g, "T", k), None)
         trace.append({
             "condition": "EdgeCount", "k": k,
             "hypotheses": [
@@ -186,20 +188,18 @@ def certify(g: Graph, config: CertifyConfig | None = None) -> Certificate:
                 {"name": "edge_count_exceeds", "required": need, "actual": g.m,
                  "passed": above},
             ],
-            "verdict": "exceptional" if found else "fired" if above else "fail",
+            "verdict": "exceptional" if part else "fired" if above else "fail",
         })
-        if above and not found:
+        if above and part is None:
             return done(OUTCOME_CERTIFIED, {"name": "EdgeCount", "k": k},
                         {"edge_threshold": need})
-        if found:
-            kind = "S" if "S" in found else "T"
-            x_set, y_set, z_set, _ = found[kind]
+        if part is not None:
             witnesses: dict[str, Any] = {
-                "host": {"kind": kind, "n": n, "k": k},
-                "family_class": next((c for c in CLASSES if c[0] in found
-                                      and class_size_ok(c, k, len(found[c[0]][3]))), None),
-                "embedding": EmbeddingWitness(kind=kind, k=k, X=x_set, Y=y_set, Z=z_set),
-                "confirmation": _separator_confirmation(g, y_set),
+                "host": {"kind": part.kind, "n": n, "k": k},
+                "family_class": next((c for c in (part.kind + "1", part.kind + "2")
+                                      if class_size_ok(c, k, len(part.deleted))), None),
+                "embedding": EmbeddingWitness(part.kind, k, part.X, part.Y, part.Z),
+                "confirmation": _separator_confirmation(g, part.Y),
                 "non_hamilton_connected": True,
             }
             trace.append({"condition": "ExceptionalConfirmation", "verdict": "confirmed"})

@@ -15,13 +15,15 @@ Subcommands:
 * ``hunt``: random/exhaustive certifier-vs-oracle consistency search.
 
 ``verify`` and ``hunt`` run in-process and exit 0 on a clean report, 1 when
-it lists failures, and 4 on malformed input (a bad model, trial count or
-integer list, or a flag the run does not read); the wall time of the run
-goes to stderr.  ``family`` also exits 4 on a flag its mode does not read.
+it lists failures (a run of no case lists one), and 4 on malformed input (a
+bad model, trial count or integer list, a flag the run does not read, or a
+``--count`` below 1 in sample mode or given in exhaustive mode); the wall
+time of the run goes to stderr.  ``family`` also exits 4 on a flag its mode
+does not read.
 
 Input graphs are read from a file (or stdin with ``-``); the format is
-sniffed from the first line: ``"n m"`` headers select the edge-list reader,
-anything else is treated as graph6.
+sniffed from the first non-empty line: ``"n m"`` headers select the
+edge-list reader, anything else must be the input's only graph6 line.
 """
 
 from __future__ import annotations
@@ -50,13 +52,16 @@ def _read_graph(source: str) -> Graph:
         raise BadParameters(f"cannot read {source}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise ParseError("input is not valid text", exc.start) from None
-    stripped = text.strip()
-    if not stripped:
+    lines = [line.strip() for line in text.splitlines() if line.strip()]
+    if not lines:
         raise ParseError("empty input", 0)
-    first = stripped.splitlines()[0].split()
+    first = lines[0].split()
     if len(first) == 2 and all(p.isdigit() for p in first):
         return parse_edgelist(text)
-    return parse_graph6(stripped.splitlines()[0])
+    if len(lines) > 1:
+        second = text.index(lines[1], text.index(lines[0]) + len(lines[0]))
+        raise ParseError(f"graph6 input holds {len(lines)} records, not one", second)
+    return parse_graph6(lines[0])
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
@@ -133,7 +138,12 @@ def _case_grid(args: argparse.Namespace) -> list[tuple] | None:
         if (args.k, args.n, args.mode, args.count) != (None, None, None, None):
             raise BadParameters("--k, --n, --mode and --count need both --k and --n")
         return None
-    return [(k, n, args.mode or "exhaustive", args.count or 0)
+    mode = args.mode or "exhaustive"
+    if mode == "sample" and (args.count is None or args.count < 1):
+        raise BadParameters("--mode sample needs --count >= 1")
+    if mode == "exhaustive" and args.count is not None:
+        raise BadParameters("exhaustive mode does not read --count")
+    return [(k, n, mode, args.count or 0)
             for k in _parse_int_list(args.k) for n in _parse_int_list(args.n)]
 
 

@@ -19,10 +19,10 @@ eligible deletion set E0.  A *family member* deletes a subset E' of E0:
 * class 2 members have exactly one more deletion than the class-1 maximum.
 
 ``hub_partitions`` groups the degree-k vertices by open (S) or closed (T)
-neighborhood and yields each candidate partition ``(X, Y, Z, missing Y u Z
-pairs)``; ``membership`` recognizes a relabeled member by filtering those
-items by class size, and the certifier's edge-count stage reads both its
-host embedding and its class from them.  ``spanning_subgraph_of`` searches
+neighborhood and yields each candidate partition as a ``HostPartition``
+(X, Y, Z and the missing Y u Z pairs ``deleted``, in g's own labels);
+``membership`` returns the first whose ``deleted`` fits a class, and the
+certifier's edge stage takes the first.  ``spanning_subgraph_of`` searches
 for a host embedding (every edge of G mapped onto a host edge) over all
 vertices of degree <= k, under a node budget, so it also answers when the
 minimum degree is below k.  ``appendix_check`` evaluates, in exact
@@ -101,8 +101,9 @@ class FamilyHandle:
 
 
 @dataclass(frozen=True)
-class MembershipWitness:
-    """Relabeling witness: where X/Y/Z sit in the input graph's own labels."""
+class HostPartition:
+    """A host partition of a graph in its own labels: X the degree-k vertices,
+    Y the hub set, Z the rest, ``deleted`` the missing Y u Z pairs."""
 
     kind: str
     k: int
@@ -274,20 +275,18 @@ def class_size_ok(clazz: str, k: int, size: int) -> bool:
     return size <= bound if clazz[1] == "1" else size == bound
 
 
-def hub_partitions(
-    g: Graph, kind: str, k: int
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], list[Edge]]]:
-    """Candidate host partitions ``(X, Y, Z, missing)`` of g for one kind.
+def hub_partitions(g: Graph, kind: str, k: int) -> Iterator[HostPartition]:
+    """Candidate host partitions of g for one kind.
 
     Candidate X vertices must have degree exactly k (deletions never touch
     X).  For S the members of X share one open neighborhood of size k; for T
     they share one closed neighborhood of size k+1.  Degree-k vertices are
     grouped by that neighborhood; every group of at least k-1 yields X = its
-    k-1 smallest vertices, the hub set Y, Z = the rest, and the pairs inside
-    Y u Z that are not edges, ascending.  Every group fits its host: for S,
-    X is independent, since a vertex is never in its own open neighborhood
-    and all members share one; for T, every member lies in the shared
-    closed neighborhood, so Y = key - X has (k+1) - (k-1) = 2 vertices.
+    k-1 smallest vertices, the hub set Y = key - X, Z = the rest, and as
+    ``deleted`` the pairs inside Y u Z that are not edges.  Every group fits
+    its host: for S, X is independent, since a vertex is never in its own
+    open neighborhood and all members share one; for T, every member lies in
+    the shared closed neighborhood, so Y has (k+1) - (k-1) = 2 vertices.
     Groups come in increasing mask order.  X then touches nothing outside
     Y, so every item is also a host embedding; ``membership`` filters the
     items by class size.
@@ -295,56 +294,42 @@ def hub_partitions(
     n = g.n
     if n < 5 or k < 2 or 2 * k > n:
         return
-    cands = [v for v in range(n) if g.degree(v) == k]
-    if len(cands) < k - 1:
-        return
-    buckets: dict[int, list[int]] = {}
-    for v in cands:
-        key = g.row(v) if kind == "S" else g.row(v) | (1 << v)
-        buckets.setdefault(key, []).append(v)
+    buckets: dict[int, list[int]] = {}  # ascending members, one pass over v
+    for v in range(n):
+        if g.degree(v) == k:
+            key = g.row(v) if kind == "S" else g.row(v) | (1 << v)
+            buckets.setdefault(key, []).append(v)
     want_pop = k if kind == "S" else k + 1
     for key in sorted(buckets):
         members = buckets[key]
         if len(members) < k - 1 or key.bit_count() != want_pop:
             continue
-        x_set = tuple(sorted(members)[: k - 1])
-        x_bits = 0
-        for x in x_set:
-            x_bits |= 1 << x
-        y_set = tuple(iter_bits(key & ~x_bits))
+        x_set = tuple(members[: k - 1])
+        x_bits = sum(1 << x for x in x_set)
+        y_bits = key & ~x_bits
         yz_bits = ((1 << n) - 1) & ~x_bits
-        yz = list(iter_bits(yz_bits))
-        z_set = tuple(v for v in yz if v not in y_set)
         # missing pairs (u, v), u < v, inside Y u Z: one mask per row, where
         # ``above`` holds the Y u Z vertices after u
         missing = []
         above = yz_bits
-        for u in yz:
+        for u in iter_bits(yz_bits):
             above ^= 1 << u
             missing.extend((u, v) for v in iter_bits(above & ~g.row(u)))
-        yield x_set, y_set, z_set, missing
+        yield HostPartition(kind, k, x_set, tuple(iter_bits(y_bits)),
+                            tuple(iter_bits(yz_bits & ~y_bits)), frozenset(missing))
 
 
-def membership(g: Graph, clazz: str, k: int) -> MembershipWitness | None:
+def membership(g: Graph, clazz: str, k: int) -> HostPartition | None:
     """Recognize a (possibly relabeled) class member; None means absent.
 
-    The first ``hub_partitions`` item whose missing pairs fit the class is
-    the witness; the remaining structure (Y u Z clique minus E', no X-Z
-    edges) holds by construction of the item.
+    The first ``hub_partitions`` record whose ``deleted`` pairs fit the class
+    is the witness; the remaining structure (Y u Z clique minus E', no X-Z
+    edges) holds by construction of the record.
     """
     if clazz not in CLASSES:
         raise BadParameters(f"unknown class {clazz!r}")
-    for x_set, y_set, z_set, missing in hub_partitions(g, clazz[0], k):
-        if class_size_ok(clazz, k, len(missing)):
-            return MembershipWitness(
-                kind=clazz[0],
-                k=k,
-                X=x_set,
-                Y=y_set,
-                Z=z_set,
-                deleted=frozenset(missing),
-            )
-    return None
+    return next((p for p in hub_partitions(g, clazz[0], k)
+                 if class_size_ok(clazz, k, len(p.deleted))), None)
 
 
 def spanning_subgraph_of(

@@ -100,7 +100,8 @@ def _report(
 ) -> SuiteReport:
     """The case loop of every suite: walk each ``(cases, check)`` part in
     order, count every case and gather the failures its check returns, then
-    add the suite-level failures ``finish`` returns once the walk is done."""
+    add the suite-level failures ``finish`` returns once the walk is done.
+    A run that walked no case checked nothing, so it fails."""
     count = 0
     failures: Failures = []
     for cases, check in parts:
@@ -109,6 +110,8 @@ def _report(
             failures.extend(check(case))
     if finish is not None:
         failures.extend(finish())
+    if count == 0:
+        failures.append(_fail(None, "no case ran"))
     return SuiteReport(suite, params, count, failures)
 
 

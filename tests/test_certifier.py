@@ -351,21 +351,31 @@ def test_edge_stage_partition_equals_the_embedding_search():
     # arbiter for the edge stage: where its hypotheses pass, the one
     # degree-k partition per kind gives the same embedding as the budgeted
     # search (S tried first, then T) and the same class as the membership
-    # search; the pigeonhole bound on degree-k vertices is what makes it so
-    exceptional = 0
+    # search; the pigeonhole bound on degree-k vertices is what makes it so,
+    # and what lets certify read S first: at k >= 3 at most one kind yields
+    # an item, and at k = 2 both kinds yield the same partition
+    exceptional = both = 0
     for g in _edge_stage_corpus():
         cert = certify(g, CertifyConfig(oracle_gate=0))
         for k in range(min(min_degree(g), g.n // 11), 1, -1):
             if g.m <= thresholds(k).edge(g.n):
                 continue
             assert sum(d == k for d in g.degrees()) <= k - 1
-            found = {}
+            found, items = {}, {}
             for kind in "ST":
-                item = next(hub_partitions(g, kind, k), None)
+                item = items[kind] = next(hub_partitions(g, kind, k), None)
                 found[kind] = spanning_subgraph_of(g, kind, k)
                 assert (item is None) == (found[kind] is None)
                 if item is not None:
-                    assert item[:3] == (found[kind].X, found[kind].Y, found[kind].Z)
+                    assert (item.X, item.Y, item.Z) == (found[kind].X, found[kind].Y,
+                                                        found[kind].Z)
+            if k >= 3:
+                assert items["S"] is None or items["T"] is None
+            elif items["S"] is not None and items["T"] is not None:
+                both += 1
+                s_item, t_item = items["S"], items["T"]
+                assert (t_item.X, t_item.Y, t_item.Z, t_item.deleted) == (
+                    s_item.X, s_item.Y, s_item.Z, s_item.deleted)
             w = found["S"] or found["T"]
             entries = [t for t in cert.trace if t["condition"] == "EdgeCount"
                        and t["k"] == k and t["verdict"] != "fail"]
@@ -377,7 +387,7 @@ def test_edge_stage_partition_equals_the_embedding_search():
                     assert cert.witnesses["family_class"] == _annotate_class(g, k)
                     assert cert.witnesses["host"] == {"kind": w.kind, "n": g.n, "k": k}
             break
-    assert exceptional > 400
+    assert exceptional > 400 and both > 300
 
 
 def test_spectral_entries_are_annotations_on_near_hosts():

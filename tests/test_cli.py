@@ -153,11 +153,42 @@ def test_certify_pinned_random_regressions(capsys, monkeypatch):
     ["hunt", "--n", "7", "--model", "all-connected", "--trials", "5"],
     ["verify", "appendix", "--k", "a..b"],
     ["verify", "corollary", "--n", "30,x"],
+    # a sampled case grid needs a count, and exhaustive mode reads none
+    ["verify", "q-lower", "--k", "3", "--n", "40", "--mode", "sample"],
+    ["verify", "q-upper", "--k", "3", "--n", "40", "--mode", "sample"],
+    ["verify", "q-lower", "--k", "3", "--n", "40", "--mode", "sample", "--count", "0"],
+    ["verify", "q-lower", "--k", "3", "--n", "40", "--count", "5"],
+    ["verify", "q-upper", "--k", "3", "--n", "40", "--mode", "exhaustive", "--count", "5"],
 ])
 def test_malformed_suite_input_is_an_input_error(capsys, argv):
     # exit 1 means "the report lists failures"; bad input must not read so
     code, out, err = run_cli(capsys, argv)
     assert code == 4 and err.startswith("error: ") and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "family-nonhc", "--k", "5", "--n", "8"],  # every n < 2k
+    ["verify", "corollary", "--k", "2"],  # k = 2 is skipped
+    ["hunt", "--trials", "0"],
+])
+def test_suite_that_ran_no_case_fails(capsys, argv):
+    code, out, _ = run_cli(capsys, argv)
+    report = json.loads(out)
+    assert code == 1 and report["cases"] == 0
+    assert report["failures"] == [{"graph6": "", "violated": "no case ran"}]
+
+
+@pytest.mark.parametrize("command", ["certify", "spectrum"])
+def test_graph6_input_holds_exactly_one_record(capsys, monkeypatch, command):
+    # a record after the first would be silently dropped
+    code, out, _ = run_cli(capsys, ["family", "S", "--n", "9", "--k", "3", "--class", "S1"])
+    assert code == 0 and len(out.splitlines()) == 22
+    for text in (out, out.splitlines()[0] + "\nnot-a-graph\n"):
+        code, got, err = run_cli(capsys, [command, "-"], text, monkeypatch)
+        assert code == 4 and err.startswith("error: ") and got == ""
+    code, _, _ = run_cli(capsys, [command, "-"], "\n" + out.splitlines()[0] + "\n\n",
+                         monkeypatch)
+    assert code != 4
 
 
 def test_family_invalid_params_exit_code(capsys):
@@ -294,7 +325,8 @@ def _reference_verify_kwargs(args):
 
 
 # the flags each suite reads; q-lower and q-upper read --k, --n, --mode and
-# --count only as a case grid, which needs both --k and --n
+# --count only as a case grid, which needs both --k and --n, and in which
+# --count goes with --mode sample (the only mode the combinations give)
 _SUITE_FLAGS = {
     "appendix": {"--k"},
     "corollary": {"--k", "--n"},
@@ -312,7 +344,8 @@ def _suite_reads(suite, given):
     if not given <= _SUITE_FLAGS[suite]:
         return False
     grid = given & {"--k", "--n", "--mode", "--count"}
-    return suite not in ("q-lower", "q-upper") or not grid or {"--k", "--n"} <= grid
+    return (suite not in ("q-lower", "q-upper") or not grid
+            or {"--k", "--n"} <= grid and ("--mode" in grid) == ("--count" in grid))
 
 
 def test_verify_passes_every_flag_combination(capsys, monkeypatch):
@@ -353,6 +386,6 @@ def test_verify_passes_every_flag_combination(capsys, monkeypatch):
             want = _reference_verify_kwargs(parser.parse_args(argv))
             assert got_suite == suite and got == want, argv
     # accepted: appendix 2, corollary and family-nonhc 4 each, q-lower and
-    # q-upper 10 each, ore, kelmans, qbound and closure 4 each
-    assert rejected == 9 * 64 - 46
+    # q-upper 6 each, ore, kelmans, qbound and closure 4 each
+    assert rejected == 9 * 64 - 38
     capsys.readouterr()

@@ -395,8 +395,9 @@ def test_hub_partition_items_fit_their_host():
     items = 0
     for g, k in graphs:
         for kind in "ST":
-            for x, y, z, _ in hub_partitions(g, kind, k):
+            for item in hub_partitions(g, kind, k):
                 items += 1
+                x, y, z = item.X, item.Y, item.Z
                 y_bits = sum(1 << v for v in y)
                 z_bits = sum(1 << v for v in z)
                 assert len(x) == k - 1 and len(y) == (k if kind == "S" else 2)
