@@ -7,6 +7,13 @@ condition with its exceptional hosts, the spectral annotation, and finally
 (size-gated) the exact oracle.  The first decisive step wins and the full
 attempt trace is kept on the certificate.
 
+The degree-sum condition is evaluated first, in O(n) mask operations, and
+the screen's depth-first search runs only where it fails.  The trace keeps
+the order above: a graph that passes the degree sums is connected with no
+cut vertex (see ``ore_check``), so the screen would have passed it, and
+where the sums fail the screen's entry is written before the Ore entry, or
+alone when the screen decides.
+
 The edge-count stage checks one k, min(delta, n/11), so delta >= k and
 n >= 11k hold; once also m > C(n-k, 2) + k(k+1) it decides.  That k has
 the lowest threshold: it drops by n - 3k - 3 > 0 from k to k+1, so a graph
@@ -138,6 +145,16 @@ def certify(g: Graph, config: CertifyConfig | None = None) -> Certificate:
     def done(outcome: str, fired: dict[str, Any] | None, witnesses: dict[str, Any]) -> Certificate:
         return Certificate(outcome, fired, params, witnesses, trace)
 
+    # degree-sum condition, evaluated before the structural screen and
+    # traced after it: a graph it holds on is connected with no cut vertex
+    # (see ore_check), so the screen could not have stopped it
+    ore = ore_check(g)
+    ore_entry = {"condition": "Ore", "verdict": "fired" if ore else "fail",
+                 "hypotheses": [_hyp("degree_sum_condition", True, ore)]}
+    if ore:
+        trace.append(ore_entry)
+        return done(OUTCOME_CERTIFIED, {"name": "Ore"}, {})
+
     # structural screen: these graphs cannot be Hamilton-connected.  For
     # n >= 3 every disconnected graph has a vertex whose removal leaves it
     # disconnected, so connectivity is asked only when cut_vertex finds one
@@ -150,13 +167,7 @@ def certify(g: Graph, config: CertifyConfig | None = None) -> Certificate:
         trace.append({"condition": "TwoConnectivity", "verdict": "fail",
                       "hypotheses": [_hyp("two_connected", True, False)]})
         return done(OUTCOME_NOT_HC, None, {"reason": "cut-vertex", "cut_vertex": cut})
-
-    # degree-sum condition
-    ore = ore_check(g)
-    trace.append({"condition": "Ore", "verdict": "fired" if ore else "fail",
-                  "hypotheses": [_hyp("degree_sum_condition", True, ore)]})
-    if ore:
-        return done(OUTCOME_CERTIFIED, {"name": "Ore"}, {})
+    trace.append(ore_entry)
 
     # closure completeness
     cl, cl_trace = closure(g, n + 1)

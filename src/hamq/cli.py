@@ -16,8 +16,9 @@ Subcommands:
 
 ``verify`` and ``hunt`` run in-process and exit 0 on a clean report, 1 when
 it lists failures (a run of no case lists one), and 4 on malformed input (a
-bad model, trial count or integer list, a flag the run does not read, or a
-``--count`` below 1 in sample mode or given in exhaustive mode); the wall
+bad model, trial count or integer list, a flag the run does not read, a
+``--count`` below 1 in sample mode, or a ``--count`` or ``--seed`` given
+with an exhaustive ``--k``/``--n`` grid); the wall
 time of the run goes to stderr.  ``family`` also exits 4 on a flag its mode
 does not read.
 
@@ -141,8 +142,11 @@ def _case_grid(args: argparse.Namespace) -> list[tuple] | None:
     mode = args.mode or "exhaustive"
     if mode == "sample" and (args.count is None or args.count < 1):
         raise BadParameters("--mode sample needs --count >= 1")
-    if mode == "exhaustive" and args.count is not None:
-        raise BadParameters("exhaustive mode does not read --count")
+    if mode == "exhaustive":
+        # an exhaustive grid draws nothing, so a seed would only be recorded
+        stray = [f"--{f}" for f in ("count", "seed") if getattr(args, f) is not None]
+        if stray:
+            raise BadParameters(f"exhaustive mode does not read {', '.join(stray)}")
     return [(k, n, mode, args.count or 0)
             for k in _parse_int_list(args.k) for n in _parse_int_list(args.n)]
 

@@ -294,10 +294,11 @@ def hub_partitions(g: Graph, kind: str, k: int) -> Iterator[HostPartition]:
     n = g.n
     if n < 5 or k < 2 or 2 * k > n:
         return
+    rows = g._rows
     buckets: dict[int, list[int]] = {}  # ascending members, one pass over v
-    for v in range(n):
-        if g.degree(v) == k:
-            key = g.row(v) if kind == "S" else g.row(v) | (1 << v)
+    for v, d in enumerate(g._deg):
+        if d == k:
+            key = rows[v] if kind == "S" else rows[v] | (1 << v)
             buckets.setdefault(key, []).append(v)
     want_pop = k if kind == "S" else k + 1
     for key in sorted(buckets):
@@ -314,7 +315,9 @@ def hub_partitions(g: Graph, kind: str, k: int) -> Iterator[HostPartition]:
         above = yz_bits
         for u in iter_bits(yz_bits):
             above ^= 1 << u
-            missing.extend((u, v) for v in iter_bits(above & ~g.row(u)))
+            gaps = above & ~rows[u]
+            if gaps:
+                missing.extend((u, v) for v in iter_bits(gaps))
         yield HostPartition(kind, k, x_set, tuple(iter_bits(y_bits)),
                             tuple(iter_bits(yz_bits & ~y_bits)), frozenset(missing))
 

@@ -243,6 +243,21 @@ def min_degree(g: Graph) -> int:
     return min(g._deg)
 
 
+def _degree_masks(deg: Sequence[int]) -> list[int]:
+    """``ge[t]``, the mask of vertices of degree >= t, for t = 0..n.
+
+    Degrees are at most n - 1, so ``ge[n] == 0``.  Cost: O(n) operations on
+    n-bit integers.
+    """
+    n = len(deg)
+    ge = [0] * (n + 1)
+    for v, d in enumerate(deg):
+        ge[d] |= 1 << v
+    for t in range(n - 1, -1, -1):
+        ge[t] |= ge[t + 1]
+    return ge
+
+
 def _reach_mask(rows: Sequence[int], start: int, allowed: int) -> int:
     """Bit mask of vertices reachable from start inside ``allowed``."""
     reached = (1 << start) & allowed

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import SearchTimeout
-from .graph import Graph
+from .graph import Graph, _degree_masks
 
 DEFAULT_PAIR_BUDGET = 10**8
 MEMO_SIZE_GATE = 24
@@ -204,14 +204,21 @@ def ore_check(g: Graph) -> bool:
     is a cut vertex, take a and b in different components A and B of G - c:
     d(a) + d(b) <= |A| + |B| <= n - 1.  Either way a nonadjacent pair sums
     to less than n + 1.
+
+    The pairs are read as masks: with ``ge[t]`` the vertices of degree >= t
+    (``graph._degree_masks``), a non-neighbour v != u of u sums to at least
+    n + 1 iff v lies in ``ge[n + 1 - d(u)]``, so the check fails iff some u
+    has ``ge[n + 1 - d(u)] | N[u]`` short of all n vertices.  ``ge[n] == 0``
+    stands in for t = n + 1 (d(u) = 0), which no vertex reaches either.
+    Cost: O(n) operations on n-bit integers, not the O(n^2) pair loop.
     """
     n = g.n
     if n < 3:
         return False
-    deg = g.degrees()
-    for u in range(n):
-        row = g.row(u)
-        for v in range(u + 1, n):
-            if not (row >> v & 1) and deg[u] + deg[v] < n + 1:
-                return False
+    ge = _degree_masks(g._deg)
+    full = (1 << n) - 1
+    rows = g._rows
+    for u, d in enumerate(g._deg):
+        if (ge[min(n + 1 - d, n)] | rows[u] | 1 << u) != full:
+            return False
     return True

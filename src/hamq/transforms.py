@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BadParameters
-from .graph import Edge, Graph, iter_bits
+from .graph import Edge, Graph, _degree_masks, iter_bits
 
 
 @dataclass(frozen=True)
@@ -54,12 +54,8 @@ def closure(g: Graph, k: int) -> tuple[Graph, ClosureTrace]:
     n = g.n
     rows = list(g._rows)
     deg = list(g._deg)
-    # ge[t]: vertices of degree >= t; degrees stay <= n - 1, so ge[n] == 0
-    ge = [0] * (n + 1)
-    for v, d in enumerate(deg):
-        ge[d] |= 1 << v
-    for t in range(n - 1, -1, -1):
-        ge[t] |= ge[t + 1]
+    # degrees stay <= n - 1 while they grow, so ge[n] stays 0
+    ge = _degree_masks(deg)
     added: list[Edge] = []
     todo = (1 << n) - 1  # worklist: vertices whose degree rose since their last scan
     while todo:

@@ -2,8 +2,8 @@
 
 The brute-force routines here deliberately avoid the package's own search
 machinery: paths are found by permutation enumeration and checked edge by
-edge, and eigen-equation residuals by a plain neighbor sum, so they can
-arbitrate disagreements.
+edge, degree sums pair by pair, and eigen-equation residuals by a plain
+neighbor sum, so they can arbitrate disagreements.
 """
 
 from __future__ import annotations
@@ -42,6 +42,21 @@ def brute_failing_pair(g: Graph) -> tuple[int, int] | None:
          if brute_hamilton_path(g, u, v) is None),
         None,
     )
+
+
+def brute_ore(g: Graph) -> bool:
+    """Ore's degree-sum condition by the pair loop: n >= 3 and every
+    nonadjacent pair u < v has d(u) + d(v) >= n + 1."""
+    n = g.n
+    if n < 3:
+        return False
+    deg = g.degrees()
+    for u in range(n):
+        row = g.row(u)
+        for v in range(u + 1, n):
+            if not (row >> v & 1) and deg[u] + deg[v] < n + 1:
+                return False
+    return True
 
 
 def eigen_residual(g: Graph, q_hat: float, f: list[float]) -> float:

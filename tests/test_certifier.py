@@ -32,15 +32,17 @@ from hamq.graph import (
     Graph,
     add_edges,
     complete,
+    cut_vertex,
     cycle,
     delete_edges,
     disjoint_union,
     is_connected,
+    join,
     min_degree,
     path_graph,
     relabel,
 )
-from hamq.hamilton import is_hamilton_connected
+from hamq.hamilton import is_hamilton_connected, ore_check
 from hamq.rng import SplitMix64, gnm, gnp, pair_unrank
 from hamq.spectral import perron_pair
 
@@ -93,6 +95,42 @@ def test_screen_reports_disconnection_from_the_cut_vertex_search(monkeypatch):
     for g in (complete(1), complete(2), complete(5), cycle(6), path_graph(4)):
         certify(g)
     assert calls == [2, 4]
+
+
+def test_ore_graphs_skip_the_screen_it_could_not_fail(small_connected, monkeypatch):
+    # certify asks Ore first and runs cut_vertex only where Ore fails; that
+    # is sound because Ore implies connected with no cut vertex
+    graphs = [g for n in range(1, 8) for g in small_connected[n]]
+    rng = SplitMix64(131)
+    for _ in range(1500):
+        n = 3 + rng.next_below(38)  # 3..40
+        graphs.append(gnp(n, 0.3 + 0.7 * rng.next_float(), rng))
+    for n, p in ((92, 0.7), (92, 0.9), (270, 0.7), (270, 0.9)):
+        graphs.append(gnp(n, p, rng))
+    ore_graphs = [g for g in graphs if ore_check(g)]
+    assert len(ore_graphs) > 500 and ore_graphs[-1].n == 270
+    for g in ore_graphs:
+        assert cut_vertex(g) is None and is_connected(g)
+
+    import hamq.certifier as certifier
+
+    searched = []
+    monkeypatch.setattr(certifier, "cut_vertex", lambda g: searched.append(g) or cut_vertex(g))
+    for g in ore_graphs[-8:]:
+        assert [t["condition"] for t in certify(g).trace] == ["Ore"]
+    assert searched == []
+    # where Ore fails the screen still runs, and when it decides, its entry
+    # is the whole trace
+    for g in (path_graph(4), join(complete(1), disjoint_union(complete(45), complete(46)))):
+        cert = certify(g)
+        assert not ore_check(g) and searched.pop() is g
+        assert explain(cert)["trace"] == [
+            {"condition": "TwoConnectivity", "verdict": "fail",
+             "hypotheses": [{"name": "two_connected", "required": True, "actual": False,
+                             "passed": False}]}]
+        assert cert.witnesses == {"reason": "cut-vertex", "cut_vertex": 0 if g.n == 92 else 1}
+    cert = certify(cycle(6))
+    assert searched.pop().n == 6 and cert.trace[0]["condition"] == "Ore"
 
 
 def test_certify_host_is_exceptional_with_confirmation():

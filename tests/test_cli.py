@@ -153,12 +153,15 @@ def test_certify_pinned_random_regressions(capsys, monkeypatch):
     ["hunt", "--n", "7", "--model", "all-connected", "--trials", "5"],
     ["verify", "appendix", "--k", "a..b"],
     ["verify", "corollary", "--n", "30,x"],
-    # a sampled case grid needs a count, and exhaustive mode reads none
+    # a sampled case grid needs a count, and an exhaustive one reads no count
+    # and no seed: it draws nothing
     ["verify", "q-lower", "--k", "3", "--n", "40", "--mode", "sample"],
     ["verify", "q-upper", "--k", "3", "--n", "40", "--mode", "sample"],
     ["verify", "q-lower", "--k", "3", "--n", "40", "--mode", "sample", "--count", "0"],
     ["verify", "q-lower", "--k", "3", "--n", "40", "--count", "5"],
     ["verify", "q-upper", "--k", "3", "--n", "40", "--mode", "exhaustive", "--count", "5"],
+    ["verify", "q-lower", "--k", "3", "--n", "40", "--seed", "5"],
+    ["verify", "q-upper", "--k", "3", "--n", "40", "--mode", "exhaustive", "--seed", "5"],
 ])
 def test_malformed_suite_input_is_an_input_error(capsys, argv):
     # exit 1 means "the report lists failures"; bad input must not read so
@@ -326,7 +329,9 @@ def _reference_verify_kwargs(args):
 
 # the flags each suite reads; q-lower and q-upper read --k, --n, --mode and
 # --count only as a case grid, which needs both --k and --n, and in which
-# --count goes with --mode sample (the only mode the combinations give)
+# --count goes with --mode sample (the only mode the combinations give);
+# --seed is read by their default case list and by a sampled grid, not by
+# an exhaustive one
 _SUITE_FLAGS = {
     "appendix": {"--k"},
     "corollary": {"--k", "--n"},
@@ -345,7 +350,8 @@ def _suite_reads(suite, given):
         return False
     grid = given & {"--k", "--n", "--mode", "--count"}
     return (suite not in ("q-lower", "q-upper") or not grid
-            or {"--k", "--n"} <= grid and ("--mode" in grid) == ("--count" in grid))
+            or {"--k", "--n"} <= grid and ("--mode" in grid) == ("--count" in grid)
+            and ("--mode" in grid or "--seed" not in given))
 
 
 def test_verify_passes_every_flag_combination(capsys, monkeypatch):
@@ -386,6 +392,6 @@ def test_verify_passes_every_flag_combination(capsys, monkeypatch):
             want = _reference_verify_kwargs(parser.parse_args(argv))
             assert got_suite == suite and got == want, argv
     # accepted: appendix 2, corollary and family-nonhc 4 each, q-lower and
-    # q-upper 6 each, ore, kelmans, qbound and closure 4 each
-    assert rejected == 9 * 64 - 38
+    # q-upper 5 each, ore, kelmans, qbound and closure 4 each
+    assert rejected == 9 * 64 - 36
     capsys.readouterr()

@@ -24,7 +24,7 @@ from hamq.hamilton import (
 from hamq.rng import SplitMix64, gnp
 from hamq.transforms import closure
 
-from conftest import brute_failing_pair, brute_hamilton_path, validate_path
+from conftest import brute_failing_pair, brute_hamilton_path, brute_ore, validate_path
 
 
 def s62():
@@ -191,6 +191,42 @@ def test_ore_check_equals_the_classical_statement(small_connected):
         assert ore_check(g) == classical(g)
         fired += ore_check(g)
     assert fired > 100
+
+
+def _one_tight_pair(n, u, v, slack, rng):
+    """K_n minus uv and minus n - 4 - slack further edges at u or v, to
+    disjoint vertex sets, so d(u) + d(v) = n + slack; every other
+    nonadjacent pair joins u or v to a vertex of degree n - 2 and sums to
+    about 3n/2."""
+    rest = [w for w in rng.permutation(n) if w not in (u, v)]
+    total = n - 4 - slack
+    a = total // 2
+    gone = [(u, v)] + [(u, x) for x in rest[:a]] + [(v, y) for y in rest[a:total]]
+    return delete_edges(complete(n), gone)
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 92, 270, 652])
+def test_ore_check_equals_the_pair_loop_across_word_boundaries(n):
+    # the mask form against the pair loop where rows span one, two and
+    # more 64-bit words
+    rng = SplitMix64(1000 + n)
+    graphs = [complete(n), disjoint_union(complete(n - 1), complete(1)),
+              disjoint_union(complete(1), complete(n - 1))]
+    for p in (0.5, 0.55, 0.6, 0.7, 0.9) if n <= 270 else (0.55, 0.6):
+        graphs.append(gnp(n, p, rng))
+    # exactly one nonadjacent pair at the boundary: degree sum n or n + 1
+    ends = [(0, n - 1), (n - 2, n - 1), (62, 63 % n), (63 % n, 64 % n), (31, n // 2 + 1)]
+    tight = []
+    for u, v in ends:
+        for slack in (0, 1):
+            g = _one_tight_pair(n, u, v, slack, rng)
+            assert g.degree(u) + g.degree(v) == n + slack
+            tight.append((g, slack == 1))
+    for g in graphs:
+        assert ore_check(g) == brute_ore(g)
+    for g, holds in tight:
+        assert ore_check(g) == brute_ore(g) == holds
+    assert any(ore_check(g) for g in graphs[3:]) and not all(ore_check(g) for g in graphs[3:])
 
 
 def test_closure_gate_consistency():
