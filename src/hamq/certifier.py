@@ -45,8 +45,9 @@ error.  The host-comparison variant (q >= q(S(n, k))) is not run:
 q(S(n, k)) >= 2n - 2k + k(k-1)/(n-k+1) (the indicator Rayleigh quotient on
 Y u Z), so it could only fire where the spectral threshold had.
 
-An exceptional finding is confirmed on the graph itself: the witness names
-the host's hub set Y, and removing Y leaves at least |Y| >= 2 components.
+An exceptional finding carries the partition's kind, k, X, Y and Z as its
+``embedding`` witness, and is confirmed on the graph itself: removing the
+hub set Y leaves at least |Y| >= 2 components.
 A Hamilton-connected graph has c(G - S) <= |S| - 1 for every vertex set S
 with |S| >= 2, since a spanning path between two vertices of S falls into
 at most |S| - 1 pieces once S is removed (Chvatal 1973), so the count,
@@ -62,7 +63,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from .families import EmbeddingWitness, class_size_ok, hub_partitions, thresholds
+from .families import class_size_ok, hub_partitions, thresholds
 from .graph import Graph, component_count, cut_vertex, is_connected, min_degree
 from .hamilton import DEFAULT_PAIR_BUDGET, is_hamilton_connected, ore_check
 from .spectral import upper_bound_edge_count
@@ -117,8 +118,6 @@ def _jsonable(obj: Any) -> Any:
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, EmbeddingWitness):
-        return _jsonable(obj.__dict__)
     return obj
 
 
@@ -209,7 +208,7 @@ def certify(g: Graph, config: CertifyConfig | None = None) -> Certificate:
                 "host": {"kind": part.kind, "n": n, "k": k},
                 "family_class": next((c for c in (part.kind + "1", part.kind + "2")
                                       if class_size_ok(c, k, len(part.deleted))), None),
-                "embedding": EmbeddingWitness(part.kind, k, part.X, part.Y, part.Z),
+                "embedding": {"kind": part.kind, "k": k, "X": part.X, "Y": part.Y, "Z": part.Z},
                 "confirmation": _separator_confirmation(g, part.Y),
                 "non_hamilton_connected": True,
             }

@@ -20,7 +20,10 @@ bad model, trial count or integer list, a flag the run does not read, a
 ``--count`` below 1 in sample mode, or a ``--count`` or ``--seed`` given
 with an exhaustive ``--k``/``--n`` grid); the wall
 time of the run goes to stderr.  ``family`` also exits 4 on a flag its mode
-does not read.
+does not read.  Every subcommand exits 4, with one ``error:`` line, on a
+usage error (a missing argument, an unknown choice, a value of the wrong
+type), a negative count or a ``--tol`` that is not positive; ``--help``
+exits 0.
 
 Input graphs are read from a file (or stdin with ``-``); the format is
 sniffed from the first non-empty line: ``"n m"`` headers select the
@@ -34,6 +37,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import NoReturn
 
 from .certifier import CertifyConfig, certify, explain
 from .errors import BadParameters, HamqError, ParseError
@@ -210,8 +214,16 @@ def _cmd_hunt(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as BadParameters, so that it exits 4, not the
+    2 that ``certify`` gives an inconclusive outcome."""
+
+    def error(self, message: str) -> NoReturn:
+        raise BadParameters(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hamq",
         description="Hamilton-connectivity certification via signless "
         "Laplacian spectral conditions",
@@ -266,9 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except HamqError as exc:
         print(f"error: {exc}", file=sys.stderr)

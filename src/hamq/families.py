@@ -18,22 +18,26 @@ eligible deletion set E0.  A *family member* deletes a subset E' of E0:
   ``floor((k-1)/2)`` (T);
 * class 2 members have exactly one more deletion than the class-1 maximum.
 
-``hub_partitions`` groups the degree-k vertices by open (S) or closed (T)
-neighborhood and yields each candidate partition as a ``HostPartition``
-(X, Y, Z and the missing Y u Z pairs ``deleted``, in g's own labels);
+One record, ``HostPartition(kind, k, X, Y, Z, deleted)``, states a
+partition from construction through recognition to the certificate: X, Y,
+Z in the graph's own labels and ``deleted`` the missing Y u Z pairs, which
+name the class.  A ``FamilyHandle`` is a ``HostPartition`` with its order
+``n`` and its ``graph``.  ``hub_partitions`` groups the degree-k vertices
+by open (S) or closed (T) neighborhood and yields each candidate partition;
 ``membership`` returns the first whose ``deleted`` fits a class, and the
 certifier's edge stage takes the first.  ``spanning_subgraph_of`` searches
 for a host embedding (every edge of G mapped onto a host edge) over all
 vertices of degree <= k, under a node budget, so it also answers when the
-minimum degree is below k.  ``appendix_check`` evaluates, in exact
-rational arithmetic, the closed-form inequality (split on k mod 4) that
-bounds the class-2 spectral radius strictly below 2n - 2k once n clears the
-order threshold ``n_min(k) = k^4 + 5k^3 + 2k^2 + 8k + 12``.
+minimum degree is below k.  Both recognizers read ``deleted`` with one
+missing-pair scan.  ``appendix_check`` evaluates, in exact rational
+arithmetic, the closed-form inequality (split on k mod 4) that bounds the
+class-2 spectral radius strictly below 2n - 2k once n clears the order
+threshold ``n_min(k) = k^4 + 5k^3 + 2k^2 + 8k + 12``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -58,25 +62,29 @@ DEFAULT_ENUM_BUDGET = 1_000_000
 DEFAULT_EMBED_BUDGET = 200_000
 
 
-# -- handles ------------------------------------------------------------------
+# -- partitions ---------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class FamilyHandle:
-    """A constructed family member: host minus the ``deleted`` edges.
-
-    X, Y, Z are the canonical partition (see module docstring); ``deleted``
-    is a subset of the edges with both endpoints in Y u Z.
-    """
+class HostPartition:
+    """A host partition of a graph in its own labels: X the degree-k vertices,
+    Y the hub set, Z the rest, ``deleted`` the missing Y u Z pairs."""
 
     kind: str  # "S" | "T"
-    n: int
     k: int
-    graph: Graph
     X: tuple[int, ...]
     Y: tuple[int, ...]
     Z: tuple[int, ...]
     deleted: frozenset[Edge]
+
+
+@dataclass(frozen=True)
+class FamilyHandle(HostPartition):
+    """A constructed family member: the partition (see module docstring)
+    with its graph, the host of order ``n`` minus the ``deleted`` edges."""
+
+    n: int
+    graph: Graph
 
     @property
     def e0_size(self) -> int:
@@ -100,32 +108,13 @@ class FamilyHandle:
         }
 
 
-@dataclass(frozen=True)
-class HostPartition:
-    """A host partition of a graph in its own labels: X the degree-k vertices,
-    Y the hub set, Z the rest, ``deleted`` the missing Y u Z pairs."""
-
-    kind: str
-    k: int
-    X: tuple[int, ...]
-    Y: tuple[int, ...]
-    Z: tuple[int, ...]
-    deleted: frozenset[Edge]
-
-
-@dataclass(frozen=True)
-class EmbeddingWitness:
-    """Host embedding: a labeling under which every edge of G is a host edge."""
-
-    kind: str
-    k: int
-    X: tuple[int, ...]
-    Y: tuple[int, ...]
-    Z: tuple[int, ...]
+def _in_domain(n: int, k: int) -> bool:
+    """The families' domain: n >= 5 and 2 <= k <= n/2."""
+    return n >= 5 and 2 <= k and 2 * k <= n
 
 
 def _check_family_params(n: int, k: int) -> None:
-    if n < 5 or k < 2 or 2 * k > n:
+    if not _in_domain(n, k):
         raise BadParameters(f"family needs n >= 5 and 2 <= k <= n/2, got n={n} k={k}")
 
 
@@ -137,16 +126,8 @@ def build_S(n: int, k: int) -> FamilyHandle:
     """
     _check_family_params(n, k)
     g = join(complete(k), disjoint_union(complete(n - 2 * k + 1), copies(k - 1, complete(1))))
-    return FamilyHandle(
-        kind="S",
-        n=n,
-        k=k,
-        graph=g,
-        X=tuple(range(n - k + 1, n)),
-        Y=tuple(range(k)),
-        Z=tuple(range(k, n - k + 1)),
-        deleted=frozenset(),
-    )
+    return FamilyHandle(kind="S", k=k, X=tuple(range(n - k + 1, n)), Y=tuple(range(k)),
+                        Z=tuple(range(k, n - k + 1)), deleted=frozenset(), n=n, graph=g)
 
 
 def build_T(n: int, k: int) -> FamilyHandle:
@@ -157,16 +138,8 @@ def build_T(n: int, k: int) -> FamilyHandle:
     """
     _check_family_params(n, k)
     g = join(complete(2), disjoint_union(complete(n - k - 1), complete(k - 1)))
-    return FamilyHandle(
-        kind="T",
-        n=n,
-        k=k,
-        graph=g,
-        X=tuple(range(n - k + 1, n)),
-        Y=(0, 1),
-        Z=tuple(range(2, n - k + 1)),
-        deleted=frozenset(),
-    )
+    return FamilyHandle(kind="T", k=k, X=tuple(range(n - k + 1, n)), Y=(0, 1),
+                        Z=tuple(range(2, n - k + 1)), deleted=frozenset(), n=n, graph=g)
 
 
 def family_member(base: FamilyHandle, edges: Iterable[Edge]) -> FamilyHandle:
@@ -177,16 +150,7 @@ def family_member(base: FamilyHandle, edges: Iterable[Edge]) -> FamilyHandle:
     for u, v in deleted:  # u < v; Y u Z is 0..n-k
         if u < 0 or v > base.n - base.k:
             raise NotInE0(f"{(u, v)} has an endpoint outside Y u Z")
-    return FamilyHandle(
-        kind=base.kind,
-        n=base.n,
-        k=base.k,
-        graph=delete_edges(base.graph, deleted),
-        X=base.X,
-        Y=base.Y,
-        Z=base.Z,
-        deleted=deleted,
-    )
+    return replace(base, graph=delete_edges(base.graph, deleted), deleted=deleted)
 
 
 def class_bound(clazz: str, k: int) -> int:
@@ -254,8 +218,8 @@ def enumerate_class(
             for idxs in combinations(range(e0), s):
                 yield family_member(base, [pair_unrank(p, i) for i in idxs])
     elif mode == "sample":
-        if count is None:
-            raise BadParameters("sample mode needs a count")
+        if count is None or count < 0:
+            raise BadParameters(f"sample mode needs a count >= 0, got {count}")
         rng = SplitMix64(seed)
         for _ in range(count):
             s = sizes[rng.next_below(len(sizes))] if len(sizes) > 1 else sizes[0]
@@ -275,6 +239,19 @@ def class_size_ok(clazz: str, k: int, size: int) -> bool:
     return size <= bound if clazz[1] == "1" else size == bound
 
 
+def _missing_pairs(rows: tuple[int, ...], yz_bits: int) -> frozenset[Edge]:
+    """The pairs (u, v), u < v, inside the vertex mask ``yz_bits`` that are
+    not edges: one mask per row, where ``above`` holds the vertices after u."""
+    missing = []
+    above = yz_bits
+    for u in iter_bits(yz_bits):
+        above ^= 1 << u
+        gaps = above & ~rows[u]
+        if gaps:
+            missing.extend((u, v) for v in iter_bits(gaps))
+    return frozenset(missing)
+
+
 def hub_partitions(g: Graph, kind: str, k: int) -> Iterator[HostPartition]:
     """Candidate host partitions of g for one kind.
 
@@ -292,7 +269,7 @@ def hub_partitions(g: Graph, kind: str, k: int) -> Iterator[HostPartition]:
     items by class size.
     """
     n = g.n
-    if n < 5 or k < 2 or 2 * k > n:
+    if not _in_domain(n, k):
         return
     rows = g._rows
     buckets: dict[int, list[int]] = {}  # ascending members, one pass over v
@@ -309,17 +286,8 @@ def hub_partitions(g: Graph, kind: str, k: int) -> Iterator[HostPartition]:
         x_bits = sum(1 << x for x in x_set)
         y_bits = key & ~x_bits
         yz_bits = ((1 << n) - 1) & ~x_bits
-        # missing pairs (u, v), u < v, inside Y u Z: one mask per row, where
-        # ``above`` holds the Y u Z vertices after u
-        missing = []
-        above = yz_bits
-        for u in iter_bits(yz_bits):
-            above ^= 1 << u
-            gaps = above & ~rows[u]
-            if gaps:
-                missing.extend((u, v) for v in iter_bits(gaps))
         yield HostPartition(kind, k, x_set, tuple(iter_bits(y_bits)),
-                            tuple(iter_bits(yz_bits & ~y_bits)), frozenset(missing))
+                            tuple(iter_bits(yz_bits & ~y_bits)), _missing_pairs(rows, yz_bits))
 
 
 def membership(g: Graph, clazz: str, k: int) -> HostPartition | None:
@@ -337,8 +305,9 @@ def membership(g: Graph, clazz: str, k: int) -> HostPartition | None:
 
 def spanning_subgraph_of(
     g: Graph, kind: str, k: int, budget: int = DEFAULT_EMBED_BUDGET
-) -> EmbeddingWitness | None:
-    """A labeling under which every edge of g is an edge of the host, or None.
+) -> HostPartition | None:
+    """The partition of a labeling under which every edge of g is an edge of
+    the host, with ``deleted`` the missing Y u Z pairs; None if there is none.
 
     The only constraints a host imposes are at the X slots: X vertices may
     touch nothing outside Y (for S, X is also independent; for T, X may be
@@ -349,7 +318,7 @@ def spanning_subgraph_of(
     if kind not in ("S", "T"):
         raise BadParameters(f"unknown family kind {kind!r}")
     n = g.n
-    if n < 5 or k < 2 or 2 * k > n:
+    if not _in_domain(n, k):
         return None
     y_size = k if kind == "S" else 2
     cands = [v for v in range(n) if g.degree(v) <= k]
@@ -357,10 +326,8 @@ def spanning_subgraph_of(
         return None
     nodes = 0
 
-    def finish(x_list: list[int], union: int) -> EmbeddingWitness | None:
-        x_bits = 0
-        for x in x_list:
-            x_bits |= 1 << x
+    def finish(x_list: list[int], union: int) -> HostPartition | None:
+        x_bits = sum(1 << x for x in x_list)
         outside = union & ~x_bits
         if outside.bit_count() > y_size:
             return None
@@ -371,21 +338,19 @@ def spanning_subgraph_of(
             if not (x_bits >> v & 1) and not (outside >> v & 1):
                 y_list.append(v)
         y_list.sort()
-        y_bits = 0
-        for y in y_list:
-            y_bits |= 1 << y
+        y_bits = sum(1 << y for y in y_list)
         # final validation: no X-Z edges, and for S no X-X edges
         for x in x_list:
             if g.row(x) & ~(y_bits | x_bits):
                 return None
             if kind == "S" and g.row(x) & x_bits:
                 return None
-        z_list = [v for v in range(n) if not (x_bits | y_bits) >> v & 1]
-        return EmbeddingWitness(
-            kind=kind, k=k, X=tuple(x_list), Y=tuple(y_list), Z=tuple(z_list)
-        )
+        yz_bits = ((1 << n) - 1) & ~x_bits
+        return HostPartition(kind, k, tuple(x_list), tuple(y_list),
+                             tuple(iter_bits(yz_bits & ~y_bits)),
+                             _missing_pairs(g._rows, yz_bits))
 
-    def dfs(start: int, x_list: list[int], union: int) -> EmbeddingWitness | None:
+    def dfs(start: int, x_list: list[int], union: int) -> HostPartition | None:
         nonlocal nodes
         nodes += 1
         if nodes > budget:

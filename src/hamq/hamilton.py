@@ -16,9 +16,12 @@ sound prunes:
     frontier or two link to the target (the degree-2 forced-edge rule of
     Vandegriend and Culberson 1998).  It is checked inside (a)'s loop.
 
-Neighbor expansion is in ascending index order, so verdicts, witnesses and
-node counts are deterministic.  Budgets count node expansions, not wall
-time, which keeps Timeout verdicts reproducible.
+The search is iterative: the path and, for each vertex on it, the mask of
+neighbours not yet tried are kept on explicit lists, so a path of any length
+is searched without recursion.  Neighbor expansion is in ascending index
+order, so verdicts, witnesses and node counts are deterministic.  Budgets
+count node expansions, not wall time, which keeps Timeout verdicts
+reproducible.
 
 ``is_hamilton_connected`` scans the pairs in ascending order and searches
 only those that have no path yet.  Every path a search finds is closed
@@ -72,69 +75,74 @@ def _pair_search(
     target_bit = 1 << v
     memo: set[tuple[int, int]] | None = set() if n <= MEMO_SIZE_GATE else None
     expanded = 0
-
-    def dfs(cur: int, visited: int) -> list[int] | None:
-        nonlocal expanded
+    path = [u]
+    untried: list[int] = []  # per expanded path vertex, its neighbours not yet tried
+    visited = 1 << u
+    while True:
+        cur = path[-1]
         expanded += 1
         if expanded > budget:
             raise SearchTimeout(budget)
+        cand = 0
         if visited | target_bit == full:
-            return [cur, v] if rows[cur] & target_bit else None
-        if memo is not None and (visited, cur) in memo:
-            return None
-        cur_bit = 1 << cur
-        open_ = full & ~visited & ~target_bit
-        region = open_ | cur_bit | target_bit
-        feasible = True
-        forced_cur = forced_target = 0
-        m = open_
-        while m:
-            b = m & -m
-            m ^= b
-            aw = rows[b.bit_length() - 1] & (region & ~b)
-            rest = aw & (aw - 1)
-            if not rest:  # (a): fewer than two links left
-                feasible = False
-                break
-            if not rest & (rest - 1):  # (d): exactly two links, both forced
-                forced_cur += bool(aw & cur_bit)
-                forced_target += bool(aw & target_bit)
-                if forced_cur > 1 or forced_target > 1:
+            if rows[cur] & target_bit:
+                return (*path, v), expanded
+        elif memo is None or (visited, cur) not in memo:
+            cur_bit = 1 << cur
+            open_ = full & ~visited & ~target_bit
+            region = open_ | cur_bit | target_bit
+            feasible = True
+            forced_cur = forced_target = 0
+            m = open_
+            while m:
+                b = m & -m
+                m ^= b
+                aw = rows[b.bit_length() - 1] & (region & ~b)
+                rest = aw & (aw - 1)
+                if not rest:  # (a): fewer than two links left
                     feasible = False
                     break
-        if feasible and not rows[v] & (open_ | cur_bit):
-            feasible = False
-        if feasible:
-            # reachability sweep over the open region
-            reached = cur_bit
-            frontier = reached
-            while frontier:
-                nxt = 0
-                f = frontier
-                while f:
-                    b = f & -f
-                    f ^= b
-                    nxt |= rows[b.bit_length() - 1]
-                frontier = nxt & region & ~reached
-                reached |= frontier
-            if (open_ | target_bit) & ~reached:
+                if not rest & (rest - 1):  # (d): exactly two links, both forced
+                    forced_cur += bool(aw & cur_bit)
+                    forced_target += bool(aw & target_bit)
+                    if forced_cur > 1 or forced_target > 1:
+                        feasible = False
+                        break
+            if feasible and not rows[v] & (open_ | cur_bit):
                 feasible = False
-        if feasible:
-            cand = rows[cur] & open_
-            while cand:
-                b = cand & -cand
-                cand ^= b
-                w = b.bit_length() - 1
-                res = dfs(w, visited | b)
-                if res is not None:
-                    res.insert(0, cur)
-                    return res
-        if memo is not None:
-            memo.add((visited, cur))
-        return None
-
-    path = dfs(u, 1 << u)
-    return (tuple(path) if path is not None else None), expanded
+            if feasible:
+                # reachability sweep over the open region
+                reached = cur_bit
+                frontier = reached
+                while frontier:
+                    nxt = 0
+                    f = frontier
+                    while f:
+                        b = f & -f
+                        f ^= b
+                        nxt |= rows[b.bit_length() - 1]
+                    frontier = nxt & region & ~reached
+                    reached |= frontier
+                if (open_ | target_bit) & ~reached:
+                    feasible = False
+            if feasible:
+                cand = rows[cur] & open_
+        untried.append(cand)
+        # back up to the deepest path vertex with a neighbour left to try;
+        # each vertex left behind failed in its state (re-adding a memoized
+        # state is a no-op, and a fully visited state is never looked up)
+        while untried and not untried[-1]:
+            untried.pop()
+            w = path.pop()
+            if memo is not None:
+                memo.add((visited, w))
+            visited ^= 1 << w
+        if not untried:
+            return None, expanded
+        b = untried[-1] & -untried[-1]
+        untried[-1] ^= b
+        path.append(b.bit_length() - 1)
+        visited |= b
 
 
 def _rotate_fill(

@@ -85,6 +85,8 @@ def perron_pair(
     """
     import numpy as np
 
+    if not tol > 0:  # also rejects nan
+        raise BadParameters(f"perron_pair needs tol > 0, got {tol!r}")
     n = g.n
     if n < 2:
         raise BadParameters("perron_pair needs n >= 2")

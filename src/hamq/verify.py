@@ -79,6 +79,8 @@ class SuiteReport:
 
 
 def _case_seeds(seed: int, count: int) -> list[int]:
+    if count < 0:
+        raise BadParameters("a case count cannot be negative")
     rng = SplitMix64(seed)
     return [rng.next_u64() for _ in range(count)]
 
@@ -538,8 +540,8 @@ def run_hunt(
     if sample is None:
         graphs: Iterable[Graph] = connected_graphs(n)
     else:
-        if not isinstance(trials, int) or trials < 0:
-            raise BadParameters("numeric models need a non-negative integer trial count")
+        if not isinstance(trials, int):
+            raise BadParameters("numeric models need an integer trial count")
         graphs = (sample(n, SplitMix64(s)) for s in _case_seeds(seed, trials))
     return _report("hunt", {"n": n, "trials": trials, "seed": seed, "model": model},
                    (graphs, _hunt_check))

@@ -1,5 +1,6 @@
 """Certification pipeline outcomes, witnesses, and report stability."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -339,6 +340,37 @@ def test_certificate_json_roundtrip():
     assert data["witnesses"]["host"]["kind"] == "S"
 
 
+# sha256 of every report and exit code of _pinned_corpus(); a change that
+# alters report bytes on purpose updates it and says so
+REPORT_DIGEST = "869311ea26487f209ed50ee0e5a266308e88dcde1df2b22600bc5cf93f66e1a4"
+
+
+def _pinned_corpus():
+    from hamq.corpus import connected_graphs
+
+    for n in range(1, 7):
+        yield from connected_graphs(n)
+    rng = SplitMix64(2024)
+    for _ in range(200):
+        yield gnp(8 + rng.next_below(7), 0.2 + 0.7 * rng.next_float(), rng)
+    for k, n in ((3, 33), (4, 44)):
+        for clazz in CLASSES:
+            for member in enumerate_class(clazz, n, k, mode="sample", seed=n, count=4):
+                yield relabel(member.graph, rng.permutation(n))
+
+
+def test_report_bytes_are_pinned():
+    digest = hashlib.sha256()
+    outcomes = set()
+    for g in _pinned_corpus():
+        cert = certify(g)
+        outcomes.add(cert.outcome)
+        digest.update(json.dumps(explain(cert), sort_keys=True).encode())
+        digest.update(b"%d\n" % cert.exit_code())
+    assert {OUTCOME_EXCEPTIONAL, OUTCOME_EXACT_YES, OUTCOME_EXACT_NO} <= outcomes
+    assert digest.hexdigest() == REPORT_DIGEST
+
+
 def _annotate_class(g, k):
     # the class search certify ran before it read the class off its edge
     # stage's partition: membership for S1, T1, S2, T2 in turn
@@ -419,7 +451,8 @@ def test_edge_stage_partition_equals_the_embedding_search():
                        and t["k"] == k and t["verdict"] != "fail"]
             if entries:
                 assert entries[0]["verdict"] == ("exceptional" if w else "fired")
-                assert cert.witnesses.get("embedding") == w
+                assert cert.witnesses.get("embedding") == (w and {
+                    "kind": w.kind, "k": w.k, "X": w.X, "Y": w.Y, "Z": w.Z})
                 if w is not None:
                     exceptional += 1
                     assert cert.witnesses["family_class"] == _annotate_class(g, k)

@@ -395,3 +395,43 @@ def test_verify_passes_every_flag_combination(capsys, monkeypatch):
     # q-upper 5 each, ore, kelmans, qbound and closure 4 each
     assert rejected == 9 * 64 - 36
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify"],
+    ["certify", "-", "--budget", "abc"],
+    ["verify", "nosuch"],
+    [],
+])
+def test_usage_error_is_an_input_error(capsys, argv):
+    # exit 2 means "inconclusive"; a command line argparse rejects must not read so
+    code, out, err = run_cli(capsys, argv)
+    assert code == 4 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:1] + ["--help"])
+    assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "S", "--n", "9", "--k", "3", "--class", "S1", "--mode", "sample",
+     "--count", "-2"],
+    ["verify", "qbound", "--count", "-3"],
+    ["verify", "ore", "--trials", "-1"],
+    ["spectrum", "-", "--tol", "-1"],
+    ["spectrum", "-", "--tol", "nan"],
+])
+def test_negative_count_or_tolerance_is_an_input_error(capsys, monkeypatch, argv):
+    code, out, err = run_cli(capsys, argv, emit_graph6(cycle(60)), monkeypatch)
+    assert code == 4 and err.startswith("error: ") and out == ""
+
+
+def test_oracle_deeper_than_the_recursion_limit_gives_a_verdict(capsys, monkeypatch):
+    # the pair search walks a path past Python's recursion limit before the
+    # budget runs out; a crash there would exit 1, "not Hamilton-connected"
+    from hamq.rng import SplitMix64, gnp
+
+    g = gnp(1100, 0.05, SplitMix64(3))
+    code, out, _ = run_cli(capsys, ["certify", "-", "--oracle-gate", "2000", "--budget", "3000"],
+                           emit_graph6(g), monkeypatch)
+    assert code == 3 and out.startswith("outcome: Timeout")

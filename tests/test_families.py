@@ -114,6 +114,12 @@ def test_enumerate_sample_deterministic():
     assert all(len(d) == 2 for d in a)  # exact class size
 
 
+def test_enumerate_sample_rejects_a_negative_count():
+    with pytest.raises(BadParameters):
+        list(enumerate_class("S1", 9, 3, "sample", count=-2))
+    assert list(enumerate_class("S1", 9, 3, "sample", count=0)) == []
+
+
 def test_enumerate_budget():
     with pytest.raises(BudgetExceeded):
         list(enumerate_class("S2", 92, 2, "exhaustive", budget=100))
@@ -207,7 +213,8 @@ def test_spanning_witness_is_valid_embedding():
     rng = SplitMix64(103)
     base = build_S(10, 3)
     member = family_member(base, [(0, 4), (5, 6)])
-    g = relabel(member.graph, rng.permutation(10))
+    perm = rng.permutation(10)
+    g = relabel(member.graph, perm)
     w = spanning_subgraph_of(g, "S", 3)
     assert w is not None
     x_set, y_set = set(w.X), set(w.Y)
@@ -216,6 +223,8 @@ def test_spanning_witness_is_valid_embedding():
             # X vertices may only touch Y
             other = v if u in x_set else u
             assert other in y_set
+    assert w.deleted == _pairwise_missing(g, w)
+    assert w.deleted == {tuple(sorted((perm[u], perm[v]))) for u, v in member.deleted}
 
 
 def test_thresholds():
@@ -452,7 +461,8 @@ def test_spanning_subgraph_T_matches_brute_force():
     assert agree >= 100
     host = build_T(9, 3)
     member = family_member(host, [(0, 2), (3, 4)])
-    g = relabel(member.graph, SplitMix64(5).permutation(9))
+    perm = SplitMix64(5).permutation(9)
+    g = relabel(member.graph, perm)
     w = spanning_subgraph_of(g, "T", 3)
     assert w is not None
     x_set, y_set = set(w.X), set(w.Y)
@@ -460,6 +470,8 @@ def test_spanning_subgraph_T_matches_brute_force():
         if u in x_set or v in x_set:
             other = v if u in x_set else u
             assert other in y_set or other in x_set
+    assert w.deleted == _pairwise_missing(g, w)
+    assert w.deleted == {tuple(sorted((perm[u], perm[v]))) for u, v in member.deleted}
 
 
 def _pairwise_missing(g, w):

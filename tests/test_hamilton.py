@@ -239,6 +239,13 @@ def test_closure_gate_consistency():
             assert is_hamilton_connected(g).verdict == "yes"
 
 
+def test_deep_search_is_not_bounded_by_the_recursion_limit():
+    # the search holds its path on a list, so a path longer than Python's
+    # recursion limit is searched like any other
+    ans = is_hamilton_connected(cycle(1100), 10**4)
+    assert ans.verdict == "no" and ans.failing_pair == (0, 2)
+
+
 def test_budget_timeout():
     with pytest.raises(SearchTimeout):
         path_between(complete(12), 0, 1, budget=5)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hamq.errors import NotConnected, ZeroVector
+from hamq.errors import BadParameters, NotConnected, ZeroVector
 from hamq.graph import (
     complete,
     cycle,
@@ -57,6 +57,12 @@ def test_perron_invariants():
 def test_perron_rejects_bad_input():
     with pytest.raises(NotConnected):
         perron_pair(disjoint_union(complete(3), complete(2)))
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan")])
+def test_perron_rejects_a_tolerance_that_is_not_positive(tol):
+    with pytest.raises(BadParameters):
+        perron_pair(cycle(60), tol=tol)
 
 
 def test_perron_against_dense_eigensolver():

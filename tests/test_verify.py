@@ -2,7 +2,7 @@
 
 import pytest
 
-from hamq.errors import BadSuite
+from hamq.errors import BadParameters, BadSuite
 from hamq.graph import parse_graph6
 from hamq.spectral import perron_pair
 from hamq.verify import (
@@ -93,3 +93,15 @@ def test_corollary_skips_k2():
     report = run_corollary(k_values=(2, 3), n_values=(30,))
     assert 2 not in report.params["k_values"]
     assert "coincide" in report.params["skipped"]
+
+
+@pytest.mark.parametrize("run, kwargs", [
+    (run_ore, {"trials": -1}),
+    (run_closure, {"random_per_n": -1}),
+    (run_kelmans, {"count": -1}),
+    (run_qbound, {"count": -3}),
+    (run_hunt, {"trials": -3}),
+])
+def test_negative_case_count_is_rejected(run, kwargs):
+    with pytest.raises(BadParameters):
+        run(**kwargs)
