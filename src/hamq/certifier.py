@@ -63,6 +63,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
+from .errors import BadParameters
 from .families import class_size_ok, hub_partitions, thresholds
 from .graph import Graph, component_count, cut_vertex, is_connected, min_degree
 from .hamilton import DEFAULT_PAIR_BUDGET, is_hamilton_connected, ore_check
@@ -136,6 +137,8 @@ def _hyp(name: str, required: Any, actual: Any) -> dict[str, Any]:
 
 def certify(g: Graph, config: CertifyConfig | None = None) -> Certificate:
     cfg = config or CertifyConfig()
+    if cfg.pair_budget < 0:
+        raise BadParameters(f"pair search needs a budget >= 0, got {cfg.pair_budget}")
     n = g.n
     delta = min_degree(g)
     params: dict[str, Any] = {"n": n, "min_degree": delta, "edge_count": g.m}

@@ -20,9 +20,11 @@ bad model, trial count or integer list, a flag the run does not read, a
 ``--count`` below 1 in sample mode, or a ``--count`` or ``--seed`` given
 with an exhaustive ``--k``/``--n`` grid); the wall
 time of the run goes to stderr.  ``family`` also exits 4 on a flag its mode
-does not read.  Every subcommand exits 4, with one ``error:`` line, on a
-usage error (a missing argument, an unknown choice, a value of the wrong
-type), a negative count or a ``--tol`` that is not positive; ``--help``
+does not read, and on an ``--out`` or ``--sidecar`` path it cannot write,
+before it emits any member; a run rejected for its arguments writes neither
+file.  Every subcommand exits 4, with one ``error:`` line, on a usage error
+(a missing argument, an unknown choice, a value of the wrong type), a
+negative count or budget or a ``--tol`` that is not positive; ``--help``
 exits 0.
 
 Input graphs are read from a file (or stdin with ``-``); the format is
@@ -36,8 +38,9 @@ import argparse
 import json
 import sys
 import time
+from contextlib import ExitStack
 from pathlib import Path
-from typing import NoReturn
+from typing import NoReturn, TextIO
 
 from .certifier import CertifyConfig, certify, explain
 from .errors import BadParameters, HamqError, ParseError
@@ -67,6 +70,13 @@ def _read_graph(source: str) -> Graph:
         second = text.index(lines[1], text.index(lines[0]) + len(lines[0]))
         raise ParseError(f"graph6 input holds {len(lines)} records, not one", second)
     return parse_graph6(lines[0])
+
+
+def _open_output(path: str) -> TextIO:
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise BadParameters(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
@@ -105,25 +115,23 @@ def _cmd_family(args: argparse.Namespace) -> int:
         raise BadParameters("--mode needs --class")
     if args.mode != "sample" and (args.count, args.seed) != (None, None):
         raise BadParameters("--count and --seed need --class and --mode sample")
-    out = sys.stdout if args.out is None else open(args.out, "w")
-    sidecars = []
-    try:
-        if args.clazz is None:
-            members = [(build_S if args.kind == "S" else build_T)(args.n, args.k)]
-        else:
-            members = enumerate_class(args.clazz, args.n, args.k, mode=args.mode or "exhaustive",
-                                      seed=args.seed or 0, count=args.count)
+    if args.clazz is None:
+        members = [(build_S if args.kind == "S" else build_T)(args.n, args.k)]
+    else:
+        members = enumerate_class(args.clazz, args.n, args.k, mode=args.mode or "exhaustive",
+                                  seed=args.seed or 0, count=args.count)
+    with ExitStack() as files:
+        out = sys.stdout if args.out is None else files.enter_context(_open_output(args.out))
+        side = None if args.sidecar is None else files.enter_context(_open_output(args.sidecar))
+        sidecars = []
         count = 0
         for handle in members:
             print(emit_graph6(handle.graph), file=out)
             count += 1
-            if args.sidecar:
+            if side:
                 sidecars.append(handle.sidecar())
-    finally:
-        if out is not sys.stdout:
-            out.close()
-    if args.sidecar:
-        Path(args.sidecar).write_text(json.dumps(sidecars, sort_keys=True))
+        if side:
+            side.write(json.dumps(sidecars, sort_keys=True))
     print(f"emitted {count} member(s)", file=sys.stderr)
     return 0
 

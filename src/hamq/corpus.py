@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import BadParameters, SizeLimit
+from .errors import BadParameters
 from .graph import Graph, is_connected, iter_bits
 
 CANON_SIZE_GATE = 8
@@ -41,7 +41,7 @@ def canonical_key(g: Graph) -> int:
     over the relabelings that sort the vertices by their invariant label."""
     n = g.n
     if n > CANON_SIZE_GATE:
-        raise SizeLimit(f"canonical form is gated at n <= {CANON_SIZE_GATE}")
+        raise BadParameters(f"canonical form is gated at n <= {CANON_SIZE_GATE}")
     rows = [g.row(v) for v in range(n)]
     deg = g.degrees()
     label = [deg[v] << 6 | sum(deg[u] for u in iter_bits(rows[v])) for v in range(n)]
@@ -71,7 +71,7 @@ def canonical_key(g: Graph) -> int:
 def all_graphs(n: int) -> tuple[Graph, ...]:
     """All graphs of order n up to isomorphism (n <= 7)."""
     if n > 7:
-        raise SizeLimit("exhaustive corpus is gated at n <= 7")
+        raise BadParameters("exhaustive corpus is gated at n <= 7")
     if n < 1:
         raise BadParameters(f"graph order must be >= 1, got {n}")
     if n == 1:

@@ -1,4 +1,10 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, one per remedy.
+
+``BadParameters``: fix the arguments.  ``ParseError``: fix the graph text at
+``.offset``.  ``BudgetExceeded``: raise the budget; the oracle turns a path
+search out of budget into a Timeout verdict (exit 3).  The CLI maps every
+other ``HamqError`` to exit 4.
+"""
 
 
 class HamqError(Exception):
@@ -9,10 +15,6 @@ class BadParameters(HamqError):
     """Arguments outside an operation's documented domain."""
 
 
-class NotAnEdge(HamqError):
-    """An edge deletion referenced a pair that is not an edge."""
-
-
 class ParseError(HamqError):
     """Malformed graph text; carries the byte offset of the offending input."""
 
@@ -21,41 +23,10 @@ class ParseError(HamqError):
         self.offset = offset
 
 
-class SizeLimit(HamqError):
-    """Exact search requested beyond its guaranteed size gate."""
-
-
-class DimensionMismatch(HamqError):
-    """Vector length does not match the graph order."""
-
-
-class NotConnected(HamqError):
-    """Operation requires a connected graph."""
-
-
-class ZeroVector(HamqError):
-    """Rayleigh quotient of the zero vector is undefined."""
-
-
-class NotInE0(HamqError):
-    """A deletion set is not contained in the family's eligible edge set."""
-
-
 class BudgetExceeded(HamqError):
-    """Enumeration or embedding search exceeded its configured budget."""
+    """A search or enumeration exceeded ``budget``.  A search stops at the
+    first expansion past it, so ``budget`` is also what it spent."""
 
-
-class SearchTimeout(HamqError):
-    """Path search exhausted its node-expansion budget.
-
-    The search stops at the first expansion past ``budget``, so ``budget`` is
-    also the number of expansions it spent.
-    """
-
-    def __init__(self, budget: int):
-        super().__init__(f"search budget of {budget} node expansions exhausted")
+    def __init__(self, message: str, budget: int):
+        super().__init__(message)
         self.budget = budget
-
-
-class BadSuite(HamqError):
-    """Unknown verification suite id."""

@@ -39,11 +39,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from typing import Iterable, Iterator
 
-from .errors import BadParameters, BudgetExceeded, NotInE0
+from .errors import BadParameters, BudgetExceeded
 from .graph import (
     Edge,
     Graph,
@@ -89,11 +89,6 @@ class FamilyHandle(HostPartition):
     @property
     def e0_size(self) -> int:
         return comb(self.n - self.k + 1, 2)
-
-    def e0_edges(self) -> frozenset[Edge]:
-        """Materialized E0 (all pairs inside Y u Z); intended for small n."""
-        p = self.n - self.k + 1
-        return frozenset((u, v) for u in range(p) for v in range(u + 1, p))
 
     def sidecar(self) -> dict:
         """JSON-ready description of the member."""
@@ -149,7 +144,7 @@ def family_member(base: FamilyHandle, edges: Iterable[Edge]) -> FamilyHandle:
     deleted = edge_set(edges)
     for u, v in deleted:  # u < v; Y u Z is 0..n-k
         if u < 0 or v > base.n - base.k:
-            raise NotInE0(f"{(u, v)} has an endpoint outside Y u Z")
+            raise BadParameters(f"{(u, v)} has an endpoint outside Y u Z")
     return replace(base, graph=delete_edges(base.graph, deleted), deleted=deleted)
 
 
@@ -199,7 +194,8 @@ def enumerate_class(
     BudgetExceeded) if the total member count exceeds ``budget``.  Sample
     mode is deterministic in ``seed`` and yields ``count`` members; class-1
     samples draw |E'| uniformly from 0..bound, class-2 samples always use
-    the exact class size.
+    the exact class size.  The arguments and the budget are checked when the
+    function is called, before any member is drawn.
     """
     _check_family_params(n, k)
     bound = class_bound(clazz, k)
@@ -212,21 +208,17 @@ def enumerate_class(
         if total > budget:
             raise BudgetExceeded(
                 f"exhaustive enumeration of {clazz}(n={n},k={k}) has {total} members,"
-                f" budget is {budget}"
-            )
-        for s in sizes:
-            for idxs in combinations(range(e0), s):
-                yield family_member(base, [pair_unrank(p, i) for i in idxs])
+                f" budget is {budget}", budget)
+        draws = chain.from_iterable(combinations(range(e0), s) for s in sizes)
     elif mode == "sample":
         if count is None or count < 0:
             raise BadParameters(f"sample mode needs a count >= 0, got {count}")
         rng = SplitMix64(seed)
-        for _ in range(count):
-            s = sizes[rng.next_below(len(sizes))] if len(sizes) > 1 else sizes[0]
-            idxs = rng.sample_distinct(s, e0)
-            yield family_member(base, [pair_unrank(p, i) for i in idxs])
+        draws = (rng.sample_distinct(sizes[rng.next_below(len(sizes))] if len(sizes) > 1
+                                     else sizes[0], e0) for _ in range(count))
     else:
         raise BadParameters(f"unknown mode {mode!r}")
+    return (family_member(base, [pair_unrank(p, i) for i in idxs]) for idxs in draws)
 
 
 # -- recognition --------------------------------------------------------------
@@ -354,7 +346,7 @@ def spanning_subgraph_of(
         nonlocal nodes
         nodes += 1
         if nodes > budget:
-            raise BudgetExceeded(f"embedding search exceeded {budget} nodes")
+            raise BudgetExceeded(f"embedding search exceeded {budget} nodes", budget)
         if len(x_list) == k - 1:
             return finish(x_list, union)
         slots_left = (k - 1) - len(x_list)
@@ -399,7 +391,6 @@ class Thresholds:
 
     k: int
     n_min: int
-    order_edge_thm: int
 
     def spectral(self, n: int) -> int:
         return 2 * n - 2 * self.k
@@ -412,7 +403,7 @@ def thresholds(k: int) -> Thresholds:
     if k < 2:
         raise BadParameters(f"thresholds need k >= 2, got {k}")
     n_min = k**4 + 5 * k**3 + 2 * k**2 + 8 * k + 12
-    return Thresholds(k=k, n_min=n_min, order_edge_thm=11 * k)
+    return Thresholds(k=k, n_min=n_min)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .errors import BadParameters, NotAnEdge, ParseError
+from .errors import BadParameters, ParseError
 
 Edge = tuple[int, int]
 
@@ -196,14 +196,14 @@ def copies(k: int, g: Graph) -> Graph:
 
 
 def delete_edges(g: Graph, edges: Iterable[Sequence[int]]) -> Graph:
-    """Remove the given edges; raises NotAnEdge if a pair is absent."""
+    """Remove the given edges; raises BadParameters if a pair is absent."""
     rows = list(g._rows)
     for pair in edge_set(edges):
         u, v = pair
         if not (0 <= u and v < g.n):
-            raise NotAnEdge(f"({u},{v}) out of range for n={g.n}")
+            raise BadParameters(f"({u},{v}) out of range for n={g.n}")
         if not rows[u] >> v & 1:
-            raise NotAnEdge(f"({u},{v}) is not an edge")
+            raise BadParameters(f"({u},{v}) is not an edge")
         rows[u] ^= 1 << v
         rows[v] ^= 1 << u
     return Graph._from_rows(g.n, rows)

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import SearchTimeout
+from .errors import BadParameters, BudgetExceeded
 from .graph import Graph, _degree_masks
 
 DEFAULT_PAIR_BUDGET = 10**8
@@ -67,7 +67,7 @@ def _pair_search(
 ) -> tuple[tuple[int, ...] | None, int]:
     """Spanning u-v path or None; returns (path, nodes expanded).
 
-    Raises SearchTimeout once ``budget`` node expansions are spent.
+    Raises BudgetExceeded once ``budget`` node expansions are spent.
     """
     n = g.n
     rows = g._rows
@@ -82,7 +82,7 @@ def _pair_search(
         cur = path[-1]
         expanded += 1
         if expanded > budget:
-            raise SearchTimeout(budget)
+            raise BudgetExceeded(f"search budget of {budget} node expansions exhausted", budget)
         cand = 0
         if visited | target_bit == full:
             if rows[cur] & target_bit:
@@ -180,8 +180,10 @@ def is_hamilton_connected(
     under rotations (see the module docstring).  The first pair the search
     refutes ends the scan with "no", so the reported pair is the minimum
     one; "yes" carries a path for every pair.  A timed-out pair search adds
-    its spent budget to ``nodes_expanded``.
+    its spent budget to ``nodes_expanded``.  A negative budget is rejected.
     """
+    if budget < 0:
+        raise BadParameters(f"pair search needs a budget >= 0, got {budget}")
     n = g.n
     paths: dict[tuple[int, int], tuple[int, ...]] = {}
     total = 0
@@ -191,7 +193,7 @@ def is_hamilton_connected(
                 continue
             try:
                 path, nodes = _pair_search(g, u, v, budget)
-            except SearchTimeout as exc:
+            except BudgetExceeded as exc:
                 return OracleAnswer(verdict="timeout", nodes_expanded=total + exc.budget)
             total += nodes
             if path is None:

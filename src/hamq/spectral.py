@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import BadParameters, DimensionMismatch, NotConnected, ZeroVector
+from .errors import BadParameters
 from .graph import Graph, is_connected, iter_bits
 
 if TYPE_CHECKING:
@@ -79,7 +79,7 @@ def perron_pair(
 ) -> SpectralEstimate:
     """Power iteration Perron pair with certified interval [lo, hi].
 
-    Deterministic: all-ones start, fixed update rule.  Raises NotConnected on
+    Deterministic: all-ones start, fixed update rule.  Raises BadParameters on
     disconnected input (Perron positivity needs irreducibility); callers
     decompose into components themselves.
     """
@@ -91,7 +91,7 @@ def perron_pair(
     if n < 2:
         raise BadParameters("perron_pair needs n >= 2")
     if not is_connected(g):
-        raise NotConnected("perron_pair requires a connected graph")
+        raise BadParameters("perron_pair requires a connected graph")
     if max_iter is None:
         max_iter = 200 * n + 10_000
 
@@ -140,13 +140,13 @@ def rayleigh_quotient_exact(g: Graph, x: Sequence[int]) -> Fraction:
     lower bound on q(G).
     """
     if len(x) != g.n:
-        raise DimensionMismatch(f"vector length {len(x)} != n={g.n}")
+        raise BadParameters(f"vector length {len(x)} != n={g.n}")
     for t in x:
         if not isinstance(t, int) or isinstance(t, bool):
             raise BadParameters("rayleigh_quotient_exact needs integer entries")
     den = sum(t * t for t in x)
     if den == 0:
-        raise ZeroVector("zero vector has no Rayleigh quotient")
+        raise BadParameters("zero vector has no Rayleigh quotient")
     if all(t in (0, 1) for t in x):
         # indicator fast path: popcount over the support mask
         mask = 0
@@ -171,7 +171,7 @@ def upper_bound_edge_count(g: Graph) -> Fraction:
     if g.n < 2:
         raise BadParameters("bound needs n >= 2")
     if not is_connected(g):
-        raise NotConnected("edge-count bound requires a connected graph")
+        raise BadParameters("edge-count bound requires a connected graph")
     return Fraction(2 * g.m, g.n - 1) + (g.n - 2)
 
 

@@ -2,16 +2,19 @@
 scale, against independent oracles.
 
 Each suite replays one verified claim, in-process, over a deterministic
-case set derived from a single seed (per-case generator streams are forked
-up front, so the case set does not depend on execution order).  A suite is
-its params, a stream of cases and a per-case check that returns the case's
-failures; ``_report`` is the one case loop that walks the stream, counts the
-cases, gathers the failures and builds the ``SuiteReport``.  The class-member
-suites draw their cases from ``_members``.  Failures carry the graph6 string
-of the offending graph and the violated inequality with its numbers
-(``_fail``), so every failure is replayable.  Reports carry no timing and
-keep their failures sorted, so they are byte-stable for fixed (params,
-seed); callers that want wall time measure the call.
+case set derived from a single seed.  Per-case generator streams are forked
+up front, so a case does not depend on the cases before it, with one
+exception: ``closure``'s order trials draw in turn from one shared stream,
+``SplitMix64(seed ^ 0xC10)``, so each trial depends on the ones before it.
+A suite is its params, a stream of cases and a per-case check that returns
+the case's failures; ``_report`` is the one case loop that walks the
+stream, counts the cases, gathers the failures and builds the
+``SuiteReport``.  The class-member suites draw their cases from
+``_members``.  Failures carry the graph6 string of the offending graph and
+the violated inequality with its numbers (``_fail``), so every failure is
+replayable.  Reports carry no timing and keep their failures sorted, so
+they are byte-stable for fixed (params, seed); callers that want wall time
+measure the call.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .certifier import (
     certify,
 )
 from .corpus import connected_graphs
-from .errors import BadParameters, BadSuite
+from .errors import BadParameters
 from .families import (
     FamilyHandle,
     Thresholds,
@@ -633,5 +636,5 @@ def run_suite(suite: str, **params: Any) -> SuiteReport:
     if suite == "hunt":
         return run_hunt(**params)
     if suite not in SUITES:
-        raise BadSuite(f"unknown suite {suite!r}; known: {sorted(SUITES)} + hunt")
+        raise BadParameters(f"unknown suite {suite!r}; known: {sorted(SUITES)} + hunt")
     return SUITES[suite](**params)

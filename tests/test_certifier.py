@@ -565,3 +565,12 @@ def test_oracle_timeout_outcome():
         cert = certify(cyc(9), CertifyConfig(pair_budget=3))
         assert cert.outcome == OUTCOME_TIMEOUT
         assert cert.exit_code() == 3
+
+
+def test_negative_pair_budget_is_rejected_before_any_stage():
+    from hamq.errors import BadParameters
+
+    # Ore would certify K5 at once, but the budget is checked first
+    for g in (complete(5), cycle(6)):
+        with pytest.raises(BadParameters, match="budget >= 0, got -1"):
+            certify(g, CertifyConfig(pair_budget=-1))

@@ -435,3 +435,34 @@ def test_oracle_deeper_than_the_recursion_limit_gives_a_verdict(capsys, monkeypa
     code, out, _ = run_cli(capsys, ["certify", "-", "--oracle-gate", "2000", "--budget", "3000"],
                            emit_graph6(g), monkeypatch)
     assert code == 3 and out.startswith("outcome: Timeout")
+
+
+@pytest.mark.parametrize("flag", ["--out", "--sidecar"])
+def test_family_unwritable_output_is_an_input_error(tmp_path, capsys, flag):
+    # both files are opened before the first member is printed
+    code, out, err = run_cli(capsys, ["family", "S", "--n", "9", "--k", "3",
+                                      flag, str(tmp_path / "missing" / "x")])
+    assert code == 4 and out == ""
+    assert err.startswith("error: cannot write ") and len(err.splitlines()) == 1
+
+
+def test_family_argument_error_writes_no_file(tmp_path, capsys):
+    # the class budget is checked before either file is opened
+    out, side = tmp_path / "m.g6", tmp_path / "m.json"
+    code, _, err = run_cli(capsys, ["family", "S", "--n", "200", "--k", "3", "--class", "S2",
+                                    "--out", str(out), "--sidecar", str(side)])
+    assert code == 4 and err.startswith("error: exhaustive enumeration of S2")
+    assert not out.exists() and not side.exists()
+
+
+@pytest.mark.parametrize("graph", ["C6", "gnp92"])
+def test_negative_budget_is_an_input_error(capsys, monkeypatch, graph):
+    # C6 reaches the oracle, which would report -1 expansions; gnp(92) never
+    # does, and its Inconclusive exit 2 would hide the bad flag
+    from hamq.rng import SplitMix64, gnp
+
+    g = cycle(6) if graph == "C6" else gnp(92, 0.2, SplitMix64(7))
+    code, out, err = run_cli(capsys, ["certify", "-", "--budget", "-1", "--json"],
+                             emit_graph6(g), monkeypatch)
+    assert code == 4 and out == ""
+    assert err == "error: pair search needs a budget >= 0, got -1\n"

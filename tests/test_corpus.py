@@ -9,7 +9,7 @@ from hamq.corpus import (
     canonical_key,
     connected_graphs,
 )
-from hamq.errors import SizeLimit
+from hamq.errors import BadParameters
 from hamq.graph import Graph, complete, cycle, relabel
 from hamq.rng import SplitMix64, gnp
 
@@ -42,7 +42,7 @@ def test_corpus_members_are_pairwise_nonisomorphic():
 
 
 def test_canonical_gate():
-    with pytest.raises(SizeLimit):
+    with pytest.raises(BadParameters, match="gated at n <= "):
         canonical_key(complete(9))
 
 

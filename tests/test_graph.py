@@ -2,7 +2,7 @@
 
 import pytest
 
-from hamq.errors import BadParameters, NotAnEdge, ParseError
+from hamq.errors import BadParameters, ParseError
 from hamq.graph import (
     Graph,
     _reach_mask,
@@ -78,7 +78,7 @@ def test_delete_edges():
     p3 = delete_edges(complete(3), [(0, 1)])
     assert p3.m == 2 and not p3.has_edge(0, 1)
     assert delete_edges(complete(5), []) == complete(5)
-    with pytest.raises(NotAnEdge):
+    with pytest.raises(BadParameters, match="is not an edge"):
         delete_edges(p3, [(0, 1)])
 
 

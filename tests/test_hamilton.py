@@ -2,7 +2,7 @@
 
 import pytest
 
-from hamq.errors import SearchTimeout
+from hamq.errors import BadParameters, BudgetExceeded
 from hamq.families import CLASSES, build_S, build_T, enumerate_class
 from hamq.graph import (
     Graph,
@@ -247,14 +247,21 @@ def test_deep_search_is_not_bounded_by_the_recursion_limit():
 
 
 def test_budget_timeout():
-    with pytest.raises(SearchTimeout):
+    with pytest.raises(BudgetExceeded, match="budget of 5 node expansions") as exc:
         path_between(complete(12), 0, 1, budget=5)
+    assert exc.value.budget == 5
     ans = is_hamilton_connected(complete(12), budget=5)
     assert ans.verdict == "timeout"
     # the aborted pair's expansions count: it spent its whole budget
     assert ans.nodes_expanded == 5
     ans = is_hamilton_connected(cycle(9), 3)
     assert ans.verdict == "timeout" and ans.nodes_expanded == 3
+
+
+def test_negative_budget_is_rejected():
+    with pytest.raises(BadParameters, match="budget >= 0"):
+        is_hamilton_connected(cycle(6), -1)
+    assert is_hamilton_connected(cycle(6), 0).verdict == "timeout"
 
 
 def test_all_pairs_search_on_exhaustive_corpus(small_connected):

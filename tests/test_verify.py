@@ -2,7 +2,7 @@
 
 import pytest
 
-from hamq.errors import BadParameters, BadSuite
+from hamq.errors import BadParameters
 from hamq.graph import parse_graph6
 from hamq.spectral import perron_pair
 from hamq.verify import (
@@ -40,7 +40,7 @@ def test_every_claim_has_a_runnable_home():
 def test_run_suite_dispatch_and_bad_suite():
     report = run_suite("appendix", k_values=[2, 3])
     assert report.suite == "appendix" and report.ok
-    with pytest.raises(BadSuite):
+    with pytest.raises(BadParameters, match="unknown suite"):
         run_suite("nope")
 
 
