@@ -21,8 +21,8 @@ bad model, trial count or integer list, a flag the run does not read, a
 with an exhaustive ``--k``/``--n`` grid); the wall
 time of the run goes to stderr.  ``family`` also exits 4 on a flag its mode
 does not read, and on an ``--out`` or ``--sidecar`` path it cannot write,
-before it emits any member; a run rejected for its arguments writes neither
-file.  Every subcommand exits 4, with one ``error:`` line, on a usage error
+before it emits any member; a rejected run neither creates nor truncates
+either file.  Every subcommand exits 4, with one ``error:`` line, on a usage error
 (a missing argument, an unknown choice, a value of the wrong type), a
 negative count or budget or a ``--tol`` that is not positive; ``--help``
 exits 0.
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from contextlib import ExitStack
@@ -72,11 +73,34 @@ def _read_graph(source: str) -> Graph:
     return parse_graph6(lines[0])
 
 
-def _open_output(path: str) -> TextIO:
+def _open_output(path: str, mode: str) -> TextIO:
     try:
-        return open(path, "w")
+        return open(path, mode)
     except OSError as exc:
         raise BadParameters(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _open_outputs(files: ExitStack, *paths: str | None) -> list[TextIO | None]:
+    """Open each given path for writing, or none of them.
+
+    Each is first opened for appending, which truncates nothing; if one
+    fails, the files this made are removed again.  Only then are they all
+    opened for writing, and closed with ``files``.
+    """
+    made = []
+    for path in paths:
+        if path is None:
+            continue
+        existed = os.path.exists(path)
+        try:
+            _open_output(path, "a").close()
+        except BadParameters:
+            for p in made:
+                os.remove(p)
+            raise
+        if not existed:
+            made.append(path)
+    return [None if p is None else files.enter_context(_open_output(p, "w")) for p in paths]
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
@@ -121,8 +145,8 @@ def _cmd_family(args: argparse.Namespace) -> int:
         members = enumerate_class(args.clazz, args.n, args.k, mode=args.mode or "exhaustive",
                                   seed=args.seed or 0, count=args.count)
     with ExitStack() as files:
-        out = sys.stdout if args.out is None else files.enter_context(_open_output(args.out))
-        side = None if args.sidecar is None else files.enter_context(_open_output(args.sidecar))
+        out, side = _open_outputs(files, args.out, args.sidecar)
+        out = out or sys.stdout
         sidecars = []
         count = 0
         for handle in members:

@@ -221,14 +221,29 @@ def ore_check(g: Graph) -> bool:
     has ``ge[n + 1 - d(u)] | N[u]`` short of all n vertices.  ``ge[n] == 0``
     stands in for t = n + 1 (d(u) = 0), which no vertex reaches either.
     Cost: O(n) operations on n-bit integers, not the O(n^2) pair loop.
+
+    Two cheaper steps come first.  With 2 * delta >= n + 1 every pair sums
+    to at least n + 1.  Otherwise a vertex u of minimum degree asks the most
+    of its non-neighbours (degree >= n + 1 - delta), so most failing graphs
+    fail there: u's non-neighbours are scanned, up to the first one that
+    falls short, before the masks are built.
     """
     n = g.n
     if n < 3:
         return False
-    ge = _degree_masks(g._deg)
-    full = (1 << n) - 1
+    deg = g._deg
     rows = g._rows
-    for u, d in enumerate(g._deg):
+    full = (1 << n) - 1
+    d = min(deg)
+    if 2 * d >= n + 1:  # every pair sums to at least 2 * delta
+        return True
+    u = deg.index(d)
+    row, need = rows[u], n + 1 - d
+    for v, dv in enumerate(deg):
+        if dv < need and v != u and not row >> v & 1:
+            return False
+    ge = _degree_masks(deg)
+    for u, d in enumerate(deg):
         if (ge[min(n + 1 - d, n)] | rows[u] | 1 << u) != full:
             return False
     return True

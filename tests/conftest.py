@@ -2,8 +2,9 @@
 
 The brute-force routines here deliberately avoid the package's own search
 machinery: paths are found by permutation enumeration and checked edge by
-edge, degree sums pair by pair, and eigen-equation residuals by a plain
-neighbor sum, so they can arbitrate disagreements.
+edge, degree sums pair by pair, eigen-equation residuals by a plain
+neighbor sum, and the Perron enclosure by a power iteration that checks
+every iterate, so they can arbitrate disagreements.
 """
 
 from __future__ import annotations
@@ -67,6 +68,29 @@ def eigen_residual(g: Graph, q_hat: float, f: list[float]) -> float:
         s = sum(f[u] for u in g.neighbors(v))
         worst = max(worst, abs((q_hat - g.degree(v)) * f[v] - s))
     return worst
+
+
+def plain_perron(g: Graph, tol: float) -> tuple[float, int, bool]:
+    """``(q_hat, iterations, converged)`` by power iteration on
+    ``D x + A x`` from the all-ones vector, with the Collatz-Wielandt bound,
+    the Rayleigh quotient and the residual evaluated after every step."""
+    import numpy as np
+
+    n = g.n
+    a = np.array([[float(g.has_edge(u, v)) for v in range(n)] for u in range(n)])
+    deg = np.asarray(g.degrees(), dtype=np.float64)
+    x = np.ones(n)
+    hi, best_ray, converged = np.inf, -np.inf, False
+    for iterations in range(1, 200 * n + 10_001):
+        y = deg * x + a @ x
+        hi = min(hi, float((y / x).max()))
+        best_ray = max(best_ray, float(x @ y) / float(x @ x))
+        residual = float(np.abs(y - best_ray * x).max()) / float(x.max())
+        if hi - best_ray <= tol and residual <= 5.0 * tol:
+            converged = True
+            break
+        x = y / float(y.max())
+    return best_ray, iterations, converged
 
 
 @pytest.fixture(scope="session")

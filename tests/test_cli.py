@@ -446,6 +446,18 @@ def test_family_unwritable_output_is_an_input_error(tmp_path, capsys, flag):
     assert err.startswith("error: cannot write ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("existing", [False, True])
+def test_family_unwritable_sidecar_leaves_out_as_it_was(tmp_path, capsys, existing):
+    # a rejected run neither creates --out nor truncates it
+    out = tmp_path / "m.g6"
+    if existing:
+        out.write_text("kept\n")
+    code, _, err = run_cli(capsys, ["family", "S", "--n", "9", "--k", "3", "--out", str(out),
+                                    "--sidecar", str(tmp_path / "missing" / "x")])
+    assert code == 4 and err.startswith("error: cannot write ")
+    assert (out.read_text() == "kept\n") if existing else not out.exists()
+
+
 def test_family_argument_error_writes_no_file(tmp_path, capsys):
     # the class budget is checked before either file is opened
     out, side = tmp_path / "m.g6", tmp_path / "m.json"

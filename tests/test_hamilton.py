@@ -205,6 +205,19 @@ def _one_tight_pair(n, u, v, slack, rng):
     return delete_edges(complete(n), gone)
 
 
+def _hidden_tight_pair(n, u, a, b, extra, rng):
+    """K_n with d(u) = n // 2 - 1 the unique minimum degree, every
+    non-neighbour of u of degree >= n - 4, and a, b (neighbours of u)
+    nonadjacent with d(a) = d(b) = n // 2 + extra: for n >= 12 the only pair
+    that can fail Ore is (a, b), which fails iff extra == 0."""
+    h = n // 2
+    rest = [w for w in rng.permutation(n) if w not in (u, a, b)]
+    far = rest[len(rest) - (n - 2 - h - extra):]  # a and b miss these
+    gone = ([(a, b)] + [(u, x) for x in rest[:n - h]]
+            + [(a, y) for y in far] + [(b, y) for y in far])
+    return delete_edges(complete(n), gone)
+
+
 @pytest.mark.parametrize("n", [63, 64, 65, 92, 270, 652])
 def test_ore_check_equals_the_pair_loop_across_word_boundaries(n):
     # the mask form against the pair loop where rows span one, two and
@@ -222,6 +235,13 @@ def test_ore_check_equals_the_pair_loop_across_word_boundaries(n):
             g = _one_tight_pair(n, u, v, slack, rng)
             assert g.degree(u) + g.degree(v) == n + slack
             tight.append((g, slack == 1))
+    # the minimum-degree vertex passes, and only a pair of higher degree fails
+    for u, a, b in ((62, 63 % n, 64 % n), (n // 2, 0, n - 1)):
+        for extra in (0, 1):
+            g = _hidden_tight_pair(n, u, a, b, extra, rng)
+            assert min(g.degrees()) == g.degree(u) < g.degree(a) == g.degree(b)
+            assert g.degree(a) + g.degree(b) == 2 * (n // 2 + extra)
+            tight.append((g, extra == 1))
     for g in graphs:
         assert ore_check(g) == brute_ore(g)
     for g, holds in tight:

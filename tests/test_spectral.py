@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hamq.errors import BadParameters
+from hamq.families import enumerate_class
 from hamq.graph import (
     complete,
     cycle,
@@ -13,9 +14,11 @@ from hamq.graph import (
     disjoint_union,
     is_connected,
     join,
+    path_graph,
 )
 from hamq.rng import SplitMix64, gnp, random_connected_gnp
 from hamq.spectral import (
+    DEFAULT_TOL,
     adjacency_matrix,
     adjacent_pair_identity_defect,
     perron_pair,
@@ -23,7 +26,7 @@ from hamq.spectral import (
     upper_bound_edge_count,
 )
 
-from conftest import eigen_residual
+from conftest import eigen_residual, plain_perron
 
 
 def s62():
@@ -63,6 +66,66 @@ def test_perron_rejects_bad_input():
 def test_perron_rejects_a_tolerance_that_is_not_positive(tol):
     with pytest.raises(BadParameters):
         perron_pair(cycle(60), tol=tol)
+
+
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_perron_rejects_a_step_budget_below_one(max_iter):
+    with pytest.raises(BadParameters, match="max_iter >= 1"):
+        perron_pair(cycle(6), max_iter=max_iter)
+
+
+def _exact_q(g):
+    q = adjacency_matrix(g) + np.diag(np.asarray(g.degrees(), float))
+    return float(np.linalg.eigvalsh(q).max())
+
+
+def _gnp_3_to_50():
+    rng = SplitMix64(59)
+    return [random_connected_gnp(n, 0.15 + 0.75 * rng.next_float(), rng) for n in range(3, 51)]
+
+
+def _class2_members(n, k, count):
+    return [m.graph for clazz in ("S2", "T2")
+            for m in enumerate_class(clazz, n, k, "sample", seed=1, count=count)]
+
+
+# corpus -> (graphs, tolerances): the qbound suite's range, the q-upper
+# suite's k = 2 members down to tol 1e-13, and k = 3 members at n_min(3)
+ARBITRATED = {
+    "gnp-3..50": (_gnp_3_to_50, (1e-8, DEFAULT_TOL)),
+    "class2-k2-n92": (lambda: _class2_members(92, 2, 20), (1e-10, 1e-12, 1e-13)),
+    "class2-k3-n270": (lambda: _class2_members(270, 3, 3), (DEFAULT_TOL,)),
+}
+
+
+@pytest.mark.parametrize("corpus", sorted(ARBITRATED))
+def test_perron_agrees_with_the_every_step_loop(corpus):
+    # the spaced-out enclosure checks against the loop that checks every
+    # iterate: same convergence, same radius, at most one stride more steps
+    graphs, tols = ARBITRATED[corpus]
+    for g in graphs():
+        exact = _exact_q(g)
+        slack = 16 * np.finfo(float).eps * exact  # eigvalsh's own rounding
+        for tol in tols:
+            est = perron_pair(g, tol=tol)
+            q_hat, iterations, converged = plain_perron(g, tol)
+            assert converged and est.converged
+            assert est.lo - slack <= exact <= est.hi + slack
+            assert abs(est.q_hat - q_hat) <= 2 * tol
+            assert est.iterations <= iterations + 8
+
+
+def test_perron_takes_at_most_max_iter_steps():
+    # a long path converges slowly, so every budget here ends the iteration
+    for g in (random_connected_gnp(30, 0.3, SplitMix64(61)), path_graph(40)):
+        exact = _exact_q(g)
+        for max_iter in range(1, 21):
+            est = perron_pair(g, tol=1e-13, max_iter=max_iter)
+            assert est.iterations <= max_iter
+            assert est.lo - 1e-9 <= exact <= est.hi + 1e-9
+            # the residual is that of the returned pair, converged or not
+            direct = eigen_residual(g, est.q_hat, list(est.f))
+            assert direct == pytest.approx(est.residual, abs=1e-9)
 
 
 def test_perron_against_dense_eigensolver():
