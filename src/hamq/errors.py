@@ -16,7 +16,12 @@ class BadParameters(HamqError):
 
 
 class ParseError(HamqError):
-    """Malformed graph text; carries the byte offset of the offending input."""
+    """Malformed graph text.
+
+    ``offset`` is the byte offset of the fault in the text as given: the
+    UTF-8 bytes of everything before it, skipped whitespace, blank lines and
+    a graph6 header included.
+    """
 
     def __init__(self, message: str, offset: int = 0):
         super().__init__(f"{message} (byte offset {offset})")

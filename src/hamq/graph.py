@@ -21,10 +21,20 @@ reachability sweep per vertex.
 
 Serialization supports the standard graph6 byte layout (bit-exact) and a
 plain edge-list text format (first line ``"n m"``, then ``m`` lines ``"u v"``).
+graph6 is read and written a word at a time: the body's six-bit groups are
+base64 in another alphabet, so one byte translation and ``binascii`` turn the
+body into one bit string; column j of the upper triangle is one slice of it,
+and one transpose of the columns gives each row.  A ``ParseError`` from
+either reader carries the byte offset in the text as given: leading
+whitespace, blank lines, a ``>>graph6<<`` header and the UTF-8 width of
+every character before the fault all count.
 """
 
 from __future__ import annotations
 
+import binascii
+import re
+from itertools import zip_longest
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BadParameters, ParseError
@@ -356,6 +366,12 @@ def is_2_connected(g: Graph) -> bool:
 # -- graph6 and edge-list serialization --------------------------------------
 
 _G6_HEADER = ">>graph6<<"
+# graph6 writes six bits per byte as 63 + value; base64 writes the same six
+# bits in its own alphabet, so binascii packs and unpacks them at C speed
+_B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_G6_TO_B64 = bytes.maketrans(bytes(range(63, 127)), _B64)
+_B64_TO_G6 = bytes.maketrans(_B64, bytes(range(63, 127)))
+_G6_INVALID = re.compile(b"[^?-~]")  # a byte outside 63..126
 
 
 def emit_graph6(g: Graph) -> str:
@@ -370,76 +386,73 @@ def emit_graph6(g: Graph) -> str:
     else:
         raise BadParameters(f"graph6 cannot encode n={n}")
     rows = g._rows
-    out = []
-    acc = 0
-    nbits = 0
-    for j in range(1, n):
-        col = rows[j]
-        for i in range(j):
-            acc = (acc << 1) | (col >> i & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(acc + 63))
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append(chr((acc << (6 - nbits)) + 63))
-    return head + "".join(out)
+    nbytes = (n * (n - 1) // 2 + 5) // 6
+    # column j is the pairs (0, j), (1, j), ..., (j - 1, j), one bit each;
+    # zero bits pad the body to whole base64 quanta of 24 bits
+    bits = "".join(format(rows[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n))
+    bits += "0" * (-len(bits) % 24)
+    raw = int(bits, 2).to_bytes(len(bits) // 8, "big") if bits else b""
+    body = binascii.b2a_base64(raw, newline=False).translate(_B64_TO_G6)
+    return head + body[:nbytes].decode("ascii")
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode one graph6 record; raises ParseError with a byte offset."""
-    s = text.strip()
-    if s.startswith(_G6_HEADER):
-        s = s[len(_G6_HEADER):]
+    """Decode one graph6 record; raises ParseError with a byte offset.
+
+    Whitespace around the record and a ``>>graph6<<`` header are skipped.
+    Checks run in this order: the order field, the body length, the first
+    byte outside 63..126, the padding bits; only then is anything decoded.
+    """
+    record = text.lstrip()
+    skipped = text[: len(text) - len(record)]
+    if record.startswith(_G6_HEADER):
+        skipped += _G6_HEADER
+        record = record[len(_G6_HEADER):]
+    s = record.rstrip().encode()
+    lead = len(skipped.encode())  # offsets count the bytes of text as given
+
+    def check_bytes(start: int, stop: int) -> None:
+        bad = _G6_INVALID.search(s, start, stop)
+        if bad:
+            raise ParseError(f"invalid graph6 byte {s[bad.start()]}", lead + bad.start())
+
     if not s:
-        raise ParseError("empty graph6 record", 0)
-
-    def val(i: int) -> int:
-        c = ord(s[i])
-        if not 63 <= c <= 126:
-            raise ParseError(f"invalid graph6 byte {c!r}", i)
-        return c - 63
-
-    if s[0] != "~":
-        n = val(0)
-        idx = 1
-    elif len(s) >= 2 and s[1] != "~":
-        if len(s) < 4:
-            raise ParseError("truncated graph6 order field", len(s))
-        n = (val(1) << 12) | (val(2) << 6) | val(3)
-        idx = 4
+        raise ParseError("empty graph6 record", lead)
+    # the order field is one byte, or "~" and three, or "~~" and six
+    if not s.startswith(b"~"):
+        field = 0
+    elif len(s) > 1 and not s.startswith(b"~~"):
+        field = 1
     else:
-        if len(s) < 8:
-            raise ParseError("truncated graph6 order field", len(s))
-        n = 0
-        for i in range(2, 8):
-            n = (n << 6) | val(i)
-        idx = 8
+        field = 2
+    idx = (1, 4, 8)[field]
+    if len(s) < idx:
+        raise ParseError("truncated graph6 order field", lead + len(s))
+    check_bytes(field, idx)
+    n = 0
+    for c in s[field:idx]:
+        n = n << 6 | c - 63
     if n < 1:
-        raise ParseError(f"unsupported graph6 order {n}", 0)
+        raise ParseError(f"unsupported graph6 order {n}", lead)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     if len(s) - idx != nbytes:
         raise ParseError(
-            f"graph6 body has {len(s) - idx} bytes, expected {nbytes}", idx
+            f"graph6 body has {len(s) - idx} bytes, expected {nbytes}", lead + idx
         )
-    groups = [val(pos) for pos in range(idx, idx + nbytes)]
-    if groups and groups[-1] & ((1 << (6 * nbytes - nbits)) - 1):
-        raise ParseError("nonzero padding bits", idx + nbytes - 1)
-    # body bits run over the upper triangle column by column: (0,1), (0,2),
-    # (1,2), (0,3), ...; (i, j) is the pair of the next bit
-    rows = [0] * n
-    i, j = 0, 1
-    for group in groups:
-        for t in (5, 4, 3, 2, 1, 0):
-            if group >> t & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            i += 1
-            if i == j:
-                i = 0
-                j += 1
+    check_bytes(idx, len(s))
+    if nbytes and (s[-1] - 63) & ((1 << (6 * nbytes - nbits)) - 1):
+        raise ParseError("nonzero padding bits", lead + len(s) - 1)
+    # the body bits run over the upper triangle column by column: (0,1),
+    # (0,2), (1,2), (0,3), ...; column j is the j bits from j(j-1)/2 on
+    data = s[idx:].translate(_G6_TO_B64)
+    raw = binascii.a2b_base64(data + b"A" * (-len(data) % 4))
+    bits = format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b")
+    cols = [bits[j * (j - 1) // 2 : j * (j + 1) // 2] for j in range(n)]
+    # transposing the zero-padded columns gives upper[v], whose bit u is the
+    # pair (v, u) for u > v; the last vertex has no later neighbour
+    upper = ["".join(t) for t in zip_longest(*cols, fillvalue="0")] + ["0"]
+    rows = [int((cols[v] + upper[v][v:])[::-1], 2) for v in range(n)]
     return Graph._from_rows(n, rows)
 
 

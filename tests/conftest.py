@@ -3,8 +3,9 @@
 The brute-force routines here deliberately avoid the package's own search
 machinery: paths are found by permutation enumeration and checked edge by
 edge, degree sums pair by pair, eigen-equation residuals by a plain
-neighbor sum, and the Perron enclosure by a power iteration that checks
-every iterate, so they can arbitrate disagreements.
+neighbor sum, the Perron enclosure by a power iteration that checks every
+iterate, and graph6 bodies one bit per step, so they can arbitrate
+disagreements.
 """
 
 from __future__ import annotations
@@ -58,6 +59,48 @@ def brute_ore(g: Graph) -> bool:
             if not (row >> v & 1) and deg[u] + deg[v] < n + 1:
                 return False
     return True
+
+
+def _graph6_order_field(n: int) -> str:
+    if n <= 62:
+        return chr(n + 63)
+    if n <= 258047:
+        return "~" + "".join(chr(63 + (n >> s & 63)) for s in (12, 6, 0))
+    return "~~" + "".join(chr(63 + (n >> s & 63)) for s in (30, 24, 18, 12, 6, 0))
+
+
+def bitwise_emit_graph6(g: Graph) -> str:
+    """graph6 of g, one body bit per step: the pairs (i, j), i < j, column
+    by column ((0,1), (0,2), (1,2), (0,3), ...), six to a byte, zero-padded."""
+    out, acc, nbits = [], 0, 0
+    for j in range(1, g.n):
+        for i in range(j):
+            acc = acc << 1 | g.has_edge(i, j)
+            nbits += 1
+            if nbits == 6:
+                out.append(chr(acc + 63))
+                acc, nbits = 0, 0
+    if nbits:
+        out.append(chr((acc << (6 - nbits)) + 63))
+    return _graph6_order_field(g.n) + "".join(out)
+
+
+def bitwise_parse_graph6(record: str) -> Graph:
+    """The graph of a well-formed graph6 record (no header, no whitespace),
+    one body bit per step, in the order ``bitwise_emit_graph6`` writes them."""
+    field = 0 if record[0] != "~" else 1 if record[1] != "~" else 2
+    n = 0
+    for c in record[field:(1, 4, 8)[field]]:
+        n = n << 6 | ord(c) - 63
+    edges, i, j = [], 0, 1
+    for c in record[(1, 4, 8)[field]:]:
+        for t in (5, 4, 3, 2, 1, 0):
+            if j < n and ord(c) - 63 >> t & 1:
+                edges.append((i, j))
+            i += 1
+            if i == j:
+                i, j = 0, j + 1
+    return Graph(n, edges)
 
 
 def eigen_residual(g: Graph, q_hat: float, f: list[float]) -> float:

@@ -249,7 +249,8 @@ def test_certify_runs_without_numpy(tmp_path):
     # numpy is imported only by perron_pair, which certify never calls: a
     # graph that Ore settles and one that reaches the spectral annotation are
     # both certified without loading it; the suites run in-process, so no
-    # process-pool machinery is loaded either
+    # process-pool machinery is loaded either, and certify runs no suite, so
+    # hamq.verify is not loaded at all
     import os
     import subprocess
     import sys
@@ -264,8 +265,8 @@ def test_certify_runs_without_numpy(tmp_path):
     sparse = tmp_path / "gnp92.g6"
     sparse.write_text(emit_graph6(gnp(92, 0.2, SplitMix64(7))))
     script = ("import sys\nfrom hamq.cli import main\nrc = main(sys.argv[1:])\n"
-              "print(sorted(m for m in ('numpy', 'concurrent.futures', 'multiprocessing')"
-              " if m in sys.modules))\nsys.exit(rc)")
+              "print(sorted(m for m in ('numpy', 'concurrent.futures', 'multiprocessing',"
+              " 'hamq.verify') if m in sys.modules))\nsys.exit(rc)")
     env = dict(os.environ)
     src = str(Path(hamq.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
@@ -358,7 +359,7 @@ def test_verify_passes_every_flag_combination(capsys, monkeypatch):
     from itertools import product
     from types import SimpleNamespace
 
-    import hamq.cli
+    import hamq.verify
     from hamq.cli import build_parser
     from hamq.verify import SUITES
 
@@ -369,7 +370,9 @@ def test_verify_passes_every_flag_combination(capsys, monkeypatch):
         return SimpleNamespace(suite=suite, cases=0, failures=[], elapsed=0.0,
                                ok=True, to_stable_json=lambda: "{}")
 
-    monkeypatch.setattr(hamq.cli, "run_suite", fake_run_suite)
+    # _cmd_verify imports run_suite when it runs, so the patch must sit on
+    # hamq.verify itself
+    monkeypatch.setattr(hamq.verify, "run_suite", fake_run_suite)
     flags = [("--k", "2,3"), ("--n", "40..41"), ("--mode", "sample"),
              ("--count", "5"), ("--trials", "0"), ("--seed", "0")]
     parser = build_parser()
@@ -395,6 +398,14 @@ def test_verify_passes_every_flag_combination(capsys, monkeypatch):
     # q-upper 5 each, ore, kelmans, qbound and closure 4 each
     assert rejected == 9 * 64 - 36
     capsys.readouterr()
+
+
+def test_verify_flag_table_names_every_suite():
+    # the verify choices come from the table, so that the CLI need not
+    # import hamq.verify to build its parser
+    from hamq import cli, verify
+
+    assert set(cli._VERIFY_KWARGS) == set(verify.SUITES)
 
 
 @pytest.mark.parametrize("argv", [
@@ -478,3 +489,58 @@ def test_negative_budget_is_an_input_error(capsys, monkeypatch, graph):
                              emit_graph6(g), monkeypatch)
     assert code == 4 and out == ""
     assert err == "error: pair search needs a budget >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("spelling", ["same", "dotted", "hardlink", "symlink"])
+@pytest.mark.parametrize("existing", [False, True])
+def test_family_out_and_sidecar_naming_one_file_is_an_input_error(tmp_path, capsys,
+                                                                    spelling, existing):
+    # both would be opened for writing, and the sidecar JSON would land over
+    # the graph6 lines; a rejected run creates and truncates neither
+    out = tmp_path / "m.g6"
+    if existing or spelling == "hardlink":
+        out.write_text("kept\n")
+    side = {"same": out, "dotted": tmp_path / "sub" / ".." / "m.g6",
+            "hardlink": tmp_path / "link.g6", "symlink": tmp_path / "link.g6"}[spelling]
+    if spelling == "dotted":
+        (tmp_path / "sub").mkdir()
+    elif spelling == "hardlink":
+        side.hardlink_to(out)
+    elif spelling == "symlink":
+        side.symlink_to(out)
+    code, got, err = run_cli(capsys, ["family", "S", "--n", "9", "--k", "3", "--class", "S1",
+                                      "--out", str(out), "--sidecar", str(side)])
+    assert code == 4 and got == ""
+    assert err == f"error: --out and --sidecar name one file: {side}\n"
+    if existing or spelling == "hardlink":
+        assert out.read_text() == "kept\n"
+    else:
+        assert not out.exists()
+
+
+def test_family_out_and_sidecar_in_distinct_files(tmp_path, capsys):
+    out, side = tmp_path / "m.g6", tmp_path / "m.json"
+    code, _, _ = run_cli(capsys, ["family", "S", "--n", "9", "--k", "3", "--class", "S1",
+                                  "--out", str(out), "--sidecar", str(side)])
+    assert code == 0
+    assert len(out.read_text().splitlines()) == len(json.loads(side.read_text())) == 22
+
+
+def test_graph6_input_error_offsets_count_the_bytes_as_given(tmp_path, capsys, monkeypatch):
+    # leading blank lines and whitespace, a header, a \r before each \n and
+    # the utf-8 width of every character before the fault all count
+    cases = [
+        ("\n\n  Bw\x7f\n", "graph6 body has 2 bytes, expected 1", 5),
+        ("é\nBw\n", "graph6 input holds 2 records, not one", 3),
+        ("Bw\n\n \xa0Bw\nBw\n", "graph6 input holds 3 records, not one", 7),
+        (">>graph6<<Bx\n", "nonzero padding bits", 11),
+        ("\r\n\xa0Dé\r\n", "invalid graph6 byte 195", 5),
+        ("3 1\r\n0 0\r\n", "loop at vertex 0", 5),
+        (" \n\t\n", "empty input", 0),
+    ]
+    path = tmp_path / "g.txt"
+    for text, message, offset in cases:
+        path.write_bytes(text.encode())
+        want = f"error: {message} (byte offset {offset})\n"
+        assert run_cli(capsys, ["certify", str(path)]) == (4, "", want), repr(text)
+        assert run_cli(capsys, ["certify", "-"], text, monkeypatch) == (4, "", want)

@@ -28,6 +28,8 @@ from hamq.graph import (
 from hamq.families import build_S, build_T
 from hamq.rng import SplitMix64, gnp
 
+from conftest import bitwise_emit_graph6, bitwise_parse_graph6
+
 
 def test_complete_small():
     g = complete(1)
@@ -380,3 +382,74 @@ def test_graph6_order_form_boundaries():
         enc = emit_graph6(g)
         assert parse_graph6(enc) == g
         assert enc.startswith("~") == (n > 62)
+
+
+def _assert_graph6_matches_the_arbiters(g):
+    enc = emit_graph6(g)
+    assert enc == bitwise_emit_graph6(g)
+    assert parse_graph6(enc) == bitwise_parse_graph6(enc) == g
+    assert parse_graph6(enc)._rows == g._rows
+
+
+def test_graph6_matches_the_bitwise_arbiters_on_every_small_graph(small_connected):
+    for graphs in small_connected.values():
+        for g in graphs:
+            _assert_graph6_matches_the_arbiters(g)
+
+
+def test_graph6_matches_the_bitwise_arbiters_on_seeded_gnp():
+    # every short-form order, both sides of the switch to the 3-byte form
+    # at 63, and the paper orders 92, 270 and 652
+    rng = SplitMix64(59)
+    for n in [*range(1, 71), 92, 270, 652]:
+        for p in (0.0, 0.5, 1.0):
+            _assert_graph6_matches_the_arbiters(gnp(n, p, rng))
+
+
+def test_graph6_error_messages_and_offsets():
+    # every message of the reader, one case per check; the offset counts the
+    # utf-8 bytes of the text as given: skipped whitespace and blank lines,
+    # the header, and the width of each character before the fault (\xa0 is
+    # two bytes, and so is é, which also makes a 2-byte body for n = 5)
+    big = "~~???~??"  # the 6-byte order field of n = 258048
+    cases = [
+        ("", "empty graph6 record", 0),
+        (" >>graph6<< \n", "empty graph6 record", 11),
+        ("~", "truncated graph6 order field", 1),
+        ("\t~??", "truncated graph6 order field", 4),
+        ("~~????", "truncated graph6 order field", 6),
+        ("\xa0\xa0B\x14", "invalid graph6 byte 20", 5),
+        ("éB", "invalid graph6 byte 195", 0),
+        ("Dé", "invalid graph6 byte 195", 1),
+        ("~?\x14?", "invalid graph6 byte 20", 2),
+        ("\n  ?", "unsupported graph6 order 0", 3),
+        ("B", "graph6 body has 0 bytes, expected 1", 1),
+        ("\n\n  Bw\x7f\n", "graph6 body has 2 bytes, expected 1", 5),
+        (">>graph6<<Bw\x7f", "graph6 body has 2 bytes, expected 1", 11),
+        ("Cé", "graph6 body has 2 bytes, expected 1", 1),
+        (big + "???", f"graph6 body has 3 bytes, expected {(258048 * 258047 // 2 + 5) // 6}", 8),
+        ("Bx", "nonzero padding bits", 1),
+        ("\r\n>>graph6<<Bx", "nonzero padding bits", 13),
+    ]
+    for text, message, offset in cases:
+        with pytest.raises(ParseError) as err:
+            parse_graph6(text)
+        assert str(err.value) == f"{message} (byte offset {offset})", repr(text)
+        assert err.value.offset == offset
+
+
+def test_graph6_third_order_form_rejects_a_truncated_body_without_allocating_it():
+    # n >= 258048 needs the "~~" field, and its body would hold about 5.5 GB:
+    # only the order field is read before the body length is refused
+    import tracemalloc
+
+    for field in ("~~???~??", "~~~~~~~~"):  # n = 258048, and 2^36 - 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="graph6 body has 2 bytes") as err:
+                parse_graph6(field + "??")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert err.value.offset == 8
+        assert peak < 64 * 1024
