@@ -1,7 +1,7 @@
 """Hamilton-connectivity certification via signless Laplacian spectral
 conditions, with exact oracles and extremal-family machinery."""
 
-from .certifier import Certificate, CertifyConfig, certify, explain
+from .certifier import Certificate, certify, explain
 from .errors import HamqError
 from .families import (
     AppendixReport,
@@ -47,7 +47,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AppendixReport",
     "Certificate",
-    "CertifyConfig",
     "ClosureTrace",
     "FamilyHandle",
     "Graph",

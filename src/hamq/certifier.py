@@ -90,14 +90,6 @@ EXIT_CODES = {
 
 
 @dataclass
-class CertifyConfig:
-    """Knobs for one certification run."""
-
-    oracle_gate: int = 9  # run the standalone exact oracle only for n <= gate
-    pair_budget: int = DEFAULT_PAIR_BUDGET  # per path search of that oracle
-
-
-@dataclass
 class Certificate:
     """Auditable outcome; ``trace`` lists every condition attempted."""
 
@@ -114,14 +106,6 @@ class Certificate:
         return json.dumps(explain(self), sort_keys=True)
 
 
-def _jsonable(obj: Any) -> Any:
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
 def _separator_confirmation(g: Graph, y: tuple[int, ...]) -> dict[str, Any]:
     """The separator witness c(G - Y) >= |Y| >= 2 of a host partition's Y."""
     c = component_count(g, y)
@@ -130,15 +114,21 @@ def _separator_confirmation(g: Graph, y: tuple[int, ...]) -> dict[str, Any]:
     return {"separator": sorted(y), "components": c}
 
 
-def _hyp(name: str, required: Any, actual: Any) -> dict[str, Any]:
-    ok = bool(actual >= required) if isinstance(required, (int, float)) else bool(actual == required)
-    return {"name": name, "required": required, "actual": actual, "passed": ok}
+def _hyp(name: str, required: int, actual: int) -> dict[str, Any]:
+    return {"name": name, "required": required, "actual": actual, "passed": actual >= required}
 
 
-def certify(g: Graph, config: CertifyConfig | None = None) -> Certificate:
-    cfg = config or CertifyConfig()
-    if cfg.pair_budget < 0:
-        raise BadParameters(f"pair search needs a budget >= 0, got {cfg.pair_budget}")
+def certify(
+    g: Graph, *, oracle_gate: int = 9, pair_budget: int = DEFAULT_PAIR_BUDGET
+) -> Certificate:
+    """Run the pipeline of the module docstring on ``g``.
+
+    The standalone exact oracle runs only for n <= ``oracle_gate``, with
+    ``pair_budget`` node expansions per pair search; a negative budget is
+    rejected before any stage runs.
+    """
+    if pair_budget < 0:
+        raise BadParameters(f"pair search needs a budget >= 0, got {pair_budget}")
     n = g.n
     delta = min_degree(g)
     params: dict[str, Any] = {"n": n, "min_degree": delta, "edge_count": g.m}
@@ -182,7 +172,7 @@ def certify(g: Graph, config: CertifyConfig | None = None) -> Certificate:
     })
     if cl_complete:
         return done(OUTCOME_CERTIFIED, {"name": "ClosureComplete"},
-                    {"closure_additions": list(cl_trace.added)})
+                    {"closure_additions": cl_trace.added})
 
     # edge-count condition at the k with the lowest threshold; its host
     # partition is read for S first, then T (see the module docstring)
@@ -234,8 +224,8 @@ def certify(g: Graph, config: CertifyConfig | None = None) -> Certificate:
                           "verdict": "fail"})
 
     # exact oracle, size-gated
-    if n <= cfg.oracle_gate:
-        ans = is_hamilton_connected(g, cfg.pair_budget)
+    if n <= oracle_gate:
+        ans = is_hamilton_connected(g, pair_budget)
         trace.append({"condition": "Oracle", "verdict": ans.verdict,
                       "nodes_expanded": ans.nodes_expanded})
         if ans.verdict == "yes":
@@ -250,11 +240,17 @@ def certify(g: Graph, config: CertifyConfig | None = None) -> Certificate:
 
 
 def explain(cert: Certificate) -> dict[str, Any]:
-    """JSON-ready hypothesis report with stable structure for diffing."""
-    return _jsonable({
+    """The certificate's five fields as one dict, for ``to_json`` and diffing.
+
+    The fields are the certificate's own objects, not copies: a caller that
+    edits the report edits the certificate.  Witnesses keep their tuples
+    (paths, X/Y/Z, closure additions); ``json.dumps`` writes a tuple as an
+    array, so ``Certificate.to_json`` serializes the report as it is.
+    """
+    return {
         "outcome": cert.outcome,
         "fired_condition": cert.fired_condition,
         "parameters": cert.parameters,
         "witnesses": cert.witnesses,
         "trace": cert.trace,
-    })
+    }

@@ -51,7 +51,7 @@ from typing import NoReturn, TextIO
 # where nothing else loads it now that hamq.verify is imported only by the
 # suite commands; this import goes once the tracer skips modules not loaded
 from . import corpus  # noqa: F401
-from .certifier import CertifyConfig, certify, explain
+from .certifier import certify
 from .errors import BadParameters, HamqError, ParseError
 from .families import build_S, build_T, enumerate_class
 from .graph import Graph, emit_graph6, parse_edgelist, parse_graph6
@@ -138,10 +138,9 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 def _cmd_certify(args: argparse.Namespace) -> int:
     g = _read_graph(args.input)
-    cfg = CertifyConfig(oracle_gate=args.oracle_gate, pair_budget=args.budget)
-    cert = certify(g, cfg)
+    cert = certify(g, oracle_gate=args.oracle_gate, pair_budget=args.budget)
     if args.json:
-        print(json.dumps(explain(cert), sort_keys=True))
+        print(cert.to_json())
     else:
         print(f"outcome: {cert.outcome}")
         if cert.fired_condition:

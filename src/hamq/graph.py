@@ -120,9 +120,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return u != v and bool(self._rows[u] >> v & 1)
 
-    def neighbors(self, v: int) -> list[int]:
-        return list(iter_bits(self._rows[v]))
-
     def edges(self) -> list[Edge]:
         """All edges as ``(u, v)`` with ``u < v``, lexicographically."""
         out = []
@@ -233,19 +230,6 @@ def add_edges(g: Graph, edges: Iterable[Sequence[int]]) -> Graph:
     return Graph._from_rows(g.n, rows)
 
 
-def relabel(g: Graph, perm: Sequence[int]) -> Graph:
-    """Apply a vertex permutation: vertex v of g becomes perm[v]."""
-    if sorted(perm) != list(range(g.n)):
-        raise BadParameters("perm is not a permutation of the vertex set")
-    rows = [0] * g.n
-    for v in range(g.n):
-        r = 0
-        for u in iter_bits(g.row(v)):
-            r |= 1 << perm[u]
-        rows[perm[v]] = r
-    return Graph._from_rows(g.n, rows)
-
-
 # -- structural queries -----------------------------------------------------
 
 
@@ -274,8 +258,11 @@ def _reach_mask(rows: Sequence[int], start: int, allowed: int) -> int:
     frontier = reached
     while frontier:
         nxt = 0
-        for v in iter_bits(frontier):
-            nxt |= rows[v]
+        f = frontier
+        while f:
+            b = f & -f
+            f ^= b
+            nxt |= rows[b.bit_length() - 1]
         frontier = nxt & allowed & ~reached
         reached |= frontier
     return reached
@@ -501,9 +488,3 @@ def parse_edgelist(text: str) -> Graph:
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return Graph._from_rows(n, rows)
-
-
-def emit_edgelist(g: Graph) -> str:
-    out = [f"{g.n} {g.m}"]
-    out += [f"{u} {v}" for u, v in g.edges()]
-    return "\n".join(out) + "\n"

@@ -8,7 +8,8 @@ sound prunes:
     and the target) -- an interior vertex of any completing path needs both
     a predecessor and a successor there; the target itself needs at least
     one entry point;
-(b) the open region must be reachable from the frontier;
+(b) the open region must be reachable from the frontier inside it, by the
+    same frontier sweep ``graph._reach_mask`` that answers connectivity;
 (c) for n <= 24, failed (visited-set, frontier) states are memoized;
 (d) an unvisited vertex with exactly two links into the open region uses
     both as path edges, and the frontier and the target each have one path
@@ -41,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import BadParameters, BudgetExceeded
-from .graph import Graph, _degree_masks
+from .graph import Graph, _degree_masks, _reach_mask
 
 DEFAULT_PAIR_BUDGET = 10**8
 MEMO_SIZE_GATE = 24
@@ -110,21 +111,8 @@ def _pair_search(
                         break
             if feasible and not rows[v] & (open_ | cur_bit):
                 feasible = False
-            if feasible:
-                # reachability sweep over the open region
-                reached = cur_bit
-                frontier = reached
-                while frontier:
-                    nxt = 0
-                    f = frontier
-                    while f:
-                        b = f & -f
-                        f ^= b
-                        nxt |= rows[b.bit_length() - 1]
-                    frontier = nxt & region & ~reached
-                    reached |= frontier
-                if (open_ | target_bit) & ~reached:
-                    feasible = False
+            if feasible and (open_ | target_bit) & ~_reach_mask(rows, cur, region):
+                feasible = False
             if feasible:
                 cand = rows[cur] & open_
         untried.append(cand)

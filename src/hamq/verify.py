@@ -30,7 +30,6 @@ from .certifier import (
     OUTCOME_CERTIFIED,
     OUTCOME_EXCEPTIONAL,
     OUTCOME_NOT_HC,
-    CertifyConfig,
     certify,
 )
 from .corpus import connected_graphs
@@ -521,7 +520,7 @@ def run_family_nonhc(
 
 
 def _hunt_check(g: Graph) -> Failures:
-    outcome = certify(g, CertifyConfig(oracle_gate=0)).outcome
+    outcome = certify(g, oracle_gate=0).outcome
     oracle = is_hamilton_connected(g).verdict
     if ((outcome == OUTCOME_CERTIFIED and oracle != "yes")
             or (outcome == OUTCOME_NOT_HC and oracle != "no")
@@ -633,8 +632,6 @@ CLAIM_COVERAGE: dict[str, tuple[str, ...]] = {
 
 
 def run_suite(suite: str, **params: Any) -> SuiteReport:
-    if suite == "hunt":
-        return run_hunt(**params)
     if suite not in SUITES:
-        raise BadParameters(f"unknown suite {suite!r}; known: {sorted(SUITES)} + hunt")
+        raise BadParameters(f"unknown suite {suite!r}; known: {sorted(SUITES)}")
     return SUITES[suite](**params)

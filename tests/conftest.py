@@ -5,16 +5,35 @@ machinery: paths are found by permutation enumeration and checked edge by
 edge, degree sums pair by pair, eigen-equation residuals by a plain
 neighbor sum, the Perron enclosure by a power iteration that checks every
 iterate, and graph6 bodies one bit per step, so they can arbitrate
-disagreements.
+disagreements.  ``neighbors``, ``relabel`` and ``emit_edgelist`` are
+plain helpers that only the tests need.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
+from typing import Sequence
 
 import pytest
 
 from hamq.graph import Graph
+
+
+def neighbors(g: Graph, v: int) -> list[int]:
+    """The neighbours of v in ascending order."""
+    return [u for u in range(g.n) if g.has_edge(v, u)]
+
+
+def relabel(g: Graph, perm: Sequence[int]) -> Graph:
+    """Apply a vertex permutation: vertex v of g becomes perm[v]."""
+    assert sorted(perm) == list(range(g.n)), "perm is not a permutation of the vertex set"
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def emit_edgelist(g: Graph) -> str:
+    """The edge-list text of g: ``n m``, then one ``u v`` line per edge."""
+    lines = [f"{g.n} {g.m}"] + [f"{u} {v}" for u, v in g.edges()]
+    return "\n".join(lines) + "\n"
 
 
 def brute_hamilton_path(g: Graph, u: int, v: int) -> tuple[int, ...] | None:
@@ -108,7 +127,7 @@ def eigen_residual(g: Graph, q_hat: float, f: list[float]) -> float:
     assert len(f) == g.n
     worst = 0.0
     for v in range(g.n):
-        s = sum(f[u] for u in g.neighbors(v))
+        s = sum(f[u] for u in neighbors(g, v))
         worst = max(worst, abs((q_hat - g.degree(v)) * f[v] - s))
     return worst
 

@@ -13,7 +13,6 @@ from hamq.certifier import (
     OUTCOME_EXCEPTIONAL,
     OUTCOME_INCONCLUSIVE,
     OUTCOME_NOT_HC,
-    CertifyConfig,
     _separator_confirmation,
     certify,
     explain,
@@ -41,13 +40,12 @@ from hamq.graph import (
     join,
     min_degree,
     path_graph,
-    relabel,
 )
 from hamq.hamilton import is_hamilton_connected, ore_check
 from hamq.rng import SplitMix64, gnm, gnp, pair_unrank
 from hamq.spectral import perron_pair
 
-from conftest import validate_path
+from conftest import relabel, validate_path
 
 
 def test_certify_complete_graph_fires_ore():
@@ -167,7 +165,7 @@ def test_separator_confirms_every_small_member():
                 for member in enumerate_class(clazz, n, k):
                     g = member.graph
                     assert is_hamilton_connected(g).verdict == "no"
-                    cert = certify(g, CertifyConfig(oracle_gate=0))
+                    cert = certify(g, oracle_gate=0)
                     assert cert.outcome != OUTCOME_CERTIFIED
                     for w in (membership(g, clazz, k), spanning_subgraph_of(g, clazz[0], k)):
                         conf = _separator_confirmation(g, w.Y)
@@ -181,7 +179,7 @@ def test_members_confirmed_where_the_edge_stage_runs():
     members += [m for clazz in CLASSES
                 for m in enumerate_class(clazz, 33, 3, mode="sample", seed=1, count=10)]
     for member in members:
-        cert = certify(member.graph, CertifyConfig(oracle_gate=0))
+        cert = certify(member.graph, oracle_gate=0)
         assert cert.outcome == OUTCOME_EXCEPTIONAL and cert.exit_code() == 1
         conf = cert.witnesses["confirmation"]
         assert conf["components"] >= len(conf["separator"]) >= 2
@@ -245,7 +243,7 @@ def test_edge_count_checks_only_the_lowest_threshold():
     rng = SplitMix64(56)
     for kind, deletions in (("S", 40), ("T", 45), ("S", 2), ("T", 2)):
         g = _near_host(rng, kind, 55, 5, deletions, 0)
-        cert = certify(g, CertifyConfig(oracle_gate=0))
+        cert = certify(g, oracle_gate=0)
         entries = [t for t in cert.trace if t["condition"] == "EdgeCount"]
         assert [t["k"] for t in entries] == [min(min_degree(g), 5)] == [5]
         above = g.m > thresholds(5).edge(55)
@@ -274,14 +272,14 @@ def test_exact_yes_carries_a_path_table(small_connected):
         ends = [(p[0], p[-1]) for p in paths]
         assert ends == [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
         assert all(validate_path(g, p) for p in paths)
-        assert explain(cert)["witnesses"]["paths"] == [list(p) for p in paths]
+        assert json.loads(cert.to_json())["witnesses"]["paths"] == [list(p) for p in paths]
     assert seen >= 14
 
 
 def test_certify_inconclusive_beyond_gate():
     rng = SplitMix64(1)
     g = gnp(10, 0.2, rng)
-    cert = certify(g, CertifyConfig(oracle_gate=0))
+    cert = certify(g, oracle_gate=0)
     assert cert.outcome in (OUTCOME_INCONCLUSIVE, OUTCOME_NOT_HC)
     if cert.outcome == OUTCOME_INCONCLUSIVE:
         assert cert.exit_code() == 2
@@ -291,7 +289,7 @@ def test_certified_implies_oracle_yes_small():
     rng = SplitMix64(5)
     for _ in range(300):
         g = gnp(3 + rng.next_below(6), 0.3 + 0.6 * rng.next_float(), rng)
-        cert = certify(g, CertifyConfig(oracle_gate=0))
+        cert = certify(g, oracle_gate=0)
         if cert.outcome == OUTCOME_CERTIFIED:
             assert is_hamilton_connected(g).verdict == "yes"
         elif cert.outcome == OUTCOME_NOT_HC:
@@ -313,7 +311,7 @@ def test_edge_threshold_is_strict():
         if min_degree(g) < 2:
             continue
         tried += 1
-        cert = certify(g, CertifyConfig(oracle_gate=0))
+        cert = certify(g, oracle_gate=0)
         for entry in cert.trace:
             if entry["condition"] == "EdgeCount":
                 assert entry["verdict"] == "fail"
@@ -324,6 +322,7 @@ def test_explain_structure_and_stability():
     report = explain(cert)
     assert set(report) == {"outcome", "fired_condition", "parameters",
                            "witnesses", "trace"}
+    assert report["witnesses"] is cert.witnesses  # the certificate's own, not a copy
     ore_entry = next(t for t in report["trace"] if t["condition"] == "Ore")
     hyp = ore_entry["hypotheses"][0]
     assert set(hyp) == {"name", "required", "actual", "passed"}
@@ -426,7 +425,7 @@ def test_edge_stage_partition_equals_the_embedding_search():
     # an item, and at k = 2 both kinds yield the same partition
     exceptional = both = 0
     for g in _edge_stage_corpus():
-        cert = certify(g, CertifyConfig(oracle_gate=0))
+        cert = certify(g, oracle_gate=0)
         for k in range(min(min_degree(g), g.n // 11), 1, -1):
             if g.m <= thresholds(k).edge(g.n):
                 continue
@@ -539,7 +538,7 @@ def test_dense_regime_soundness():
         if min_degree(g) < 2:
             continue
         done += 1
-        cert = certify(g, CertifyConfig(oracle_gate=0))
+        cert = certify(g, oracle_gate=0)
         assert cert.outcome in (OUTCOME_CERTIFIED, OUTCOME_EXCEPTIONAL)
         oracle_yes = is_hamilton_connected(g).verdict == "yes"
         if cert.outcome == OUTCOME_CERTIFIED:
@@ -555,14 +554,14 @@ def test_oracle_timeout_outcome():
     # a starved oracle budget surfaces as a Timeout outcome (exit 3)
     rng = SplitMix64(3)
     g = gnp(9, 0.5, rng)
-    cert = certify(g, CertifyConfig(pair_budget=3))
+    cert = certify(g, pair_budget=3)
     if cert.outcome == OUTCOME_TIMEOUT:
         assert cert.exit_code() == 3
     else:
         # quick negatives may decide before the oracle; force a clean case
         from hamq.graph import cycle as cyc
 
-        cert = certify(cyc(9), CertifyConfig(pair_budget=3))
+        cert = certify(cyc(9), pair_budget=3)
         assert cert.outcome == OUTCOME_TIMEOUT
         assert cert.exit_code() == 3
 
@@ -573,4 +572,4 @@ def test_negative_pair_budget_is_rejected_before_any_stage():
     # Ore would certify K5 at once, but the budget is checked first
     for g in (complete(5), cycle(6)):
         with pytest.raises(BadParameters, match="budget >= 0, got -1"):
-            certify(g, CertifyConfig(pair_budget=-1))
+            certify(g, pair_budget=-1)

@@ -4,9 +4,12 @@ import json
 
 import pytest
 
+from hamq.certifier import certify
 from hamq.cli import main
 from hamq.families import build_S
-from hamq.graph import complete, cycle, emit_graph6, path_graph
+from hamq.graph import Graph, complete, cycle, emit_graph6, parse_graph6, path_graph
+
+from conftest import emit_edgelist
 
 
 def run_cli(capsys, args, stdin=None, monkeypatch=None):
@@ -39,6 +42,23 @@ def test_certify_json_schema(capsys, monkeypatch):
     data = json.loads(out)
     assert set(data) == {"outcome", "fired_condition", "parameters", "witnesses", "trace"}
     assert data["outcome"] == "ExceptionalFamily"
+
+
+@pytest.mark.parametrize("text, outcome, witness", [
+    ("HyNJ@se", "ExactYes", "paths"),  # a table of tuple paths
+    (emit_graph6(build_S(22, 2).graph), "ExceptionalFamily", "embedding"),  # tuple X/Y/Z
+    ("HFtQ~n~", "CertifiedHamiltonConnected", "closure_additions"),
+    # two triangles sharing vertex 2
+    (emit_graph6(Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])),
+     "NotHamiltonConnected", "cut_vertex"),
+])
+def test_certify_json_prints_the_certificate_serializer(capsys, monkeypatch, text, outcome,
+                                                        witness):
+    cert = certify(parse_graph6(text))
+    assert cert.outcome == outcome and witness in cert.witnesses
+    code, out, _ = run_cli(capsys, ["certify", "-", "--json"], text, monkeypatch)
+    assert out == cert.to_json() + "\n"
+    assert code == cert.exit_code()
 
 
 def test_certify_edgelist_input(tmp_path, capsys):
@@ -257,7 +277,6 @@ def test_certify_runs_without_numpy(tmp_path):
     from pathlib import Path
 
     import hamq
-    from hamq.graph import emit_edgelist
     from hamq.rng import SplitMix64, gnp
 
     f = tmp_path / "k8.txt"

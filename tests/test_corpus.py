@@ -10,8 +10,10 @@ from hamq.corpus import (
     connected_graphs,
 )
 from hamq.errors import BadParameters
-from hamq.graph import Graph, complete, cycle, relabel
+from hamq.graph import Graph, complete, cycle
 from hamq.rng import SplitMix64, gnp
+
+from conftest import relabel
 
 
 def test_counts_match_published_values():

@@ -22,9 +22,11 @@ from hamq.families import (
     spanning_subgraph_of,
     thresholds,
 )
-from hamq.graph import Graph, complete, component_count, cycle, delete_edges, relabel
+from hamq.graph import Graph, complete, component_count, cycle, delete_edges
 from hamq.rng import SplitMix64
 from hamq.spectral import rayleigh_quotient_exact
+
+from conftest import neighbors, relabel
 
 
 def test_build_S_examples():
@@ -182,7 +184,7 @@ def brute_embeds_in_S(g, k):
             continue
         nbrs = set()
         for x in x_set:
-            nbrs.update(g.neighbors(x))
+            nbrs.update(neighbors(g, x))
         if nbrs & set(x_set):
             continue
         if len(nbrs) <= k:
@@ -439,7 +441,7 @@ def brute_embeds_in_T(g, k):
     for x_set in combinations(range(n), k - 1):
         outside = set()
         for x in x_set:
-            outside.update(w for w in g.neighbors(x) if w not in x_set)
+            outside.update(w for w in neighbors(g, x) if w not in x_set)
         if len(outside) <= 2:
             return True
     return False

@@ -14,7 +14,6 @@ from hamq.graph import (
     cycle,
     delete_edges,
     disjoint_union,
-    emit_edgelist,
     emit_graph6,
     is_2_connected,
     is_connected,
@@ -23,12 +22,11 @@ from hamq.graph import (
     parse_edgelist,
     parse_graph6,
     path_graph,
-    relabel,
 )
 from hamq.families import build_S, build_T
 from hamq.rng import SplitMix64, gnp
 
-from conftest import bitwise_emit_graph6, bitwise_parse_graph6
+from conftest import bitwise_emit_graph6, bitwise_parse_graph6, emit_edgelist, relabel
 
 
 def test_complete_small():

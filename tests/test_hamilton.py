@@ -1,5 +1,8 @@
 """Exact oracle: pair search, Hamilton-connectivity, degree-sum check."""
 
+import hashlib
+import json
+
 import pytest
 
 from hamq.errors import BadParameters, BudgetExceeded
@@ -126,6 +129,47 @@ def test_dense_random_graph_needs_few_expansions():
     ans = is_hamilton_connected(g)
     assert ans.verdict == "yes" and ans.nodes_expanded <= 10 * g.n
     assert_path_table(g, ans)
+
+
+def _oracle_digest(graphs):
+    """sha256 over the verdict, failing pair, node count and sorted path
+    table of each graph's oracle answer."""
+    digest = hashlib.sha256()
+    for g in graphs:
+        ans = is_hamilton_connected(g)
+        record = [ans.verdict, ans.failing_pair, ans.nodes_expanded, sorted(ans.paths.items())]
+        digest.update(json.dumps(record).encode())
+    return digest.hexdigest()
+
+
+def _gnp_pin_corpus():
+    rng = SplitMix64(2026)
+    for n in range(3, 17):
+        for _ in range(30):
+            yield gnp(n, 0.3 + 0.6 * rng.next_float(), rng)
+
+
+def complete_bipartite(a, b):
+    return Graph(a + b, [(u, a + w) for u in range(a) for w in range(b)])
+
+
+# The oracle's answers pinned beyond the certify report corpus (which pins
+# node counts only for n <= 9): any change to the search's prunes, memo or
+# expansion order that alters a verdict, a failing pair, a node count or a
+# path shows here.  K_{a,b} is never Hamilton-connected; its refutation
+# depends on the memo (K_{7,7} takes 15,443 expansions).
+ORACLE_GNP_DIGEST = "62f5a616eabe316742bdff5a98c7232fe8341dc463f15a146108dd4bcbd63203"
+ORACLE_BIPARTITE_DIGEST = "0939137ead552a944bb06447f2ace9d25e51d228bdcec1d5a0c82bac2653cc5e"
+
+
+def test_oracle_answers_are_pinned_on_seeded_gnp():
+    assert _oracle_digest(_gnp_pin_corpus()) == ORACLE_GNP_DIGEST
+
+
+def test_oracle_answers_are_pinned_on_complete_bipartite_graphs():
+    graphs = [complete_bipartite(a, b) for a in range(2, 8) for b in range(a, 8)]
+    assert is_hamilton_connected(graphs[-1]).nodes_expanded == 15_443
+    assert _oracle_digest(graphs) == ORACLE_BIPARTITE_DIGEST
 
 
 def test_k3_hosts_and_members_refuted_at_n33():
