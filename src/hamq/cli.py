@@ -17,17 +17,19 @@ Subcommands:
 ``verify`` and ``hunt`` run in-process and exit 0 on a clean report, 1 when
 it lists failures (a run of no case lists one), and 4 on malformed input (a
 bad model, trial count or integer list, a flag the run does not read, a
-``--count`` below 1 in sample mode, or a ``--count`` or ``--seed`` given
-with an exhaustive ``--k``/``--n`` grid); the wall
-time of the run goes to stderr.  ``family`` also exits 4 on a flag its mode
-does not read, on an ``--out`` or ``--sidecar`` path it cannot write, and
-on an ``--out`` and ``--sidecar`` that name one file, before it emits any
-member; a rejected run neither creates nor truncates either file.  Every subcommand exits 4, with one ``error:`` line, on a usage error
-(a missing argument, an unknown choice, a value of the wrong type), a
-negative count or budget or a ``--tol`` that is not positive; ``--help``
-exits 0.
+sample-mode ``--count`` below 1, or a ``--count`` or ``--seed`` with an
+exhaustive ``--k``/``--n`` grid); the wall time goes to stderr.  ``hunt``
+hands its flags to ``hamq.verify.run_hunt``, which pairs ``--trials`` with
+``--model``.  ``family`` also exits 4, before it emits a member and leaving
+both files as they were, on a flag its mode does not read and on an
+``--out`` or ``--sidecar`` it cannot write or that names the other's file.
+Every subcommand exits 4, with one ``error:`` line, on a usage error (a
+missing argument, an unknown choice, a value of the wrong type), a negative
+count or budget, a ``--tol`` that is not positive, and on running out of
+memory (say, on an edge-list header of 10**12 vertices); ``--help`` exits 0.
 
-Input graphs are read from a file (or stdin with ``-``); the format is
+Input graphs are read as bytes, from a file or from stdin with ``-``, and
+decoded once, so both report a bad byte at one offset.  The format is
 sniffed from the first non-empty line: ``"n m"`` headers select the
 edge-list reader, anything else must be the input's only graph6 line.  A
 parse error's byte offset counts the input's bytes as given.
@@ -45,7 +47,7 @@ import sys
 import time
 from contextlib import ExitStack
 from pathlib import Path
-from typing import NoReturn, TextIO
+from typing import Any, NoReturn, TextIO
 
 # perfbench's tracer looks up sys.modules["hamq.corpus"] in a traced child,
 # where nothing else loads it now that hamq.verify is imported only by the
@@ -63,7 +65,7 @@ EXIT_INPUT_ERROR = 4
 
 def _read_graph(source: str) -> Graph:
     try:
-        text = sys.stdin.read() if source == "-" else Path(source).read_bytes().decode()
+        text = (sys.stdin.buffer.read() if source == "-" else Path(source).read_bytes()).decode()
     except OSError as exc:
         raise BadParameters(f"cannot read {source}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
@@ -228,47 +230,36 @@ _VERIFY_KWARGS = {
 }
 
 
+def _print_report(label: str, suite_call: str, /, *args: Any, **kwargs: Any) -> int:
+    """Run ``hamq.verify.<suite_call>``, print its stable report, and on stderr
+    its case and failure counts and wall time; 0 on a clean report, else 1."""
+    from . import verify
+
+    start = time.monotonic()
+    report = getattr(verify, suite_call)(*args, **kwargs)
+    print(report.to_stable_json())
+    print(f"{label}: {report.cases} cases, {len(report.failures)} failure(s), "
+          f"{time.monotonic() - start:.1f}s", file=sys.stderr)
+    return 0 if report.ok else 1
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     stray = [f"--{f}" for f in _VERIFY_FLAGS if getattr(args, f) is not None
              and all(f not in flags for _, flags, _ in _VERIFY_KWARGS[args.suite])]
     if stray:
         raise BadParameters(f"suite {args.suite} does not read {', '.join(stray)}")
-    params: dict = {}
-    for key, _, read in _VERIFY_KWARGS[args.suite]:
-        value = read(args)
-        if value is not None:
-            params[key] = value
-    from .verify import run_suite
-
-    start = time.monotonic()
-    report = run_suite(args.suite, **params)
-    print(report.to_stable_json())
-    print(f"suite {report.suite}: {report.cases} cases, "
-          f"{len(report.failures)} failure(s), {time.monotonic() - start:.1f}s",
-          file=sys.stderr)
-    return 0 if report.ok else 1
+    params = {key: value for key, _, read in _VERIFY_KWARGS[args.suite]
+              if (value := read(args)) is not None}
+    return _print_report(f"suite {args.suite}", "run_suite", args.suite, **params)
 
 
 def _cmd_hunt(args: argparse.Namespace) -> int:
-    model = args.model or ("all-connected" if args.trials == "exhaustive" else "gnp(0.5)")
-    exhaustive = model.strip() == "all-connected"
-    trials = args.trials if args.trials is not None else "exhaustive" if exhaustive else 10_000
-    if exhaustive != (trials == "exhaustive"):
-        raise BadParameters(f"--trials {trials} does not go with --model {model}")
-    if not exhaustive:
-        try:
-            trials = int(trials)
-        except ValueError:
-            raise BadParameters(f"--trials takes an integer or 'exhaustive', "
-                                f"got {trials!r}") from None
-    from .verify import run_hunt
+    return _print_report("hunt", "run_hunt", n=args.n, trials=args.trials, seed=args.seed,
+                         model=args.model)
 
-    start = time.monotonic()
-    report = run_hunt(n=args.n, trials=trials, seed=args.seed, model=model)
-    print(report.to_stable_json())
-    print(f"hunt: {report.cases} cases, {len(report.failures)} disagreement(s), "
-          f"{time.monotonic() - start:.1f}s", file=sys.stderr)
-    return 0 if report.ok else 1
+
+def _trial_count(text: str) -> int | str:
+    return text if text == "exhaustive" else int(text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -326,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hunt", help="certifier-vs-oracle consistency search")
     p.add_argument("--n", type=int, default=8)
-    p.add_argument("--trials", help="integer (default 10000), or 'exhaustive' for all-connected")
+    p.add_argument("--trials", type=_trial_count,
+                   help="integer (default 10000), or 'exhaustive' for all-connected")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--model", help="gnp(p) (default gnp(0.5)) | gnm(m) "
                    "| dense-above-edge-threshold(k=K) | all-connected")
@@ -340,6 +332,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except HamqError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

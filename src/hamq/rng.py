@@ -99,10 +99,10 @@ def gnm(n: int, m: int, rng: SplitMix64) -> Graph:
     return Graph(n, [pair_unrank(n, i) for i in idxs])
 
 
-def random_connected_gnp(n: int, p: float, rng: SplitMix64, max_tries: int = 10000) -> Graph:
-    """Resample gnp until connected."""
-    for _ in range(max_tries):
+def random_connected_gnp(n: int, p: float, rng: SplitMix64) -> Graph:
+    """Resample gnp until connected, at most 10,000 times."""
+    for _ in range(10_000):
         g = gnp(n, p, rng)
         if is_connected(g):
             return g
-    raise BadParameters(f"no connected gnp({n},{p}) sample in {max_tries} tries")
+    raise BadParameters(f"no connected gnp({n},{p}) sample in 10000 tries")

@@ -170,18 +170,17 @@ def rayleigh_quotient_exact(g: Graph, x: Sequence[int]) -> Fraction:
     """
     if len(x) != g.n:
         raise BadParameters(f"vector length {len(x)} != n={g.n}")
-    for t in x:
-        if not isinstance(t, int) or isinstance(t, bool):
+    den = total = mask = 0
+    for v, t in enumerate(x):  # one pass; type() is the fast test of an entry
+        if type(t) is not int and (not isinstance(t, int) or isinstance(t, bool)):
             raise BadParameters("rayleigh_quotient_exact needs integer entries")
-    den = sum(t * t for t in x)
+        if t:
+            den += t * t
+            total += t
+            mask |= 1 << v
     if den == 0:
         raise BadParameters("zero vector has no Rayleigh quotient")
-    if all(t in (0, 1) for t in x):
-        # indicator fast path: popcount over the support mask
-        mask = 0
-        for v, t in enumerate(x):
-            if t:
-                mask |= 1 << v
+    if den == total:  # t * t >= t, equal only at 0 and 1: popcount over the support
         num = sum(
             g.degree(v) + (g.row(v) & mask).bit_count() for v in iter_bits(mask)
         )

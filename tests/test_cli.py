@@ -13,11 +13,14 @@ from conftest import emit_edgelist
 
 
 def run_cli(capsys, args, stdin=None, monkeypatch=None):
+    """Run ``main`` in-process; ``stdin`` (text, or bytes as given) is served
+    through a byte buffer, as a real stdin is."""
     if stdin is not None:
         import io
         import sys
 
-        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        data = stdin if isinstance(stdin, bytes) else stdin.encode()
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
     code = main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
@@ -389,8 +392,8 @@ def test_verify_passes_every_flag_combination(capsys, monkeypatch):
         return SimpleNamespace(suite=suite, cases=0, failures=[], elapsed=0.0,
                                ok=True, to_stable_json=lambda: "{}")
 
-    # _cmd_verify imports run_suite when it runs, so the patch must sit on
-    # hamq.verify itself
+    # the CLI looks run_suite up on hamq.verify when it runs, so the patch
+    # must sit on hamq.verify itself
     monkeypatch.setattr(hamq.verify, "run_suite", fake_run_suite)
     flags = [("--k", "2,3"), ("--n", "40..41"), ("--mode", "sample"),
              ("--count", "5"), ("--trials", "0"), ("--seed", "0")]
@@ -563,3 +566,100 @@ def test_graph6_input_error_offsets_count_the_bytes_as_given(tmp_path, capsys, m
         want = f"error: {message} (byte offset {offset})\n"
         assert run_cli(capsys, ["certify", str(path)]) == (4, "", want), repr(text)
         assert run_cli(capsys, ["certify", "-"], text, monkeypatch) == (4, "", want)
+
+
+def _hamq_child(*args, stdin=b"", preexec_fn=None):
+    """Run ``python -m hamq.cli`` on this checkout's sources, stdin given as bytes."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import hamq
+
+    env = dict(os.environ)
+    src = str(Path(hamq.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    # the locale codec of stdin would keep a bad byte as a surrogate
+    env["PYTHONIOENCODING"] = "utf-8:surrogateescape"
+    return subprocess.run([sys.executable, "-m", "hamq.cli", *args], input=stdin, env=env,
+                          capture_output=True, timeout=60, preexec_fn=preexec_fn)
+
+
+@pytest.mark.parametrize("data, offset", [(b"\xff\n", 0), (b"3 1\n0 \xff\n", 6)])
+def test_stdin_is_decoded_like_a_file(tmp_path, capsys, monkeypatch, data, offset):
+    # stdin is read as bytes and decoded once, as a file is: a bad byte is an
+    # input error at its offset, not a traceback that exits 1
+    want = f"error: input is not valid text (byte offset {offset})\n"
+    res = _hamq_child("certify", "-", stdin=data)
+    assert (res.returncode, res.stdout, res.stderr.decode()) == (4, b"", want)
+    path = tmp_path / "g.txt"
+    path.write_bytes(data)
+    assert run_cli(capsys, ["certify", str(path)]) == (4, "", want)
+    assert run_cli(capsys, ["certify", "-"], data, monkeypatch) == (4, "", want)
+
+
+def test_out_of_memory_is_an_input_error(capsys, monkeypatch):
+    import hamq.cli
+
+    def parse_edgelist(text):
+        raise MemoryError
+
+    monkeypatch.setattr(hamq.cli, "parse_edgelist", parse_edgelist)
+    assert run_cli(capsys, ["certify", "-"], "3 0\n", monkeypatch) == (
+        4, "", "error: out of memory\n")
+
+
+def test_out_of_memory_in_a_small_address_space_is_an_input_error():
+    # a header of 10**12 vertices makes the edge-list reader ask for a row
+    # table it cannot have; the child's address space is capped at 1 GiB, so
+    # the request fails at once and nothing large is allocated
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    res = _hamq_child("certify", "-", stdin=b"1000000000000 0\n", preexec_fn=cap)
+    assert (res.returncode, res.stdout, res.stderr) == (4, b"", b"error: out of memory\n")
+
+
+# stdout sha256 and exit code of each run, as the CLI gave them before the
+# hunt's trial/model pairing moved into hamq.verify.run_hunt
+_PINNED_RUNS = [
+    (["hunt"], 0, "66bdf014fe87e6ac0f73a71923aa8e78cd1cb4abd3a400b0f0c3ff487a64bcc1"),
+    (["hunt", "--n", "6", "--trials", "exhaustive"], 0,
+     "dd1abad94903b5fc6ddc8f74e612076a4546b27bbe0a6014404c1d7934c05a74"),
+    (["hunt", "--n", "6", "--model", "all-connected"], 0,
+     "dd1abad94903b5fc6ddc8f74e612076a4546b27bbe0a6014404c1d7934c05a74"),
+    (["hunt", "--model", "gnm(9)"], 0,
+     "f42d70dc46e1da816839a2aec42ffe566872afd4ceb8a415ab4594d8cd04d038"),
+    (["hunt", "--n", "22", "--trials", "5", "--model", "dense-above-edge-threshold(k=2)"], 0,
+     "f4031b7e368988dd74636d382addea6955e744f8f2a4646d6e435bf7e5e430c4"),
+    (["hunt", "--trials", "exhaustive", "--model", "gnp(0.5)"], 4,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (["hunt", "--model", "all-connected", "--trials", "5"], 4,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (["hunt", "--trials", "abc"], 4,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (["hunt", "--trials", "2.5"], 4,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (["hunt", "--trials", "0"], 1,
+     "4d906c0ef9b7b60b6005e4ecc7345403d8643476e9102d09ffb877f76bbb664f"),
+    (["verify", "appendix"], 0,
+     "bbc1ad8c68f171fd890b367c023accd9ff430c51b804a4f707e45c0d5a32fa33"),
+    (["verify", "q-lower", "--k", "3", "--n", "40", "--mode", "sample", "--count", "5"], 0,
+     "f6341d0270987a6bcc10a797a1b980b6f7d878716a0b571a1cd88e0c8ac7bfcd"),
+    (["verify", "qbound", "--count", "200"], 0,
+     "dadba9c5f4b7d9b6f0948c0042c1f1e976c245a1cb9def12c52a0ff03f5cb3e1"),
+    (["verify", "corollary", "--k", "2"], 1,
+     "d483d249298eff53bf641fceeff56f178745d1da9b0db620a00de58b0476c98f"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", _PINNED_RUNS,
+                         ids=[" ".join(argv) for argv, _, _ in _PINNED_RUNS])
+def test_suite_and_hunt_runs_are_pinned(capsys, argv, code, digest):
+    import hashlib
+
+    got, out, _ = run_cli(capsys, argv)
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)

@@ -70,3 +70,8 @@ def test_random_connected():
     rng = SplitMix64(9)
     for _ in range(20):
         assert is_connected(random_connected_gnp(8, 0.4, rng))
+
+
+def test_random_connected_gives_up_after_10000_tries():
+    with pytest.raises(BadParameters, match=r"no connected gnp\(2,0.0\) sample in 10000 tries"):
+        random_connected_gnp(2, 0.0, SplitMix64(1))

@@ -161,6 +161,31 @@ def test_rayleigh_exact_generic_matches_indicator_fast_path():
         assert rayleigh_quotient_exact(g, x01) == rayleigh_quotient_exact(g, xgen)
 
 
+def test_rayleigh_exact_checks_every_entry_before_the_zero_test():
+    for x in ([0, 0, 0.0], [0, True, 0], [1, 1, "1"], [0, None, 0]):
+        with pytest.raises(BadParameters, match="integer entries"):
+            rayleigh_quotient_exact(complete(3), x)
+    with pytest.raises(BadParameters, match="vector length"):
+        rayleigh_quotient_exact(complete(3), [1, 1])
+
+    class Count(int):
+        pass
+
+    assert rayleigh_quotient_exact(complete(3), [Count(1)] * 3) == 4
+
+
+def test_rayleigh_exact_matches_the_edge_sum_on_signed_vectors():
+    # entries -1 and 2 keep a vector off the 0/1 path; the edge sum is the reference
+    rng = SplitMix64(43)
+    for _ in range(40):
+        g = gnp(3 + rng.next_below(10), 0.5, rng)
+        x = [rng.next_below(4) - 1 for _ in range(g.n)]  # -1..2
+        if not any(x):
+            continue
+        want = Fraction(sum((x[u] + x[v]) ** 2 for u, v in g.edges()), sum(t * t for t in x))
+        assert rayleigh_quotient_exact(g, x) == want
+
+
 def test_rayleigh_is_lower_bound():
     rng = SplitMix64(41)
     for _ in range(25):

@@ -76,7 +76,7 @@ def test_reduced_scale_suites_pass():
         (run_appendix(), 22),
         (run_corollary(), 6),
         (run_family_nonhc(k_values=(2, 3), n_values=(8, 9)), 80),
-        (run_hunt(n=7, trials=0, model="all-connected"), 853),
+        (run_hunt(n=7, trials="exhaustive", model="all-connected"), 853),
         (run_hunt(n=8, trials=200, seed=42, model="gnp(0.5)"), 200),
     ]:
         assert report.ok, report.suite
@@ -105,3 +105,32 @@ def test_corollary_skips_k2():
 def test_negative_case_count_is_rejected(run, kwargs):
     with pytest.raises(BadParameters):
         run(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"trials": 3, "model": "all-connected"},
+    {"trials": "exhaustive", "model": "gnp(0.5)"},
+    {"trials": "abc"},
+    {"trials": 2.5, "model": "gnm(9)"},
+])
+def test_hunt_rejects_a_mismatched_trials_and_model(kwargs):
+    with pytest.raises(BadParameters, match="do not go with"):
+        run_hunt(n=5, **kwargs)
+
+
+@pytest.mark.parametrize("kwargs, trials, model", [
+    ({"trials": "exhaustive"}, "exhaustive", "all-connected"),
+    ({"model": "all-connected"}, "exhaustive", "all-connected"),
+    ({"trials": 3}, 3, "gnp(0.5)"),
+])
+def test_hunt_selects_the_partner_of_a_lone_argument(kwargs, trials, model):
+    report = run_hunt(n=5, **kwargs)
+    assert report.params == {"n": 5, "trials": trials, "seed": 42, "model": model}
+
+
+def test_hunt_defaults_to_10000_trials_of_gnp():
+    import inspect
+
+    assert run_hunt(n=3, model="gnm(0)").params["trials"] == 10_000
+    defaults = {k: p.default for k, p in inspect.signature(run_hunt).parameters.items()}
+    assert defaults == {"n": 8, "trials": None, "seed": 42, "model": None}
