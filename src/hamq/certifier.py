@@ -60,7 +60,6 @@ internal error, never a verdict.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Any
 
 from .errors import BadParameters
@@ -89,15 +88,29 @@ EXIT_CODES = {
 }
 
 
-@dataclass
 class Certificate:
-    """Auditable outcome; ``trace`` lists every condition attempted."""
+    """Auditable outcome; ``trace`` lists every condition attempted.
+    Certificates compare equal when their five fields do."""
 
-    outcome: str
-    fired_condition: dict[str, Any] | None
-    parameters: dict[str, Any]
-    witnesses: dict[str, Any]
-    trace: list[dict[str, Any]] = field(default_factory=list)
+    def __init__(
+        self,
+        outcome: str,
+        fired_condition: dict[str, Any] | None,
+        parameters: dict[str, Any],
+        witnesses: dict[str, Any],
+        trace: list[dict[str, Any]] | None = None,
+    ) -> None:
+        self.outcome = outcome
+        self.fired_condition = fired_condition
+        self.parameters = parameters
+        self.witnesses = witnesses
+        self.trace = [] if trace is None else trace
+
+    def __eq__(self, other: object) -> bool:
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Certificate({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     def exit_code(self) -> int:
         return EXIT_CODES[self.outcome]

@@ -20,9 +20,10 @@ bad model, trial count or integer list, a flag the run does not read, a
 sample-mode ``--count`` below 1, or a ``--count`` or ``--seed`` with an
 exhaustive ``--k``/``--n`` grid); the wall time goes to stderr.  ``hunt``
 hands its flags to ``hamq.verify.run_hunt``, which pairs ``--trials`` with
-``--model``.  ``family`` also exits 4, before it emits a member and leaving
-both files as they were, on a flag its mode does not read and on an
-``--out`` or ``--sidecar`` it cannot write or that names the other's file.
+``--model`` and picks the default ``--n``.  ``family`` also exits 4, before
+it emits a member and leaving both files as they were, on a flag its mode
+does not read and on an ``--out`` or ``--sidecar`` it cannot write or that
+names the other's file.
 Every subcommand exits 4, with one ``error:`` line, on a usage error (a
 missing argument, an unknown choice, a value of the wrong type), a negative
 count or budget, a ``--tol`` that is not positive, and on running out of
@@ -316,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("hunt", help="certifier-vs-oracle consistency search")
-    p.add_argument("--n", type=int, default=8)
+    p.add_argument("--n", type=int,
+                   help="graph order (default 7 for all-connected, 8 otherwise)")
     p.add_argument("--trials", type=_trial_count,
                    help="integer (default 10000), or 'exhaustive' for all-connected")
     p.add_argument("--seed", type=int, default=42)

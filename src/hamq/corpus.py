@@ -30,6 +30,7 @@ from .errors import BadParameters
 from .graph import Graph, is_connected, iter_bits
 
 CANON_SIZE_GATE = 8
+CORPUS_SIZE_GATE = 7  # the largest order the exhaustive corpora hold
 
 # published counts used as generator validation anchors
 ALL_GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
@@ -69,9 +70,9 @@ def canonical_key(g: Graph) -> int:
 
 @lru_cache(maxsize=None)
 def all_graphs(n: int) -> tuple[Graph, ...]:
-    """All graphs of order n up to isomorphism (n <= 7)."""
-    if n > 7:
-        raise BadParameters("exhaustive corpus is gated at n <= 7")
+    """All graphs of order n up to isomorphism (n <= ``CORPUS_SIZE_GATE``)."""
+    if n > CORPUS_SIZE_GATE:
+        raise BadParameters(f"exhaustive corpus is gated at n <= {CORPUS_SIZE_GATE}")
     if n < 1:
         raise BadParameters(f"graph order must be >= 1, got {n}")
     if n == 1:
@@ -94,5 +95,5 @@ def all_graphs(n: int) -> tuple[Graph, ...]:
 
 @lru_cache(maxsize=None)
 def connected_graphs(n: int) -> tuple[Graph, ...]:
-    """All connected graphs of order n up to isomorphism (n <= 7)."""
+    """All connected graphs of order n up to isomorphism (n <= ``CORPUS_SIZE_GATE``)."""
     return tuple(g for g in all_graphs(n) if is_connected(g))

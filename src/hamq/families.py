@@ -21,14 +21,14 @@ eligible deletion set E0.  A *family member* deletes a subset E' of E0:
 One record, ``HostPartition(kind, k, X, Y, Z, deleted)``, states a
 partition from construction through recognition to the certificate: X, Y,
 Z in the graph's own labels and ``deleted`` the missing Y u Z pairs, which
-name the class.  A ``FamilyHandle`` is a ``HostPartition`` with its order
-``n`` and its ``graph``.  ``hub_partitions`` groups the degree-k vertices
-by open (S) or closed (T) neighborhood and yields each candidate partition;
-``membership`` returns the first whose ``deleted`` fits a class, and the
-certifier's edge stage takes the first.  ``spanning_subgraph_of`` searches
-for a host embedding (every edge of G mapped onto a host edge) over all
-vertices of degree <= k, under a node budget, so it also answers when the
-minimum degree is below k.  Both recognizers read ``deleted`` with one
+name the class.  A ``FamilyHandle`` carries the same six fields, then its
+order ``n`` and its ``graph``.  ``hub_partitions`` groups the degree-k
+vertices by open (S) or closed (T) neighborhood and yields each candidate
+partition; ``membership`` returns the first whose ``deleted`` fits a class,
+and the certifier's edge stage takes the first.  ``spanning_subgraph_of``
+searches for a host embedding (every edge of G mapped onto a host edge)
+over all vertices of degree <= k, under a node budget, so it also answers
+when the minimum degree is below k.  Both recognizers read ``deleted`` with one
 missing-pair scan.  ``appendix_check`` evaluates, in exact rational
 arithmetic, the closed-form inequality (split on k mod 4) that bounds the
 class-2 spectral radius strictly below 2n - 2k once n clears the order
@@ -37,11 +37,9 @@ threshold ``n_min(k) = k^4 + 5k^3 + 2k^2 + 8k + 12``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from fractions import Fraction
 from itertools import chain, combinations
 from math import comb
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .errors import BadParameters, BudgetExceeded
 from .graph import (
@@ -57,6 +55,9 @@ from .graph import (
 )
 from .rng import SplitMix64, pair_unrank
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 CLASSES = ("S1", "T1", "S2", "T2")
 DEFAULT_ENUM_BUDGET = 1_000_000
 DEFAULT_EMBED_BUDGET = 200_000
@@ -65,8 +66,7 @@ DEFAULT_EMBED_BUDGET = 200_000
 # -- partitions ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HostPartition:
+class HostPartition(NamedTuple):
     """A host partition of a graph in its own labels: X the degree-k vertices,
     Y the hub set, Z the rest, ``deleted`` the missing Y u Z pairs."""
 
@@ -78,11 +78,17 @@ class HostPartition:
     deleted: frozenset[Edge]
 
 
-@dataclass(frozen=True)
-class FamilyHandle(HostPartition):
-    """A constructed family member: the partition (see module docstring)
-    with its graph, the host of order ``n`` minus the ``deleted`` edges."""
+class FamilyHandle(NamedTuple):
+    """A constructed family member: the six ``HostPartition`` fields (see
+    the module docstring), then its graph, the host of order ``n`` minus the
+    ``deleted`` edges."""
 
+    kind: str
+    k: int
+    X: tuple[int, ...]
+    Y: tuple[int, ...]
+    Z: tuple[int, ...]
+    deleted: frozenset[Edge]
     n: int
     graph: Graph
 
@@ -145,7 +151,7 @@ def family_member(base: FamilyHandle, edges: Iterable[Edge]) -> FamilyHandle:
     for u, v in deleted:  # u < v; Y u Z is 0..n-k
         if u < 0 or v > base.n - base.k:
             raise BadParameters(f"{(u, v)} has an endpoint outside Y u Z")
-    return replace(base, graph=delete_edges(base.graph, deleted), deleted=deleted)
+    return base._replace(graph=delete_edges(base.graph, deleted), deleted=deleted)
 
 
 def class_bound(clazz: str, k: int) -> int:
@@ -385,8 +391,7 @@ def spanning_subgraph_of(
 # -- thresholds and the exact rational inequality ------------------------------
 
 
-@dataclass(frozen=True)
-class Thresholds:
+class Thresholds(NamedTuple):
     """All order/edge/spectral thresholds attached to one k."""
 
     k: int
@@ -406,8 +411,7 @@ def thresholds(k: int) -> Thresholds:
     return Thresholds(k=k, n_min=n_min)
 
 
-@dataclass(frozen=True)
-class AppendixReport:
+class AppendixReport(NamedTuple):
     """Exact rational evaluation of the class-2 bounding inequality.
 
     ``holds`` is ``a1 + a2 + a3 - a4 < bound`` computed in rationals;
@@ -437,6 +441,8 @@ def appendix_check(k: int, n: int) -> AppendixReport:
     Computes even when n is below the order threshold; ``hypothesis_met``
     flags whether the threshold hypothesis holds.
     """
+    from fractions import Fraction
+
     if k < 2:
         raise BadParameters(f"appendix check needs k >= 2, got {k}")
     if n <= 2 * k:
@@ -494,6 +500,8 @@ def indicator_rayleigh_value(handle: FamilyHandle) -> Fraction:
     for S members and ``2(k-1)`` for T members; used as the independent
     oracle against the generic exact quotient.
     """
+    from fractions import Fraction
+
     n, k = handle.n, handle.k
     c_k = k * (k - 1) if handle.kind == "S" else 2 * (k - 1)
     return Fraction(2 * n - 2 * k) + Fraction(c_k - 4 * len(handle.deleted), n - k + 1)

@@ -447,44 +447,48 @@ def parse_edgelist(text: str) -> Graph:
     """Parse the edge-list format: first line ``n m``, then m lines ``u v``.
 
     Each edge is checked once, as its row bits are set, so the rows go
-    straight to the graph.
+    straight to the graph.  Lines are kept by index; the UTF-8 byte offset
+    of a line is counted only when an error there is raised.
     """
+    raw = text.splitlines(keepends=True)
+
+    def error(message: str, i: int) -> ParseError:
+        return ParseError(message, len("".join(raw[:i]).encode("utf-8")))
+
     lines = []
-    offset = 0
-    for ln in text.splitlines(keepends=True):
+    for i, ln in enumerate(raw):
         stripped = ln.strip()
         if stripped:
-            lines.append((stripped, offset))
-        offset += len(ln.encode("utf-8"))
+            lines.append((stripped, i))
     if not lines:
         raise ParseError("empty edge list", 0)
-    header, hoff = lines[0]
+    header, hi = lines[0]
     parts = header.split()
     if len(parts) != 2:
-        raise ParseError("header must be 'n m'", hoff)
+        raise error("header must be 'n m'", hi)
     try:
         n, m = int(parts[0]), int(parts[1])
     except ValueError:
-        raise ParseError("header must contain two integers", hoff) from None
+        raise error("header must contain two integers", hi) from None
     if n < 1 or m < 0:
-        raise ParseError(f"invalid header n={n} m={m}", hoff)
+        raise error(f"invalid header n={n} m={m}", hi)
     if len(lines) - 1 != m:
-        raise ParseError(f"expected {m} edge lines, found {len(lines) - 1}", hoff)
+        raise error(f"expected {m} edge lines, found {len(lines) - 1}", hi)
     rows = [0] * n
-    for ln, off in lines[1:]:
+    for ln, i in lines[1:]:
         ps = ln.split()
         if len(ps) != 2:
-            raise ParseError("edge line must be 'u v'", off)
+            raise error("edge line must be 'u v'", i)
         try:
             u, v = int(ps[0]), int(ps[1])
         except ValueError:
-            raise ParseError("edge line must contain two integers", off) from None
+            raise error("edge line must contain two integers", i) from None
         if u == v:
-            raise ParseError(f"loop at vertex {u}", off)
+            raise error(f"loop at vertex {u}", i)
         if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(f"edge ({u},{v}) out of range", off)
+            raise error(f"edge ({u},{v}) out of range", i)
         if rows[u] >> v & 1:
-            raise ParseError(f"duplicate edge ({u},{v})", off)
+            raise error(f"duplicate edge ({u},{v})", i)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return Graph._from_rows(n, rows)

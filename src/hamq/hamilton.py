@@ -39,7 +39,7 @@ vacuously, a two-vertex graph is Hamilton-connected iff its edge exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import BadParameters, BudgetExceeded
 from .graph import Graph, _degree_masks, _reach_mask
@@ -48,17 +48,18 @@ DEFAULT_PAIR_BUDGET = 10**8
 MEMO_SIZE_GATE = 24
 
 
-@dataclass(frozen=True)
-class OracleAnswer:
+class OracleAnswer(NamedTuple):
     """Outcome of an exhaustive search: Yes/No with a witness, or Timeout.
 
     For a Yes, ``paths`` maps each vertex pair (u, v), u < v, in ascending
     order to a spanning path from u to v; for a No, ``failing_pair`` is the
-    smallest pair with no spanning path between its ends.
+    smallest pair with no spanning path between its ends.  ``paths`` has no
+    default, so no two answers can share one dict; a No or a Timeout passes
+    its own empty one.
     """
 
     verdict: str  # "yes" | "no" | "timeout"
-    paths: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)
+    paths: dict[tuple[int, int], tuple[int, ...]]
     failing_pair: tuple[int, int] | None = None
     nodes_expanded: int = 0
 
@@ -182,10 +183,12 @@ def is_hamilton_connected(
             try:
                 path, nodes = _pair_search(g, u, v, budget)
             except BudgetExceeded as exc:
-                return OracleAnswer(verdict="timeout", nodes_expanded=total + exc.budget)
+                return OracleAnswer(verdict="timeout", paths={},
+                                    nodes_expanded=total + exc.budget)
             total += nodes
             if path is None:
-                return OracleAnswer(verdict="no", failing_pair=(u, v), nodes_expanded=total)
+                return OracleAnswer(verdict="no", paths={}, failing_pair=(u, v),
+                                    nodes_expanded=total)
             paths[(u, v)] = path
             _rotate_fill(g._rows, path, paths)
     return OracleAnswer(verdict="yes", paths=dict(sorted(paths.items())),

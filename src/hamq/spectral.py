@@ -33,14 +33,14 @@ valid for every connected graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import BadParameters
 from .graph import Graph, is_connected, iter_bits
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     import numpy as np
 
 DEFAULT_TOL = 1e-10
@@ -50,8 +50,7 @@ _DENSE_CHECKS = 1e3
 _MAX_STRIDE = 8
 
 
-@dataclass(frozen=True)
-class SpectralEstimate:
+class SpectralEstimate(NamedTuple):
     """Approximate Perron pair with a certified enclosure of q(G).
 
     ``f`` is strictly positive with max entry 1; ``residual`` is
@@ -168,6 +167,8 @@ def rayleigh_quotient_exact(g: Graph, x: Sequence[int]) -> Fraction:
     Equals ``sum((x_u + x_v)^2 for uv in E) / sum(x_v^2)`` and is a certified
     lower bound on q(G).
     """
+    from fractions import Fraction
+
     if len(x) != g.n:
         raise BadParameters(f"vector length {len(x)} != n={g.n}")
     den = total = mask = 0
@@ -196,6 +197,8 @@ def rayleigh_quotient_exact(g: Graph, x: Sequence[int]) -> Fraction:
 
 def upper_bound_edge_count(g: Graph) -> Fraction:
     """Exact rational upper bound 2m/(n-1) + n - 2, valid for connected graphs."""
+    from fractions import Fraction
+
     if g.n < 2:
         raise BadParameters("bound needs n >= 2")
     if not is_connected(g):

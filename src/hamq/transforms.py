@@ -26,14 +26,13 @@ verification suites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BadParameters
 from .graph import Edge, Graph, _degree_masks, iter_bits
 
 
-@dataclass(frozen=True)
-class ClosureTrace:
+class ClosureTrace(NamedTuple):
     """Replayable record of a closure run: edges in the order added.
 
     At the moment each edge (u, v) was added, d(u) + d(v) >= k held in the

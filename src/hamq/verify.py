@@ -20,7 +20,6 @@ measure the call.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, repeat
 from math import comb
@@ -32,7 +31,7 @@ from .certifier import (
     OUTCOME_NOT_HC,
     certify,
 )
-from .corpus import connected_graphs
+from .corpus import CORPUS_SIZE_GATE, connected_graphs
 from .errors import BadParameters
 from .families import (
     FamilyHandle,
@@ -59,18 +58,29 @@ from .spectral import (
 from .transforms import closure, kelmans
 
 
-@dataclass
 class SuiteReport:
     """Outcome of one suite run; empty ``failures`` means success.  The
-    failures are sorted on construction, so the report is byte-stable."""
+    failures are sorted on construction, so the report is byte-stable.
+    Reports compare equal when their four fields do."""
 
-    suite: str
-    params: dict[str, Any]
-    cases: int
-    failures: list[dict[str, Any]] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        suite: str,
+        params: dict[str, Any],
+        cases: int,
+        failures: list[dict[str, Any]] | None = None,
+    ) -> None:
+        self.suite = suite
+        self.params = params
+        self.cases = cases
+        self.failures = [] if failures is None else failures
         self.failures.sort(key=lambda f: (f.get("graph6", ""), str(sorted(f.items()))))
+
+    def __eq__(self, other: object) -> bool:
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"SuiteReport({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     @property
     def ok(self) -> bool:
@@ -531,7 +541,7 @@ def _hunt_check(g: Graph) -> Failures:
 
 
 def run_hunt(
-    n: int = 8,
+    n: int | None = None,
     trials: int | str | None = None,
     seed: int = 42,
     model: str | None = None,
@@ -540,13 +550,17 @@ def run_hunt(
     never contradict the exact oracle.  A hit would be an implementation bug.
     ``trials="exhaustive"`` pairs with ``model="all-connected"`` and a count with
     any other model; one alone selects its partner, neither gives 10,000 trials
-    of ``gnp(0.5)``; a mismatch is an error, and the report records the pair."""
+    of ``gnp(0.5)``; a mismatch is an error.  ``n`` defaults to 7, the largest
+    order the exhaustive corpus holds, for ``all-connected`` and to 8 for any
+    other model.  The report records the resolved n, trials and model."""
     model = model or ("all-connected" if trials == "exhaustive" else "gnp(0.5)")
     sample = _parse_model(model)
     if trials is None:
         trials = "exhaustive" if sample is None else 10_000
     if not (trials == "exhaustive" if sample is None else isinstance(trials, int)):
         raise BadParameters(f"trials {trials!r} do not go with model {model!r}")
+    if n is None:
+        n = CORPUS_SIZE_GATE if sample is None else 8
     graphs = (connected_graphs(n) if sample is None
               else (sample(n, SplitMix64(s)) for s in _case_seeds(seed, trials)))
     return _report("hunt", {"n": n, "trials": trials, "seed": seed, "model": model},

@@ -329,6 +329,9 @@ def test_explain_structure_and_stability():
     a = json.dumps(explain(certify(cycle(6))), sort_keys=True)
     b = json.dumps(explain(certify(cycle(6))), sort_keys=True)
     assert a == b
+    # certificates compare by value
+    assert certify(cycle(6)) == certify(cycle(6)) != cert
+    assert repr(cert).startswith("Certificate(outcome='CertifiedHamiltonConnected', ")
 
 
 def test_certificate_json_roundtrip():

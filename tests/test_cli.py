@@ -144,6 +144,17 @@ def test_hunt_subcommand(capsys):
     assert report["cases"] == 853 and report["failures"] == []
 
 
+@pytest.mark.parametrize("flag", [["--trials", "exhaustive"], ["--model", "all-connected"]])
+def test_exhaustive_hunt_defaults_to_the_largest_corpus_order(capsys, flag):
+    # n = 7 is the largest order the exhaustive corpus holds; an explicit
+    # --n 8 still asks for a corpus that does not exist
+    code, out, _ = run_cli(capsys, ["hunt", *flag])
+    report = json.loads(out)
+    assert code == 0 and report["cases"] == 853 and report["params"]["n"] == 7
+    code, out, err = run_cli(capsys, ["hunt", "--n", "8", *flag])
+    assert (code, out) == (4, "") and "gated at n <= 7" in err
+
+
 def test_input_error_exit_code(capsys, monkeypatch):
     code, _, err = run_cli(capsys, ["certify", "-"], "not a graph at all\n", monkeypatch)
     assert code == 4 and "error" in err
@@ -268,12 +279,15 @@ def test_unreadable_input_is_an_input_error(tmp_path, capsys, command, kind):
     assert code == 4 and err.startswith("error: ") and out == ""
 
 
-def test_certify_runs_without_numpy(tmp_path):
+def test_certify_start_up_stays_lean(tmp_path):
     # numpy is imported only by perron_pair, which certify never calls: a
     # graph that Ore settles and one that reaches the spectral annotation are
     # both certified without loading it; the suites run in-process, so no
     # process-pool machinery is loaded either, and certify runs no suite, so
-    # hamq.verify is not loaded at all
+    # hamq.verify is not loaded at all.  The records are named tuples and
+    # plain classes, so dataclasses (and inspect, which it imports) never
+    # load; fractions loads only in the stages with exact rationals, which
+    # the Ore-settled K8 never reaches
     import os
     import subprocess
     import sys
@@ -288,7 +302,8 @@ def test_certify_runs_without_numpy(tmp_path):
     sparse.write_text(emit_graph6(gnp(92, 0.2, SplitMix64(7))))
     script = ("import sys\nfrom hamq.cli import main\nrc = main(sys.argv[1:])\n"
               "print(sorted(m for m in ('numpy', 'concurrent.futures', 'multiprocessing',"
-              " 'hamq.verify') if m in sys.modules))\nsys.exit(rc)")
+              " 'hamq.verify', 'dataclasses', 'inspect', 'fractions') if m in sys.modules))\n"
+              "sys.exit(rc)")
     env = dict(os.environ)
     src = str(Path(hamq.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
@@ -302,7 +317,8 @@ def test_certify_runs_without_numpy(tmp_path):
     assert "Ore" in res.stdout and res.stdout.splitlines()[-1] == "[]"
     res = run("certify", str(sparse))
     assert res.returncode == 2, res.stderr
-    assert "Spectral k=2: fail" in res.stdout and res.stdout.splitlines()[-1] == "[]"
+    assert "Spectral k=2: fail" in res.stdout
+    assert res.stdout.splitlines()[-1] == "['fractions']"
     res = run("spectrum", str(f))
     assert res.returncode == 0, res.stderr
     assert "q_hat    = 14.0" in res.stdout

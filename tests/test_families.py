@@ -23,8 +23,10 @@ from hamq.families import (
     thresholds,
 )
 from hamq.graph import Graph, complete, component_count, cycle, delete_edges
+from hamq.hamilton import is_hamilton_connected
 from hamq.rng import SplitMix64
-from hamq.spectral import rayleigh_quotient_exact
+from hamq.spectral import perron_pair, rayleigh_quotient_exact
+from hamq.transforms import closure
 
 from conftest import neighbors, relabel
 
@@ -82,6 +84,27 @@ def test_family_member():
         family_member(base, [(0, 8)])  # endpoint in X
     with pytest.raises(BadParameters):
         family_member(m, [(0, 4)])  # base must be pristine
+    # the base is left as built, and the member differs only in its edges
+    assert base == build_S(9, 3) and base.graph.m == m.graph.m + 1
+    assert m._replace(deleted=frozenset(), graph=base.graph) == base
+
+
+@pytest.mark.parametrize("make", [
+    lambda: thresholds(3),
+    lambda: build_S(9, 2),
+    lambda: next(hub_partitions(build_T(9, 2).graph, "T", 2)),
+    lambda: appendix_check(3, 300),
+    lambda: closure(cycle(6), 4)[1],
+    lambda: is_hamilton_connected(complete(4)),
+    lambda: perron_pair(complete(4)),
+], ids=["Thresholds", "FamilyHandle", "HostPartition", "AppendixReport", "ClosureTrace",
+        "OracleAnswer", "SpectralEstimate"])
+def test_records_are_frozen_and_compare_by_value(make):
+    a, b = make(), make()
+    assert a is not b and a == b and type(a) is type(b)
+    field = type(a)._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(b, field))
 
 
 def test_class_bounds():

@@ -322,6 +322,8 @@ def test_edgelist_error_messages_and_offsets():
         ("3 1\n-1 2\n", "edge (-1,2) out of range", 4),
         ("3 2\n0 1\n1 0\n", "duplicate edge (1,0)", 8),
         ("3 2\n\xa0\n0 1\n\r\n1 1\n", "loop at vertex 1", 13),
+        # int() reads Unicode digits; U+0661 (ARABIC-INDIC ONE) is two bytes
+        ("3 2\n0 \u0661\n\u0661 1\n", "loop at vertex 1", 9),
     ]
     for text, message, offset in cases:
         with pytest.raises(ParseError) as err:

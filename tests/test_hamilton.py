@@ -107,6 +107,16 @@ def test_oracle_matches_brute_force_on_corpus(small_connected):
                 assert_path_table(g, ans)
 
 
+def test_answers_never_share_a_paths_dict():
+    # paths has no shared default: every answer, whatever its verdict, owns
+    # its dict, so filling one leaves the others empty
+    for g, budget, verdict in [(cycle(5), 100, "no"), (complete(5), 0, "timeout")]:
+        a, b = is_hamilton_connected(g, budget), is_hamilton_connected(g, budget)
+        assert a.verdict == b.verdict == verdict and a.paths == b.paths == {}
+        a.paths[(0, 1)] = (0, 1)
+        assert b.paths == {} and is_hamilton_connected(g, budget).paths == {}
+
+
 def test_yes_answers_carry_every_pair_on_random_graphs():
     rng = SplitMix64(101)
     yes = 0

@@ -1,5 +1,7 @@
 """Suite registry, claim coverage, report determinism, reduced-scale runs."""
 
+import json
+
 import pytest
 
 from hamq.errors import BadParameters
@@ -8,6 +10,7 @@ from hamq.spectral import perron_pair
 from hamq.verify import (
     CLAIM_COVERAGE,
     SUITES,
+    SuiteReport,
     run_appendix,
     run_closure,
     run_corollary,
@@ -49,6 +52,14 @@ def test_reports_are_byte_stable():
     b = run_kelmans(count=20, seed=5).to_stable_json()
     assert a == b
     assert "elapsed" not in a
+    # the four fields are the JSON keys, failures are sorted on construction,
+    # and reports compare by value
+    report = SuiteReport("s", {"n": 1}, 2, [{"graph6": "B"}, {"graph6": "A"}])
+    assert report.failures == [{"graph6": "A"}, {"graph6": "B"}]
+    assert json.loads(report.to_stable_json()) == {
+        "suite": "s", "params": {"n": 1}, "cases": 2, "failures": report.failures}
+    assert report == SuiteReport("s", {"n": 1}, 2, [{"graph6": "A"}, {"graph6": "B"}])
+    assert report != SuiteReport("s", {"n": 1}, 2) and SuiteReport("s", {}, 0).failures == []
 
 
 def test_failures_are_replayable():
@@ -133,4 +144,5 @@ def test_hunt_defaults_to_10000_trials_of_gnp():
 
     assert run_hunt(n=3, model="gnm(0)").params["trials"] == 10_000
     defaults = {k: p.default for k, p in inspect.signature(run_hunt).parameters.items()}
-    assert defaults == {"n": 8, "trials": None, "seed": 42, "model": None}
+    assert defaults == {"n": None, "trials": None, "seed": 42, "model": None}
+    assert run_hunt(model="gnm(0)", trials=2).params["n"] == 8
