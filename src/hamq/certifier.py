@@ -60,7 +60,7 @@ internal error, never a verdict.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, NamedTuple
 
 from .errors import BadParameters
 from .families import class_size_ok, hub_partitions, thresholds
@@ -68,6 +68,8 @@ from .graph import Graph, component_count, cut_vertex, is_connected, min_degree
 from .hamilton import DEFAULT_PAIR_BUDGET, is_hamilton_connected, ore_check
 from .spectral import upper_bound_edge_count
 from .transforms import closure
+
+DEFAULT_ORACLE_GATE = 9
 
 OUTCOME_CERTIFIED = "CertifiedHamiltonConnected"
 OUTCOME_EXCEPTIONAL = "ExceptionalFamily"
@@ -88,29 +90,14 @@ EXIT_CODES = {
 }
 
 
-class Certificate:
-    """Auditable outcome; ``trace`` lists every condition attempted.
-    Certificates compare equal when their five fields do."""
+class Certificate(NamedTuple):
+    """Auditable outcome; ``trace`` lists every condition attempted."""
 
-    def __init__(
-        self,
-        outcome: str,
-        fired_condition: dict[str, Any] | None,
-        parameters: dict[str, Any],
-        witnesses: dict[str, Any],
-        trace: list[dict[str, Any]] | None = None,
-    ) -> None:
-        self.outcome = outcome
-        self.fired_condition = fired_condition
-        self.parameters = parameters
-        self.witnesses = witnesses
-        self.trace = [] if trace is None else trace
-
-    def __eq__(self, other: object) -> bool:
-        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
-
-    def __repr__(self) -> str:
-        return f"Certificate({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+    outcome: str
+    fired_condition: dict[str, Any] | None
+    parameters: dict[str, Any]
+    witnesses: dict[str, Any]
+    trace: list[dict[str, Any]]
 
     def exit_code(self) -> int:
         return EXIT_CODES[self.outcome]
@@ -132,7 +119,7 @@ def _hyp(name: str, required: int, actual: int) -> dict[str, Any]:
 
 
 def certify(
-    g: Graph, *, oracle_gate: int = 9, pair_budget: int = DEFAULT_PAIR_BUDGET
+    g: Graph, *, oracle_gate: int = DEFAULT_ORACLE_GATE, pair_budget: int = DEFAULT_PAIR_BUDGET
 ) -> Certificate:
     """Run the pipeline of the module docstring on ``g``.
 
@@ -253,17 +240,11 @@ def certify(
 
 
 def explain(cert: Certificate) -> dict[str, Any]:
-    """The certificate's five fields as one dict, for ``to_json`` and diffing.
+    """The five fields as one dict, ``cert._asdict()``, for ``to_json`` and diffing.
 
     The fields are the certificate's own objects, not copies: a caller that
     edits the report edits the certificate.  Witnesses keep their tuples
     (paths, X/Y/Z, closure additions); ``json.dumps`` writes a tuple as an
     array, so ``Certificate.to_json`` serializes the report as it is.
     """
-    return {
-        "outcome": cert.outcome,
-        "fired_condition": cert.fired_condition,
-        "parameters": cert.parameters,
-        "witnesses": cert.witnesses,
-        "trace": cert.trace,
-    }
+    return cert._asdict()

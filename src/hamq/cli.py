@@ -3,31 +3,20 @@
 Subcommands:
 
 * ``spectrum``: print the certified radius enclosure of one graph.
-* ``certify``: run the certification pipeline; exit code encodes the outcome
-  (0 certified/exact-yes, 1 exact-no/exceptional/not-connected,
-  2 inconclusive, 3 timeout, 4 input error).
-  An exceptional finding is confirmed by a separator count on the input
-  graph; ``--budget`` bounds only the exact oracle, which runs for
-  ``n <= --oracle-gate``.
+* ``certify``: run the certification pipeline; ``--budget`` bounds only the
+  exact oracle, which runs for ``n <= --oracle-gate``.
 * ``family``: emit family hosts or enumerated members as graph6 lines, with
   an optional JSON sidecar describing the partitions.
 * ``verify``: run one named verification suite and print its stable report.
 * ``hunt``: random/exhaustive certifier-vs-oracle consistency search.
 
-``verify`` and ``hunt`` run in-process and exit 0 on a clean report, 1 when
-it lists failures (a run of no case lists one), and 4 on malformed input (a
-bad model, trial count or integer list, a flag the run does not read, a
-sample-mode ``--count`` below 1, or a ``--count`` or ``--seed`` with an
-exhaustive ``--k``/``--n`` grid); the wall time goes to stderr.  ``hunt``
-hands its flags to ``hamq.verify.run_hunt``, which pairs ``--trials`` with
-``--model`` and picks the default ``--n``.  ``family`` also exits 4, before
-it emits a member and leaving both files as they were, on a flag its mode
-does not read and on an ``--out`` or ``--sidecar`` it cannot write or that
-names the other's file.
-Every subcommand exits 4, with one ``error:`` line, on a usage error (a
-missing argument, an unknown choice, a value of the wrong type), a negative
-count or budget, a ``--tol`` that is not positive, and on running out of
-memory (say, on an edge-list header of 10**12 vertices); ``--help`` exits 0.
+Exit codes: ``certify`` gives 0 certified/exact-yes, 1 exact-no/exceptional/
+not-connected, 2 inconclusive and 3 timeout.  ``verify`` and ``hunt`` run
+in-process, give 0 on a clean report and 1 when it lists failures (a run of
+no case lists one), and print the wall time to stderr.  Every subcommand
+exits 4, with one ``error:`` line, on malformed input or arguments and on
+running out of memory (README's CLI section lists the cases); ``--help``
+exits 0.
 
 Input graphs are read as bytes, from a file or from stdin with ``-``, and
 decoded once, so both report a bad byte at one offset.  The format is
@@ -54,12 +43,12 @@ from typing import Any, NoReturn, TextIO
 # where nothing else loads it now that hamq.verify is imported only by the
 # suite commands; this import goes once the tracer skips modules not loaded
 from . import corpus  # noqa: F401
-from .certifier import certify
+from .certifier import DEFAULT_ORACLE_GATE, certify
 from .errors import BadParameters, HamqError, ParseError
-from .families import build_S, build_T, enumerate_class
+from .families import CLASSES, build_S, build_T, enumerate_class
 from .graph import Graph, emit_graph6, parse_edgelist, parse_graph6
 from .hamilton import DEFAULT_PAIR_BUDGET
-from .spectral import perron_pair, upper_bound_edge_count
+from .spectral import DEFAULT_TOL, perron_pair, upper_bound_edge_count
 
 EXIT_INPUT_ERROR = 4
 
@@ -281,12 +270,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="certified radius enclosure of a graph")
     p.add_argument("input", help="graph file (graph6 or edge list), - for stdin")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("certify", help="run the certification pipeline")
     p.add_argument("input", help="graph file (graph6 or edge list), - for stdin")
-    p.add_argument("--oracle-gate", type=int, default=9,
+    p.add_argument("--oracle-gate", type=int, default=DEFAULT_ORACLE_GATE,
                    help="run the exact oracle only when n <= gate")
     p.add_argument("--budget", type=int, default=DEFAULT_PAIR_BUDGET,
                    help="node-expansion budget per path search of the exact "
@@ -298,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["S", "T"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--class", dest="clazz", choices=["S1", "T1", "S2", "T2"])
+    p.add_argument("--class", dest="clazz", choices=CLASSES)
     p.add_argument("--mode", choices=["exhaustive", "sample"], help="default exhaustive")
     p.add_argument("--seed", type=int, help="sample mode only, default 0")
     p.add_argument("--count", type=int, help="sample mode only")

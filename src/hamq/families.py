@@ -415,8 +415,9 @@ class AppendixReport(NamedTuple):
     """Exact rational evaluation of the class-2 bounding inequality.
 
     ``holds`` is ``a1 + a2 + a3 - a4 < bound`` computed in rationals;
-    ``margin`` is ``bound - (a1 + a2 + a3 - a4)``.  The branch on k mod 4
-    selects the deletion count and whether the primed term family (bound 2)
+    ``margin`` is ``bound - (a1 + a2 + a3 - a4)``.  ``deleted_count`` is the
+    class-2 deletion count ``class_bound("S2", k)`` = floor(k(k-1)/4) + 1;
+    the branch on k mod 4 selects whether the primed term family (bound 2)
     or the unprimed one (bound 4) applies.
     """
 
@@ -448,15 +449,6 @@ def appendix_check(k: int, n: int) -> AppendixReport:
     if n <= 2 * k:
         raise BadParameters(f"appendix check needs n > 2k, got n={n}, k={k}")
     branch = k % 4
-    s = k // 4
-    if branch == 0:
-        e1 = s * (4 * s - 1) + 1
-    elif branch == 1:
-        e1 = s * (4 * s + 1) + 1
-    elif branch == 2:
-        e1 = 4 * s * s + 3 * s + 1
-    else:
-        e1 = 4 * s * s + 5 * s + 2
     primed = branch in (2, 3)
     a1 = Fraction(2 * k**3 - 2 * k**2, 2 * n - 3 * k - 1)
     a2 = Fraction(k**4 - k**3, 4 * n**2 - (12 * k + 4) * n + 9 * k**2 + 6 * k + 1)
@@ -479,7 +471,7 @@ def appendix_check(k: int, n: int) -> AppendixReport:
         k=k,
         n=n,
         branch=branch,
-        deleted_count=e1,
+        deleted_count=class_bound("S2", k),
         primed=primed,
         a1=a1,
         a2=a2,

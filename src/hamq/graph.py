@@ -167,8 +167,6 @@ def cycle(n: int) -> Graph:
 
 def path_graph(n: int) -> Graph:
     """The path P_n."""
-    if n < 1:
-        raise BadParameters(f"graph order must be >= 1, got {n}")
     return Graph(n, [(v, v + 1) for v in range(n - 1)])
 
 

@@ -45,7 +45,7 @@ from .families import (
     refined_partition,
     thresholds,
 )
-from .graph import Graph, add_edges, emit_graph6, is_connected, min_degree
+from .graph import Graph, emit_graph6, is_connected, min_degree
 from .hamilton import is_hamilton_connected, ore_check
 from .rng import SplitMix64, gnm, gnp, random_connected_gnp
 from .spectral import (
@@ -177,18 +177,22 @@ def run_ore(trials: int = 10_000, seed: int = 1) -> SuiteReport:
 
 
 def _closure_with_order(g: Graph, k: int, order: list[tuple[int, int]]) -> Graph:
-    """Independent route: closure under an arbitrary fixed pair scan order."""
-    cur = g
+    """Independent route: closure under an arbitrary fixed pair scan order,
+    adding the first pair whose degree sum is >= k and restarting the scan."""
+    rows = [g.row(v) for v in range(g.n)]
+    deg = list(g.degrees())
     changed = True
     while changed:
         changed = False
-        deg = cur.degrees()
         for u, v in order:
-            if not cur.has_edge(u, v) and deg[u] + deg[v] >= k:
-                cur = add_edges(cur, [(u, v)])
+            if not rows[u] >> v & 1 and deg[u] + deg[v] >= k:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+                deg[u] += 1
+                deg[v] += 1
                 changed = True
                 break
-    return cur
+    return Graph._from_rows(g.n, rows)
 
 
 def _closure_equiv_check(g: Graph) -> Failures:

@@ -322,7 +322,9 @@ def test_explain_structure_and_stability():
     report = explain(cert)
     assert set(report) == {"outcome", "fired_condition", "parameters",
                            "witnesses", "trace"}
-    assert report["witnesses"] is cert.witnesses  # the certificate's own, not a copy
+    assert report == cert._asdict()
+    # the certificate's own objects, not copies
+    assert all(report[f] is getattr(cert, f) for f in cert._fields)
     ore_entry = next(t for t in report["trace"] if t["condition"] == "Ore")
     hyp = ore_entry["hypotheses"][0]
     assert set(hyp) == {"name", "required", "actual", "passed"}

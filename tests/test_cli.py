@@ -672,6 +672,34 @@ _PINNED_RUNS = [
 ]
 
 
+# sha256 of the concatenated stdout of `hamq --help` and of every
+# subcommand's --help, at COLUMNS=80 under Python 3.11: the flags, their
+# choices and the help texts, as the parser prints them
+HELP_DIGEST = "f6618d07fe5c5378b29f14c9b3f4e5ba1c574d3a067b107d1f031de5c96ac1a4"
+
+
+def test_help_bytes_are_pinned(monkeypatch):
+    import hashlib
+
+    monkeypatch.setenv("COLUMNS", "80")
+    digest = hashlib.sha256()
+    for sub in ([], ["spectrum"], ["certify"], ["family"], ["verify"], ["hunt"]):
+        res = _hamq_child(*sub, "--help")
+        assert (res.returncode, res.stderr) == (0, b"")
+        digest.update(res.stdout)
+    assert digest.hexdigest() == HELP_DIGEST
+
+
+def test_option_defaults_are_pinned():
+    # --help does not print defaults, so they are pinned here
+    from hamq.cli import build_parser
+
+    parser = build_parser()
+    assert parser.parse_args(["spectrum", "-"]).tol == 1e-10
+    args = parser.parse_args(["certify", "-"])
+    assert (args.oracle_gate, args.budget) == (9, 10**8)
+
+
 @pytest.mark.parametrize("argv, code, digest", _PINNED_RUNS,
                          ids=[" ".join(argv) for argv, _, _ in _PINNED_RUNS])
 def test_suite_and_hunt_runs_are_pinned(capsys, argv, code, digest):

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from hamq.certifier import certify
 from hamq.errors import BadParameters, BudgetExceeded
 from hamq.families import (
     CLASSES,
@@ -97,8 +98,9 @@ def test_family_member():
     lambda: closure(cycle(6), 4)[1],
     lambda: is_hamilton_connected(complete(4)),
     lambda: perron_pair(complete(4)),
+    lambda: certify(cycle(6)),
 ], ids=["Thresholds", "FamilyHandle", "HostPartition", "AppendixReport", "ClosureTrace",
-        "OracleAnswer", "SpectralEstimate"])
+        "OracleAnswer", "SpectralEstimate", "Certificate"])
 def test_records_are_frozen_and_compare_by_value(make):
     a, b = make(), make()
     assert a is not b and a == b and type(a) is type(b)
@@ -294,10 +296,14 @@ def test_appendix_examples():
 
 
 def test_appendix_branch_deletion_formula():
-    # the per-branch closed forms agree with floor(k(k-1)/4) + 1
-    for k in range(2, 20):
+    # the branch table on k mod 4: the class-2 deletion count
+    # floor(k(k-1)/4) + 1, and the primed term family (bound 2) for k = 2, 3 mod 4
+    for k in range(2, 61):
         r = appendix_check(k, thresholds(k).n_min)
+        assert r.branch == k % 4
         assert r.deleted_count == k * (k - 1) // 4 + 1
+        assert r.primed == (k % 4 in (2, 3))
+        assert r.bound == (2 if r.primed else 4)
 
 
 def test_appendix_below_threshold_flag():

@@ -8,6 +8,7 @@ from hamq.graph import Graph, add_edges, complete, cycle, delete_edges, is_conne
 from hamq.rng import SplitMix64, gnp, random_connected_gnp
 from hamq.spectral import perron_pair
 from hamq.transforms import closure, kelmans
+from hamq.verify import _closure_with_order
 
 
 def test_closure_examples():
@@ -52,7 +53,7 @@ def test_closure_fixpoint_and_idempotence():
 
 
 def test_closure_order_independence():
-    # independent route: naive closure under shuffled scan orders
+    # independent route: closure under shuffled scan orders
     rng = SplitMix64(61)
     for _ in range(60):
         n = 4 + rng.next_below(9)  # 4..12
@@ -62,40 +63,7 @@ def test_closure_order_independence():
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         for _ in range(10):
             order = [pairs[i] for i in rng.permutation(len(pairs))]
-            cur = g
-            changed = True
-            while changed:
-                changed = False
-                deg = cur.degrees()
-                for u, v in order:
-                    if not cur.has_edge(u, v) and deg[u] + deg[v] >= k:
-                        cur = add_edges(cur, [(u, v)])
-                        changed = True
-                        break
-            assert cur == ref
-
-
-def _restart_scan_closure(g, k):
-    """Independent route: scan pairs lexicographically, add the first pair
-    whose degree sum is >= k, and restart from (0, 1)."""
-    n = g.n
-    rows = [g.row(v) for v in range(n)]
-    deg = list(g.degrees())
-    changed = True
-    while changed:
-        changed = False
-        for u in range(n):
-            for v in range(u + 1, n):
-                if not rows[u] >> v & 1 and deg[u] + deg[v] >= k:
-                    rows[u] |= 1 << v
-                    rows[v] |= 1 << u
-                    deg[u] += 1
-                    deg[v] += 1
-                    changed = True
-                    break
-            if changed:
-                break
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rows[u] >> v & 1])
+            assert _closure_with_order(g, k, order) == ref
 
 
 def _larger_closure_inputs():
@@ -116,7 +84,9 @@ def test_closure_matches_restart_scan_at_larger_orders():
     for g in _larger_closure_inputs():
         k = g.n + 1
         cl, tr = closure(g, k)
-        assert cl == _restart_scan_closure(g, k)
+        # independent route: scan pairs lexicographically, restarting after each addition
+        pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+        assert cl == _closure_with_order(g, k, pairs)
         replay = g
         for u, v in tr.added:
             # the degree-sum condition held at the moment of addition
