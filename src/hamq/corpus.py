@@ -32,10 +32,6 @@ from .graph import Graph, is_connected, iter_bits
 CANON_SIZE_GATE = 8
 CORPUS_SIZE_GATE = 7  # the largest order the exhaustive corpora hold
 
-# published counts used as generator validation anchors
-ALL_GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
-CONNECTED_GRAPH_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
-
 
 def canonical_key(g: Graph) -> int:
     """Isomorphism-invariant key: the minimum column-by-column edge bit string

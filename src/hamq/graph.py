@@ -214,20 +214,6 @@ def delete_edges(g: Graph, edges: Iterable[Sequence[int]]) -> Graph:
     return Graph._from_rows(g.n, rows)
 
 
-def add_edges(g: Graph, edges: Iterable[Sequence[int]]) -> Graph:
-    """Add the given edges; raises BadParameters if a pair is already present."""
-    rows = list(g._rows)
-    for pair in edge_set(edges):
-        u, v = pair
-        if not (0 <= u and v < g.n):
-            raise BadParameters(f"({u},{v}) out of range for n={g.n}")
-        if rows[u] >> v & 1:
-            raise BadParameters(f"({u},{v}) is already an edge")
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return Graph._from_rows(g.n, rows)
-
-
 # -- structural queries -----------------------------------------------------
 
 

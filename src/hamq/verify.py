@@ -8,11 +8,11 @@ exception: ``closure``'s order trials draw in turn from one shared stream,
 ``SplitMix64(seed ^ 0xC10)``, so each trial depends on the ones before it.
 A suite is its params, a stream of cases and a per-case check that returns
 the case's failures; ``_report`` is the one case loop that walks the
-stream, counts the cases, gathers the failures and builds the
+stream, counts the cases, gathers and sorts the failures, and builds every
 ``SuiteReport``.  The class-member suites draw their cases from
 ``_members``.  Failures carry the graph6 string of the offending graph and
 the violated inequality with its numbers (``_fail``), so every failure is
-replayable.  Reports carry no timing and keep their failures sorted, so
+replayable.  Reports carry no timing and their failures are sorted, so
 they are byte-stable for fixed (params, seed); callers that want wall time
 measure the call.
 """
@@ -23,7 +23,7 @@ import json
 from fractions import Fraction
 from itertools import chain, repeat
 from math import comb
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .certifier import (
     OUTCOME_CERTIFIED,
@@ -58,36 +58,22 @@ from .spectral import (
 from .transforms import closure, kelmans
 
 
-class SuiteReport:
-    """Outcome of one suite run; empty ``failures`` means success.  The
-    failures are sorted on construction, so the report is byte-stable.
-    Reports compare equal when their four fields do."""
+class SuiteReport(NamedTuple):
+    """Outcome of one suite run; empty ``failures`` means success.  Only
+    ``_report`` builds one, with the failures sorted, so the report is
+    byte-stable."""
 
-    def __init__(
-        self,
-        suite: str,
-        params: dict[str, Any],
-        cases: int,
-        failures: list[dict[str, Any]] | None = None,
-    ) -> None:
-        self.suite = suite
-        self.params = params
-        self.cases = cases
-        self.failures = [] if failures is None else failures
-        self.failures.sort(key=lambda f: (f.get("graph6", ""), str(sorted(f.items()))))
-
-    def __eq__(self, other: object) -> bool:
-        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
-
-    def __repr__(self) -> str:
-        return f"SuiteReport({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+    suite: str
+    params: dict[str, Any]
+    cases: int
+    failures: list[dict[str, Any]]
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
     def to_stable_json(self) -> str:
-        return json.dumps(vars(self), sort_keys=True)
+        return json.dumps(self._asdict(), sort_keys=True)
 
 
 def _case_seeds(seed: int, count: int) -> list[int]:
@@ -114,8 +100,9 @@ def _report(
 ) -> SuiteReport:
     """The case loop of every suite: walk each ``(cases, check)`` part in
     order, count every case and gather the failures its check returns, then
-    add the suite-level failures ``finish`` returns once the walk is done.
-    A run that walked no case checked nothing, so it fails."""
+    add the suite-level failures ``finish`` returns once the walk is done,
+    and sort them all.  A run that walked no case checked nothing, so it
+    fails."""
     count = 0
     failures: Failures = []
     for cases, check in parts:
@@ -126,6 +113,7 @@ def _report(
         failures.extend(finish())
     if count == 0:
         failures.append(_fail(None, "no case ran"))
+    failures.sort(key=lambda f: (f.get("graph6", ""), str(sorted(f.items()))))
     return SuiteReport(suite, params, count, failures)
 
 
@@ -420,7 +408,9 @@ def run_qupper(
 ) -> SuiteReport:
     """Class-2 members: certified interval strictly below the threshold but
     above threshold-1, eigenvector bounds per member, orderings and spread on
-    the radius-maximizing member of each (case, class).
+    the radius-maximizing member of each (case, class) of an exhaustive case.
+    A sample need not hold the maximizer, so its best member gets only the
+    member checks.
 
     The strict upper bound only holds once n clears the order threshold
     (quartic in k); running a case below it reports honest failures.
@@ -429,12 +419,13 @@ def run_qupper(
         cases = [(2, thresholds(2).n_min, "exhaustive", 0),
                  (3, thresholds(3).n_min, "sample", 200)]
     cases = list(cases)
+    exhaustive = {i for i, case in enumerate(cases) if case[2] == "exhaustive"}
     best: dict[tuple[int, str], tuple[FamilyHandle, SpectralEstimate]] = {}
 
     def check(item: Member) -> Failures:
         group, member = item
         est = perron_pair(member.graph)
-        if group not in best or est.q_hat > best[group][1].q_hat:
+        if group[0] in exhaustive and (group not in best or est.q_hat > best[group][1].q_hat):
             best[group] = (member, est)
         where = f"{group[1]}(n={member.n},k={member.k})"
         return [_fail(member.graph, f"{where}: {msg}")

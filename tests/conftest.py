@@ -5,14 +5,14 @@ machinery: paths are found by permutation enumeration and checked edge by
 edge, degree sums pair by pair, eigen-equation residuals by a plain
 neighbor sum, the Perron enclosure by a power iteration that checks every
 iterate, and graph6 bodies one bit per step, so they can arbitrate
-disagreements.  ``neighbors``, ``relabel`` and ``emit_edgelist`` are
-plain helpers that only the tests need.
+disagreements.  ``neighbors``, ``relabel``, ``add_edges`` and
+``emit_edgelist`` are plain helpers that only the tests need.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import pytest
 
@@ -28,6 +28,11 @@ def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     """Apply a vertex permutation: vertex v of g becomes perm[v]."""
     assert sorted(perm) == list(range(g.n)), "perm is not a permutation of the vertex set"
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def add_edges(g: Graph, edges: Iterable[Sequence[int]]) -> Graph:
+    """g plus the given edges; ``Graph`` rejects a pair that is already an edge."""
+    return Graph(g.n, [*g.edges(), *edges])
 
 
 def emit_edgelist(g: Graph) -> str:

@@ -30,7 +30,6 @@ from hamq.families import (
 )
 from hamq.graph import (
     Graph,
-    add_edges,
     complete,
     cut_vertex,
     cycle,
@@ -45,7 +44,7 @@ from hamq.hamilton import is_hamilton_connected, ore_check
 from hamq.rng import SplitMix64, gnm, gnp, pair_unrank
 from hamq.spectral import perron_pair
 
-from conftest import relabel, validate_path
+from conftest import add_edges, relabel, validate_path
 
 
 def test_certify_complete_graph_fires_ore():

@@ -28,6 +28,7 @@ from hamq.hamilton import is_hamilton_connected
 from hamq.rng import SplitMix64
 from hamq.spectral import perron_pair, rayleigh_quotient_exact
 from hamq.transforms import closure
+from hamq.verify import run_appendix
 
 from conftest import neighbors, relabel
 
@@ -99,8 +100,9 @@ def test_family_member():
     lambda: is_hamilton_connected(complete(4)),
     lambda: perron_pair(complete(4)),
     lambda: certify(cycle(6)),
+    lambda: run_appendix(k_values=[2]),
 ], ids=["Thresholds", "FamilyHandle", "HostPartition", "AppendixReport", "ClosureTrace",
-        "OracleAnswer", "SpectralEstimate", "Certificate"])
+        "OracleAnswer", "SpectralEstimate", "Certificate", "SuiteReport"])
 def test_records_are_frozen_and_compare_by_value(make):
     a, b = make(), make()
     assert a is not b and a == b and type(a) is type(b)

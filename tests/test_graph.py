@@ -6,7 +6,6 @@ from hamq.errors import BadParameters, ParseError
 from hamq.graph import (
     Graph,
     _reach_mask,
-    add_edges,
     complete,
     component_count,
     copies,
@@ -26,7 +25,7 @@ from hamq.graph import (
 from hamq.families import build_S, build_T
 from hamq.rng import SplitMix64, gnp
 
-from conftest import bitwise_emit_graph6, bitwise_parse_graph6, emit_edgelist, relabel
+from conftest import add_edges, bitwise_emit_graph6, bitwise_parse_graph6, emit_edgelist, relabel
 
 
 def test_complete_small():

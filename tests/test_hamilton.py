@@ -9,7 +9,6 @@ from hamq.errors import BadParameters, BudgetExceeded
 from hamq.families import CLASSES, build_S, build_T, enumerate_class
 from hamq.graph import (
     Graph,
-    add_edges,
     complete,
     cycle,
     delete_edges,
@@ -27,7 +26,7 @@ from hamq.hamilton import (
 from hamq.rng import SplitMix64, gnp
 from hamq.transforms import closure
 
-from conftest import brute_failing_pair, brute_hamilton_path, brute_ore, validate_path
+from conftest import add_edges, brute_failing_pair, brute_hamilton_path, brute_ore, validate_path
 
 
 def s62():

@@ -4,11 +4,13 @@ import pytest
 
 from hamq.errors import BadParameters
 from hamq.families import build_S, build_T
-from hamq.graph import Graph, add_edges, complete, cycle, delete_edges, is_connected, path_graph
+from hamq.graph import Graph, complete, cycle, delete_edges, is_connected, path_graph
 from hamq.rng import SplitMix64, gnp, random_connected_gnp
 from hamq.spectral import perron_pair
 from hamq.transforms import closure, kelmans
 from hamq.verify import _closure_with_order
+
+from conftest import add_edges
 
 
 def test_closure_examples():

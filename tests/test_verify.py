@@ -10,7 +10,7 @@ from hamq.spectral import perron_pair
 from hamq.verify import (
     CLAIM_COVERAGE,
     SUITES,
-    SuiteReport,
+    _report,
     run_appendix,
     run_closure,
     run_corollary,
@@ -52,14 +52,14 @@ def test_reports_are_byte_stable():
     b = run_kelmans(count=20, seed=5).to_stable_json()
     assert a == b
     assert "elapsed" not in a
-    # the four fields are the JSON keys, failures are sorted on construction,
-    # and reports compare by value
-    report = SuiteReport("s", {"n": 1}, 2, [{"graph6": "B"}, {"graph6": "A"}])
-    assert report.failures == [{"graph6": "A"}, {"graph6": "B"}]
+    # _report sorts the failures its checks and finish return, whatever
+    # their order, and the four fields are the JSON keys
+    a_fail, b_fail, c_fail = {"graph6": "A"}, {"graph6": "B"}, {"graph6": "C"}
+    report = _report("s", {"n": 1}, ([1, 2], lambda case: [c_fail] if case == 1 else [a_fail]),
+                     finish=lambda: [b_fail])
+    assert report.failures == [a_fail, b_fail, c_fail]
     assert json.loads(report.to_stable_json()) == {
         "suite": "s", "params": {"n": 1}, "cases": 2, "failures": report.failures}
-    assert report == SuiteReport("s", {"n": 1}, 2, [{"graph6": "A"}, {"graph6": "B"}])
-    assert report != SuiteReport("s", {"n": 1}, 2) and SuiteReport("s", {}, 0).failures == []
 
 
 def test_failures_are_replayable():
@@ -72,6 +72,14 @@ def test_failures_are_replayable():
     for failure in report.failures:
         g = parse_graph6(failure["graph6"])
         assert g.n == n and perron_pair(g).hi >= 2 * n - 2 * k
+
+
+def test_qupper_runs_maximizer_checks_only_on_exhaustive_cases():
+    # a one-member sample's best member is not the class maximizer: here
+    # hub 0 lost an edge, so Y2 = {0} and the maximizer's ordering Z1 above
+    # Z2 u Y2 fails on it, though no member check does
+    report = run_qupper(cases=[(3, 270, "sample", 1)], seed=48)
+    assert report.ok and report.cases == 2, report.failures
 
 
 def test_reduced_scale_suites_pass():
