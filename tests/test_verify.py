@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import hamq.verify
 from hamq.errors import BadParameters
 from hamq.graph import parse_graph6
 from hamq.spectral import perron_pair
@@ -74,12 +75,20 @@ def test_failures_are_replayable():
         assert g.n == n and perron_pair(g).hi >= 2 * n - 2 * k
 
 
-def test_qupper_runs_maximizer_checks_only_on_exhaustive_cases():
+def test_qupper_runs_maximizer_checks_only_on_exhaustive_cases(monkeypatch):
     # a one-member sample's best member is not the class maximizer: here
     # hub 0 lost an edge, so Y2 = {0} and the maximizer's ordering Z1 above
     # Z2 u Y2 fails on it, though no member check does
     report = run_qupper(cases=[(3, 270, "sample", 1)], seed=48)
     assert report.ok and report.cases == 2, report.failures
+
+    # an exhaustive case still sends one maximizer per class to the checks,
+    # and a sample case beside it sends none
+    seen = []
+    monkeypatch.setattr(hamq.verify, "_qupper_maximizer_checks",
+                        lambda member, est: seen.append(member) or [])
+    run_qupper(cases=[(2, 5, "exhaustive", 0), (3, 270, "sample", 1)], seed=48)
+    assert sorted((m.kind, m.n, m.k) for m in seen) == [("S", 5, 2), ("T", 5, 2)]
 
 
 def test_reduced_scale_suites_pass():
