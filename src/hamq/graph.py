@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import binascii
 import re
-from itertools import zip_longest
+from itertools import compress, repeat, zip_longest
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BadParameters, ParseError
@@ -48,6 +48,16 @@ def iter_bits(mask: int) -> Iterator[int]:
         b = mask & -mask
         yield b.bit_length() - 1
         mask ^= b
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bit_selector(mask: int) -> bytes:
+    """Byte i is bit i of ``mask`` (0 or 1), up to its highest set bit: a
+    selector for ``itertools.compress`` that picks the set positions at C
+    speed."""
+    return format(mask, "b")[::-1].encode().translate(_BIT_BYTES)
 
 
 def normalize_edge(u: int, v: int) -> Edge:
@@ -77,7 +87,10 @@ class Graph:
         rows = [0] * n
         m = 0
         for u, v in edges:
-            u, v = normalize_edge(u, v)
+            if u == v:  # normalize_edge, inlined
+                raise BadParameters(f"loop at vertex {u} is not a simple edge")
+            if u > v:
+                u, v = v, u
             if not (0 <= u and v < n):
                 raise BadParameters(f"edge ({u},{v}) out of range for n={n}")
             if rows[u] >> v & 1:
@@ -87,7 +100,7 @@ class Graph:
             m += 1
         self.n = n
         self._rows = tuple(rows)
-        self._deg = tuple(r.bit_count() for r in rows)
+        self._deg = tuple(map(int.bit_count, rows))
         self._m = m
 
     @classmethod
@@ -96,7 +109,7 @@ class Graph:
         g = object.__new__(cls)
         g.n = n
         g._rows = tuple(rows)
-        g._deg = tuple(r.bit_count() for r in rows)
+        g._deg = tuple(map(int.bit_count, rows))
         g._m = sum(g._deg) // 2
         return g
 
@@ -122,15 +135,11 @@ class Graph:
 
     def edges(self) -> list[Edge]:
         """All edges as ``(u, v)`` with ``u < v``, lexicographically."""
-        out = []
-        for u in range(self.n):
-            r = self._rows[u] >> (u + 1)
-            v = u + 1
-            while r:
-                if r & 1:
-                    out.append((u, v))
-                r >>= 1
-                v += 1
+        n = self.n
+        out: list[Edge] = []
+        for u, row in enumerate(self._rows):
+            upper = compress(range(u + 1, n), _bit_selector(row >> (u + 1)))
+            out += zip(repeat(u), upper)
         return out
 
     def __eq__(self, other: object) -> bool:

@@ -144,13 +144,15 @@ def _rotate_fill(
     while pending:
         p = pending.pop()
         last = len(p) - 1
-        for q in (p, p[::-1]):  # rotate at the far end, keeping q[0] fixed
-            pos = {w: i for i, w in enumerate(q)}
+        pos = dict(zip(p, range(len(p))))  # index in p; in p[::-1] it is last - index
+        for q, rev in ((p, False), (p[::-1], True)):  # rotate at the far end, keeping q[0] fixed
             m = rows[q[last]] & ~(1 << q[last - 1])
             while m:
                 b = m & -m
                 m ^= b
                 i = pos[b.bit_length() - 1]
+                if rev:
+                    i = last - i
                 x, y = q[0], q[i + 1]
                 key = (x, y) if x < y else (y, x)
                 if key not in paths:

@@ -33,10 +33,11 @@ valid for every connected graph.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import BadParameters
-from .graph import Graph, is_connected, iter_bits
+from .graph import Graph, _bit_selector, is_connected, iter_bits
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -165,7 +166,11 @@ def rayleigh_quotient_exact(g: Graph, x: Sequence[int]) -> Fraction:
     """Exact rational Rayleigh quotient for an integer vector.
 
     Equals ``sum((x_u + x_v)^2 for uv in E) / sum(x_v^2)`` and is a certified
-    lower bound on q(G).
+    lower bound on q(G).  The numerator is summed as
+    ``sum(x_v * (d(v) x_v + sum(x_u for u ~ v)))`` over the support v of x,
+    each inner sum by ``itertools.compress`` under a byte selector of v's row
+    (``graph._bit_selector``).  A 0/1 vector with support S takes the
+    popcount route instead: ``sum(d(v) + |N(v) & S| for v in S)``.
     """
     from fractions import Fraction
 
@@ -181,17 +186,15 @@ def rayleigh_quotient_exact(g: Graph, x: Sequence[int]) -> Fraction:
             mask |= 1 << v
     if den == 0:
         raise BadParameters("zero vector has no Rayleigh quotient")
+    support = _bit_selector(mask)
     if den == total:  # t * t >= t, equal only at 0 and 1: popcount over the support
-        num = sum(
-            g.degree(v) + (g.row(v) & mask).bit_count() for v in iter_bits(mask)
+        num = sum(compress(g._deg, support)) + sum(
+            map(int.bit_count, map(mask.__and__, compress(g._rows, support)))
         )
     else:
         num = 0
-        for v in range(g.n):
-            s = 0
-            for u in iter_bits(g.row(v)):
-                s += x[u]
-            num += x[v] * (g.degree(v) * x[v] + s)
+        for t, d, row in compress(zip(x, g._deg, g._rows), support):
+            num += t * (d * t + sum(compress(x, _bit_selector(row))))
     return Fraction(num, den)
 
 

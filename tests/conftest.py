@@ -7,6 +7,8 @@ neighbor sum, the Perron enclosure by a power iteration that checks every
 iterate, and graph6 bodies one bit per step, so they can arbitrate
 disagreements.  ``neighbors``, ``relabel``, ``add_edges`` and
 ``emit_edgelist`` are plain helpers that only the tests need.
+``pairwise_gnp`` is the contract of ``hamq.rng.gnp`` written as its per-pair
+loop, one ``next_float`` per pair, and arbitrates the vectorized pass.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Iterable, Sequence
 import pytest
 
 from hamq.graph import Graph
+from hamq.rng import SplitMix64
 
 
 def neighbors(g: Graph, v: int) -> list[int]:
@@ -39,6 +42,17 @@ def emit_edgelist(g: Graph) -> str:
     """The edge-list text of g: ``n m``, then one ``u v`` line per edge."""
     lines = [f"{g.n} {g.m}"] + [f"{u} {v}" for u, v in g.edges()]
     return "\n".join(lines) + "\n"
+
+
+def pairwise_gnp(n: int, p: float, rng: SplitMix64) -> Graph:
+    """G(n, p) one draw per pair: (u, v), u < v, lexicographically, is an
+    edge iff ``rng.next_float() < p``."""
+    edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.next_float() < p:
+                edges.append((u, v))
+    return Graph(n, edges)
 
 
 def brute_hamilton_path(g: Graph, u: int, v: int) -> tuple[int, ...] | None:

@@ -353,6 +353,33 @@ def test_constructor_rejects_bad_input():
         Graph(3, [(0, 5)])
 
 
+def test_constructor_messages_keep_their_order_of_checks():
+    # a loop is reported before its range, a reversed pair in its normal form
+    cases = [
+        ([(5, 5)], "loop at vertex 5 is not a simple edge"),
+        ([(-1, -1)], "loop at vertex -1 is not a simple edge"),
+        ([(4, 1)], "edge (1,4) out of range for n=3"),
+        ([(2, -1)], "edge (-1,2) out of range for n=3"),
+        ([(0, 1), (1, 0)], "duplicate edge (0,1)"),
+    ]
+    for edges, message in cases:
+        with pytest.raises(BadParameters) as err:
+            Graph(3, edges)
+        assert str(err.value) == message
+
+
+def test_edges_lists_the_upper_rows_in_lexicographic_order():
+    rng = SplitMix64(29)
+    for _ in range(40):
+        n = 1 + rng.next_below(70)
+        g = gnp(n, rng.next_float(), rng)
+        want = [(u, v) for u in range(n) for v in range(u + 1, n) if g.has_edge(u, v)]
+        assert g.edges() == want
+        assert Graph(n, [(v, u) for u, v in reversed(want)]) == g
+    assert complete(1).edges() == [] and Graph(5).edges() == []
+    assert complete(9).edges() == [(u, v) for u in range(9) for v in range(u + 1, 9)]
+
+
 def test_graph_values_are_hashable_and_immutable():
     a, b = cycle(4), cycle(4)
     assert a == b and hash(a) == hash(b) and a is not b

@@ -8,6 +8,8 @@ from hamq.errors import BadParameters
 from hamq.graph import is_connected
 from hamq.rng import SplitMix64, gnm, gnp, pair_unrank, random_connected_gnp
 
+from conftest import pairwise_gnp
+
 
 def test_reference_stream():
     # first outputs of the standard splitmix64 stream from seed 0
@@ -56,6 +58,29 @@ def test_gnp_determinism_and_extremes():
     assert g1 == g2
     assert gnp(8, 0.0, SplitMix64(1)).m == 0
     assert gnp(8, 1.0, SplitMix64(1)).m == comb(8, 2)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_gnp_rejects_an_order_below_one_before_drawing(n):
+    rng = SplitMix64(5)
+    with pytest.raises(BadParameters, match=rf"^graph order must be >= 1, got {n}$"):
+        gnp(n, 0.5, rng)
+    assert rng.state == SplitMix64(5).state
+
+
+def test_gnp_matches_the_per_pair_contract():
+    # n = 1..70 crosses the byte edges of the packed rows; 2**-53 and
+    # 1 - 2**-53 are the smallest nonzero and the largest draw, and a p equal
+    # to a draw must leave that pair out (the comparison is a strict <)
+    probabilities = [0.0, 1.0, 0.5, 1 / 3, float("nan"), -1.0, 2.0, 2.0**-53, 1 - 2.0**-53]
+    for n in range(1, 71):
+        seed = 1_000 + n
+        ahead = SplitMix64(seed)
+        draws = [ahead.next_float() for _ in range(comb(n, 2))]
+        for p in probabilities + draws[len(draws) // 2 : len(draws) // 2 + 1]:
+            fast, slow = SplitMix64(seed), SplitMix64(seed)
+            assert gnp(n, p, fast) == pairwise_gnp(n, p, slow), (n, p)
+            assert fast.state == slow.state == ahead.state, (n, p)
 
 
 def test_gnm_edge_counts():

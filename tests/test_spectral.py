@@ -186,6 +186,24 @@ def test_rayleigh_exact_matches_the_edge_sum_on_signed_vectors():
         assert rayleigh_quotient_exact(g, x) == want
 
 
+def test_rayleigh_exact_matches_the_edge_sum_on_both_branches():
+    # 0/1 vectors take the popcount route; entries beyond 2**64 and of
+    # either sign take the generic one; both must equal the plain edge sum
+    rng = SplitMix64(47)
+    for _ in range(60):
+        n = 1 + rng.next_below(40)
+        g = gnp(n, rng.next_float(), rng)
+        indicator = [rng.next_below(2) for _ in range(n)]
+        generic = [(rng.next_u64() << 7) * (rng.next_below(3) - 1) for _ in range(n)]
+        for x in (indicator, generic):
+            if not any(x):
+                continue
+            want = Fraction(sum((x[u] + x[v]) ** 2 for u, v in g.edges()),
+                            sum(t * t for t in x))
+            assert rayleigh_quotient_exact(g, x) == want
+            assert rayleigh_quotient_exact(g, tuple(x)) == want
+
+
 def test_rayleigh_is_lower_bound():
     rng = SplitMix64(41)
     for _ in range(25):
