@@ -5,10 +5,13 @@ Subcommands:
 * ``spectrum``: print the certified radius enclosure of one graph.
 * ``certify``: run the certification pipeline; ``--budget`` bounds only the
   exact oracle, which runs for ``n <= --oracle-gate``.
-* ``family``: emit family hosts or enumerated members as graph6 lines, with
-  an optional JSON sidecar describing the partitions.
-* ``verify``: run one named verification suite and print its stable report.
-* ``hunt``: random/exhaustive certifier-vs-oracle consistency search.
+* ``family``: emit a family host, or all members of its class 1 or 2 (a
+  sample with ``--count``), as graph6 lines, with an optional JSON sidecar
+  describing the partitions.
+* ``verify``: run one named verification suite and print its stable report;
+  ``--count`` is the one case-count flag, and samples a ``--k``/``--n`` grid.
+* ``hunt``: certifier-vs-oracle consistency search, sampled, or exhaustive
+  with ``--model all-connected``.
 
 Exit codes: ``certify`` gives 0 certified/exact-yes, 1 exact-no/exceptional/
 not-connected, 2 inconclusive and 3 timeout.  ``verify`` and ``hunt`` run
@@ -45,7 +48,7 @@ from typing import Any, NoReturn, TextIO
 from . import corpus  # noqa: F401
 from .certifier import DEFAULT_ORACLE_GATE, certify
 from .errors import BadParameters, HamqError, ParseError
-from .families import CLASSES, build_S, build_T, enumerate_class
+from .families import build_S, build_T, enumerate_class
 from .graph import Graph, emit_graph6, parse_edgelist, parse_graph6
 from .hamilton import DEFAULT_PAIR_BUDGET
 from .spectral import DEFAULT_TOL, perron_pair, upper_bound_edge_count
@@ -144,16 +147,15 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_family(args: argparse.Namespace) -> int:
-    if args.clazz is not None and args.clazz[0] != args.kind:
-        raise BadParameters(f"class {args.clazz} is not of kind {args.kind}")
-    if args.clazz is None and args.mode is not None:
-        raise BadParameters("--mode needs --class")
-    if args.mode != "sample" and (args.count, args.seed) != (None, None):
-        raise BadParameters("--count and --seed need --class and --mode sample")
+    if args.clazz is None and (args.count, args.seed) != (None, None):
+        raise BadParameters("--count and --seed need --class")
+    if args.count is None and args.seed is not None:
+        raise BadParameters("--seed needs --count")
     if args.clazz is None:
         members = [(build_S if args.kind == "S" else build_T)(args.n, args.k)]
     else:
-        members = enumerate_class(args.clazz, args.n, args.k, mode=args.mode or "exhaustive",
+        members = enumerate_class(args.kind + args.clazz, args.n, args.k,
+                                  mode="exhaustive" if args.count is None else "sample",
                                   seed=args.seed or 0, count=args.count)
     if args.out and args.sidecar and _same_file(args.out, args.sidecar):
         raise BadParameters(f"--out and --sidecar name one file: {args.sidecar}")
@@ -174,35 +176,40 @@ def _cmd_family(args: argparse.Namespace) -> int:
 
 
 def _parse_int_list(text: str) -> list[int]:
+    """``'3'``, ``'2,3'`` or ``'2..12'``; one naming no value is an error."""
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
-            return list(range(int(lo), int(hi) + 1))
-        return [int(p) for p in text.split(",") if p]
+            values = list(range(int(lo), int(hi) + 1))
+        else:
+            values = [int(p) for p in text.split(",") if p]
     except ValueError:
-        raise BadParameters(f"not an integer list or range: {text!r}") from None
+        values = []
+    if not values:
+        raise BadParameters(f"not an integer list or range: {text!r}")
+    return values
 
 
 def _case_grid(args: argparse.Namespace) -> list[tuple] | None:
-    if not (args.k and args.n):
-        if (args.k, args.n, args.mode, args.count) != (None, None, None, None):
-            raise BadParameters("--k, --n, --mode and --count need both --k and --n")
+    """The ``(k, n, mode, count)`` cases of a ``--k``/``--n`` grid: sampled
+    with ``--count``, exhaustive without it."""
+    if args.k is None or args.n is None:
+        if (args.k, args.n, args.count) != (None, None, None):
+            raise BadParameters("--k, --n and --count need both --k and --n")
         return None
-    mode = args.mode or "exhaustive"
-    if mode == "sample" and (args.count is None or args.count < 1):
-        raise BadParameters("--mode sample needs --count >= 1")
-    if mode == "exhaustive":
+    ks, ns = _parse_int_list(args.k), _parse_int_list(args.n)
+    if args.count is not None and args.count < 1:
+        raise BadParameters("a sampled grid needs --count >= 1")
+    if args.count is None and args.seed is not None:
         # an exhaustive grid draws nothing, so a seed would only be recorded
-        stray = [f"--{f}" for f in ("count", "seed") if getattr(args, f) is not None]
-        if stray:
-            raise BadParameters(f"exhaustive mode does not read {', '.join(stray)}")
-    return [(k, n, mode, args.count or 0)
-            for k in _parse_int_list(args.k) for n in _parse_int_list(args.n)]
+        raise BadParameters("an exhaustive grid does not read --seed")
+    mode = "exhaustive" if args.count is None else "sample"
+    return [(k, n, mode, args.count or 0) for k in ks for n in ns]
 
 
-_VERIFY_FLAGS = ("k", "n", "mode", "count", "trials", "seed")
-_K_VALUES = ("k_values", ("k",), lambda a: _parse_int_list(a.k) if a.k else None)
-_N_VALUES = ("n_values", ("n",), lambda a: _parse_int_list(a.n) if a.n else None)
+_VERIFY_FLAGS = ("k", "n", "count", "seed")
+_K_VALUES = ("k_values", ("k",), lambda a: None if a.k is None else _parse_int_list(a.k))
+_N_VALUES = ("n_values", ("n",), lambda a: None if a.n is None else _parse_int_list(a.n))
 _SEED = ("seed", ("seed",), lambda a: a.seed)
 
 # suite -> (keyword, flags read, reader) rules; a reader returning None passes
@@ -211,9 +218,9 @@ _VERIFY_KWARGS = {
     "appendix": (_K_VALUES,),
     "corollary": (_K_VALUES, _N_VALUES),
     "family-nonhc": (_K_VALUES, _N_VALUES),
-    "q-lower": (("cases", ("k", "n", "mode", "count"), _case_grid), _SEED),
-    "q-upper": (("cases", ("k", "n", "mode", "count"), _case_grid), _SEED),
-    "ore": (("trials", ("trials",), lambda a: a.trials), _SEED),
+    "q-lower": (("cases", ("k", "n", "count"), _case_grid), _SEED),
+    "q-upper": (("cases", ("k", "n", "count"), _case_grid), _SEED),
+    "ore": (("trials", ("count",), lambda a: a.count), _SEED),
     "kelmans": (("count", ("count",), lambda a: a.count), _SEED),
     "qbound": (("count", ("count",), lambda a: a.count), _SEED),
     "closure": (("random_per_n", ("count",), lambda a: a.count), _SEED),
@@ -246,10 +253,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_hunt(args: argparse.Namespace) -> int:
     return _print_report("hunt", "run_hunt", n=args.n, trials=args.trials, seed=args.seed,
                          model=args.model)
-
-
-def _trial_count(text: str) -> int | str:
-    return text if text == "exhaustive" else int(text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -287,10 +290,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["S", "T"])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--class", dest="clazz", choices=CLASSES)
-    p.add_argument("--mode", choices=["exhaustive", "sample"], help="default exhaustive")
-    p.add_argument("--seed", type=int, help="sample mode only, default 0")
-    p.add_argument("--count", type=int, help="sample mode only")
+    p.add_argument("--class", dest="clazz", choices=["1", "2"],
+                   help="emit the members of the kind's class 1 or 2, not "
+                   "the host")
+    p.add_argument("--count", type=int, help="sample this many members (default: all)")
+    p.add_argument("--seed", type=int, help="seed of the sample, default 0")
     p.add_argument("--out", help="write graph6 lines here instead of stdout")
     p.add_argument("--sidecar", help="write a JSON partition sidecar here")
     p.set_defaults(func=_cmd_family)
@@ -299,20 +303,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=sorted(_VERIFY_KWARGS))
     p.add_argument("--k", help="k values: '3' or '2,3' or '2..12'")
     p.add_argument("--n", help="n values: same syntax as --k")
-    p.add_argument("--mode", choices=["exhaustive", "sample"])
-    p.add_argument("--count", type=int)
-    p.add_argument("--trials", type=int)
+    p.add_argument("--count", type=int, help="case count; on a --k/--n grid, members "
+                   "sampled per class and case (default: all)")
     p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("hunt", help="certifier-vs-oracle consistency search")
     p.add_argument("--n", type=int,
                    help="graph order (default 7 for all-connected, 8 otherwise)")
-    p.add_argument("--trials", type=_trial_count,
-                   help="integer (default 10000), or 'exhaustive' for all-connected")
+    p.add_argument("--trials", type=int,
+                   help="sampled graphs (default 10000); all-connected takes none")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--model", help="gnp(p) (default gnp(0.5)) | gnm(m) "
-                   "| dense-above-edge-threshold(k=K) | all-connected")
+                   "| dense-above-edge-threshold(k=K) | all-connected (every "
+                   "connected graph of order n)")
     p.set_defaults(func=_cmd_hunt)
     return parser
 

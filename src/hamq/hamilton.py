@@ -139,9 +139,11 @@ def _rotate_fill(
 ) -> None:
     """Record every spanning path reachable from the recorded ``path`` by
     Posa rotations at either end, each under its end pair and oriented from
-    the smaller end."""
+    the smaller end.  Once every pair has a path no key can be added, so the
+    rotations stop there."""
+    pairs = len(path) * (len(path) - 1) // 2
     pending = [path]
-    while pending:
+    while pending and len(paths) < pairs:
         p = pending.pop()
         last = len(p) - 1
         pos = dict(zip(p, range(len(p))))  # index in p; in p[::-1] it is last - index

@@ -31,7 +31,7 @@ Graph models:
 from __future__ import annotations
 
 from functools import lru_cache
-from math import ceil, comb
+from math import ceil, comb, isqrt
 
 from .errors import BadParameters
 from .graph import Graph, is_connected
@@ -84,14 +84,18 @@ class SplitMix64:
 
 
 def pair_unrank(n: int, index: int) -> tuple[int, int]:
-    """The index-th pair (u, v), u < v, in lexicographic order over n vertices."""
-    if not 0 <= index < comb(n, 2):
+    """The index-th pair (u, v), u < v, in lexicographic order over n vertices.
+
+    Counted from the last pair, index ``r`` lies in the row of the m pairs
+    with ``m (m - 1) / 2 <= r < m (m + 1) / 2``, so m is read off the
+    triangular root of r, with no walk over the rows.
+    """
+    total = comb(n, 2)
+    if not 0 <= index < total:
         raise BadParameters(f"pair index {index} out of range for n={n}")
-    u = 0
-    while index >= n - 1 - u:
-        index -= n - 1 - u
-        u += 1
-    return (u, u + 1 + index)
+    r = total - 1 - index
+    m = (1 + isqrt(8 * r + 1)) // 2
+    return (n - 1 - m, n - 1 - r + m * (m - 1) // 2)
 
 
 @lru_cache(maxsize=64)

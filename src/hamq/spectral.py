@@ -34,6 +34,7 @@ valid for every connected graph.
 from __future__ import annotations
 
 from itertools import compress
+from operator import mul
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import BadParameters
@@ -49,6 +50,8 @@ DEFAULT_TOL = 1e-10
 # and after at most this many unchecked steps before that
 _DENSE_CHECKS = 1e3
 _MAX_STRIDE = 8
+# the 0/1 bytes of a support selector as the digits of a base-2 literal
+_SUPPORT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class SpectralEstimate(NamedTuple):
@@ -170,24 +173,25 @@ def rayleigh_quotient_exact(g: Graph, x: Sequence[int]) -> Fraction:
     ``sum(x_v * (d(v) x_v + sum(x_u for u ~ v)))`` over the support v of x,
     each inner sum by ``itertools.compress`` under a byte selector of v's row
     (``graph._bit_selector``).  A 0/1 vector with support S takes the
-    popcount route instead: ``sum(d(v) + |N(v) & S| for v in S)``.
+    popcount route instead: ``sum(d(v) + |N(v) & S| for v in S)``.  The
+    vector is read by builtins at C speed: the entry types as a set (with a
+    per-entry test only for subclasses of int), the squares by ``map``, the
+    support as a byte selector.
     """
     from fractions import Fraction
 
     if len(x) != g.n:
         raise BadParameters(f"vector length {len(x)} != n={g.n}")
-    den = total = mask = 0
-    for v, t in enumerate(x):  # one pass; type() is the fast test of an entry
-        if type(t) is not int and (not isinstance(t, int) or isinstance(t, bool)):
-            raise BadParameters("rayleigh_quotient_exact needs integer entries")
-        if t:
-            den += t * t
-            total += t
-            mask |= 1 << v
+    if not set(map(type, x)) <= {int} and not all(
+        isinstance(t, int) and not isinstance(t, bool) for t in x
+    ):
+        raise BadParameters("rayleigh_quotient_exact needs integer entries")
+    den = sum(map(mul, x, x))
     if den == 0:
         raise BadParameters("zero vector has no Rayleigh quotient")
-    support = _bit_selector(mask)
-    if den == total:  # t * t >= t, equal only at 0 and 1: popcount over the support
+    support = bytes(map(bool, x))
+    if den == sum(x):  # t * t >= t, equal only at 0 and 1: popcount over the support
+        mask = int(support[::-1].translate(_SUPPORT_DIGITS), 2)
         num = sum(compress(g._deg, support)) + sum(
             map(int.bit_count, map(mask.__and__, compress(g._rows, support)))
         )

@@ -537,22 +537,23 @@ def _hunt_check(g: Graph) -> Failures:
 
 def run_hunt(
     n: int | None = None,
-    trials: int | str | None = None,
+    trials: int | None = None,
     seed: int = 42,
     model: str | None = None,
 ) -> SuiteReport:
     """Random (or exhaustive) consistency search: the condition pipeline must
     never contradict the exact oracle.  A hit would be an implementation bug.
-    ``trials="exhaustive"`` pairs with ``model="all-connected"`` and a count with
-    any other model; one alone selects its partner, neither gives 10,000 trials
-    of ``gnp(0.5)``; a mismatch is an error.  ``n`` defaults to 7, the largest
-    order the exhaustive corpus holds, for ``all-connected`` and to 8 for any
-    other model.  The report records the resolved n, trials and model."""
-    model = model or ("all-connected" if trials == "exhaustive" else "gnp(0.5)")
+    ``model="all-connected"`` enumerates every connected graph of order n and
+    takes no ``trials``; any other model (default ``gnp(0.5)``) samples
+    ``trials`` graphs, 10,000 by default, and ``trials`` must be an integer.
+    ``n`` defaults to 7, the largest order the exhaustive corpus holds, for
+    ``all-connected`` and to 8 for any other model.  The report records the
+    resolved n, trials (``"exhaustive"`` for ``all-connected``) and model."""
+    model = "gnp(0.5)" if model is None else model
     sample = _parse_model(model)
     if trials is None:
         trials = "exhaustive" if sample is None else 10_000
-    if not (trials == "exhaustive" if sample is None else isinstance(trials, int)):
+    elif sample is None or not isinstance(trials, int):
         raise BadParameters(f"trials {trials!r} do not go with model {model!r}")
     if n is None:
         n = CORPUS_SIZE_GATE if sample is None else 8

@@ -172,7 +172,7 @@ def test_criterion_09_families_are_exceptional():
 
 def test_criterion_10_certifier_consistency():
     start = time.monotonic()
-    r1 = run_hunt(n=7, trials="exhaustive", model="all-connected")
+    r1 = run_hunt(n=7, model="all-connected")
     r2 = run_hunt(n=8, trials=10_000, seed=42, model="gnp(0.5)")
     r3 = run_hunt(n=22, trials=100, seed=7, model="dense-above-edge-threshold(k=2)")
     elapsed = time.monotonic() - start

@@ -97,7 +97,7 @@ def test_family_host_single_line(capsys):
 def test_family_class_enumeration_count(capsys):
     code, out, _ = run_cli(
         capsys,
-        ["family", "T", "--n", "9", "--k", "3", "--class", "T1", "--mode", "exhaustive"],
+        ["family", "T", "--n", "9", "--k", "3", "--class", "1"],
     )
     assert code == 0
     assert len(out.strip().splitlines()) == 22
@@ -107,8 +107,7 @@ def test_family_sample_and_sidecar(tmp_path, capsys):
     sidecar = tmp_path / "members.json"
     code, out, _ = run_cli(
         capsys,
-        ["family", "S", "--n", "92", "--k", "2", "--class", "S2",
-         "--mode", "sample", "--seed", "3", "--count", "5",
+        ["family", "S", "--n", "92", "--k", "2", "--class", "2", "--seed", "3", "--count", "5",
          "--sidecar", str(sidecar)],
     )
     assert code == 0
@@ -128,7 +127,7 @@ def test_verify_subcommand(capsys):
 def test_verify_with_case_params(capsys):
     code, out, _ = run_cli(
         capsys,
-        ["verify", "q-lower", "--k", "3", "--n", "40", "--mode", "exhaustive"],
+        ["verify", "q-lower", "--k", "3", "--n", "40"],
     )
     assert code == 0
     report = json.loads(out)
@@ -136,22 +135,19 @@ def test_verify_with_case_params(capsys):
 
 
 def test_hunt_subcommand(capsys):
-    code, out, _ = run_cli(
-        capsys, ["hunt", "--n", "7", "--trials", "exhaustive", "--model", "all-connected"]
-    )
+    code, out, _ = run_cli(capsys, ["hunt", "--n", "7", "--model", "all-connected"])
     assert code == 0
     report = json.loads(out)
     assert report["cases"] == 853 and report["failures"] == []
 
 
-@pytest.mark.parametrize("flag", [["--trials", "exhaustive"], ["--model", "all-connected"]])
-def test_exhaustive_hunt_defaults_to_the_largest_corpus_order(capsys, flag):
+def test_exhaustive_hunt_defaults_to_the_largest_corpus_order(capsys):
     # n = 7 is the largest order the exhaustive corpus holds; an explicit
     # --n 8 still asks for a corpus that does not exist
-    code, out, _ = run_cli(capsys, ["hunt", *flag])
+    code, out, _ = run_cli(capsys, ["hunt", "--model", "all-connected"])
     report = json.loads(out)
     assert code == 0 and report["cases"] == 853 and report["params"]["n"] == 7
-    code, out, err = run_cli(capsys, ["hunt", "--n", "8", *flag])
+    code, out, err = run_cli(capsys, ["hunt", "--n", "8", "--model", "all-connected"])
     assert (code, out) == (4, "") and "gated at n <= 7" in err
 
 
@@ -180,27 +176,44 @@ def test_certify_pinned_random_regressions(capsys, monkeypatch):
     ["hunt", "--model", "dense-above-edge-threshold(k=two)"],
     ["hunt", "--model", "dense-above-edge-threshold(k=1)", "--trials", "0"],
     ["hunt", "--n", "1", "--model", "dense-above-edge-threshold(k=2)", "--trials", "1"],
-    ["hunt", "--n", "0", "--trials", "exhaustive"],
+    ["hunt", "--n", "0", "--model", "all-connected"],
     ["hunt", "--trials", "abc"],
     ["hunt", "--trials", "-3"],
     ["hunt", "--n", "7", "--trials", "exhaustive", "--model", "gnp(0.5)"],
     ["hunt", "--n", "7", "--model", "all-connected", "--trials", "5"],
     ["verify", "appendix", "--k", "a..b"],
     ["verify", "corollary", "--n", "30,x"],
-    # a sampled case grid needs a count, and an exhaustive one reads no count
-    # and no seed: it draws nothing
-    ["verify", "q-lower", "--k", "3", "--n", "40", "--mode", "sample"],
-    ["verify", "q-upper", "--k", "3", "--n", "40", "--mode", "sample"],
-    ["verify", "q-lower", "--k", "3", "--n", "40", "--mode", "sample", "--count", "0"],
-    ["verify", "q-lower", "--k", "3", "--n", "40", "--count", "5"],
-    ["verify", "q-upper", "--k", "3", "--n", "40", "--mode", "exhaustive", "--count", "5"],
+    # a sampled case grid draws at least one member per class, a count needs
+    # the whole grid, and a grid without a count reads no seed: it draws nothing
+    ["verify", "q-lower", "--k", "3", "--n", "40", "--count", "0"],
+    ["verify", "q-upper", "--k", "3", "--n", "40", "--count", "-1"],
+    ["verify", "q-lower", "--k", "3", "--count", "5"],
+    ["verify", "q-upper", "--n", "40", "--count", "5"],
     ["verify", "q-lower", "--k", "3", "--n", "40", "--seed", "5"],
-    ["verify", "q-upper", "--k", "3", "--n", "40", "--mode", "exhaustive", "--seed", "5"],
+    # the spellings the count flag replaced
+    ["verify", "q-upper", "--k", "3", "--n", "40", "--mode", "sample", "--count", "5"],
+    ["verify", "ore", "--trials", "5"],
+    ["hunt", "--model", ""],  # not the default model
 ])
 def test_malformed_suite_input_is_an_input_error(capsys, argv):
     # exit 1 means "the report lists failures"; bad input must not read so
     code, out, err = run_cli(capsys, argv)
     assert code == 4 and err.startswith("error: ") and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "appendix", "--k", ""],
+    ["verify", "q-lower", "--k", "", "--n", ""],
+    ["verify", "corollary", "--k", ",", "--n", "30"],
+    ["verify", "family-nonhc", "--k", "3", "--n", "9..8"],
+    ["verify", "q-upper", "--k", "3..2", "--n", "92", "--count", "1"],
+])
+def test_a_list_that_names_no_value_is_an_input_error(capsys, argv):
+    # an empty --k or --n neither falls back to the suite's default values,
+    # nor reads as a missing flag, nor runs no case and exits 1
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (4, "")
+    assert err.startswith("error: not an integer list or range: ")
 
 
 @pytest.mark.parametrize("argv", [
@@ -218,7 +231,7 @@ def test_suite_that_ran_no_case_fails(capsys, argv):
 @pytest.mark.parametrize("command", ["certify", "spectrum"])
 def test_graph6_input_holds_exactly_one_record(capsys, monkeypatch, command):
     # a record after the first would be silently dropped
-    code, out, _ = run_cli(capsys, ["family", "S", "--n", "9", "--k", "3", "--class", "S1"])
+    code, out, _ = run_cli(capsys, ["family", "S", "--n", "9", "--k", "3", "--class", "1"])
     assert code == 0 and len(out.splitlines()) == 22
     for text in (out, out.splitlines()[0] + "\nnot-a-graph\n"):
         code, got, err = run_cli(capsys, [command, "-"], text, monkeypatch)
@@ -233,22 +246,14 @@ def test_family_invalid_params_exit_code(capsys):
     assert code == 4 and "error" in err
 
 
-def test_family_sample_without_count_exit_code(capsys):
-    code, _, err = run_cli(
-        capsys, ["family", "S", "--n", "9", "--k", "3", "--class", "S1",
-                 "--mode", "sample"]
-    )
-    assert code == 4
-
-
 @pytest.mark.parametrize("flags", [
-    ["--class", "S1", "--count", "5"],
-    ["--class", "S1", "--seed", "1"],
-    ["--class", "S1", "--mode", "exhaustive", "--count", "5"],
-    ["--mode", "sample", "--count", "5"],
-    ["--mode", "exhaustive"],
-    ["--count", "5"],
+    ["--class", "1", "--seed", "1"],  # a seed needs a sample
+    ["--count", "5"],  # a sample needs a class
     ["--seed", "0"],
+    ["--count", "5", "--seed", "0"],
+    ["--class", "S1"],  # the kind gives the letter
+    ["--class", "T2"],
+    ["--class", "1", "--mode", "sample", "--count", "5"],  # no --mode: --count samples
 ])
 def test_family_flag_its_mode_does_not_read_is_an_input_error(capsys, flags):
     code, out, err = run_cli(capsys, ["family", "S", "--n", "9", "--k", "3", *flags])
@@ -256,15 +261,8 @@ def test_family_flag_its_mode_does_not_read_is_an_input_error(capsys, flags):
 
 
 def test_family_sample_seed_defaults_to_zero(capsys):
-    argv = ["family", "S", "--n", "92", "--k", "2", "--class", "S2", "--mode", "sample",
-            "--count", "3"]
+    argv = ["family", "S", "--n", "92", "--k", "2", "--class", "2", "--count", "3"]
     assert run_cli(capsys, argv)[:2] == run_cli(capsys, argv + ["--seed", "0"])[:2]
-
-
-def test_family_class_of_the_other_kind_is_an_input_error(capsys):
-    code, out, err = run_cli(capsys, ["family", "S", "--n", "8", "--k", "2",
-                                      "--class", "T1"])
-    assert code == 4 and err.startswith("error: ") and out == ""
 
 
 @pytest.mark.parametrize("command", ["certify", "spectrum"])
@@ -339,7 +337,7 @@ def _reference_verify_kwargs(args):
             params["n_values"] = _parse_int_list(args.n)
     elif args.suite in ("q-lower", "q-upper"):
         if args.k and args.n:
-            mode = args.mode or "exhaustive"
+            mode = "exhaustive" if args.count is None else "sample"
             count = args.count or 0
             params["cases"] = [
                 (k, n, mode, count)
@@ -349,8 +347,8 @@ def _reference_verify_kwargs(args):
         if args.seed is not None:
             params["seed"] = args.seed
     elif args.suite in ("ore",):
-        if args.trials is not None:
-            params["trials"] = args.trials
+        if args.count is not None:
+            params["trials"] = args.count
         if args.seed is not None:
             params["seed"] = args.seed
     elif args.suite in ("kelmans", "qbound"):
@@ -366,18 +364,17 @@ def _reference_verify_kwargs(args):
     return params
 
 
-# the flags each suite reads; q-lower and q-upper read --k, --n, --mode and
-# --count only as a case grid, which needs both --k and --n, and in which
-# --count goes with --mode sample (the only mode the combinations give);
-# --seed is read by their default case list and by a sampled grid, not by
-# an exhaustive one
+# the flags each suite reads; q-lower and q-upper read --k, --n and --count
+# only as a case grid, which needs both --k and --n and is sampled iff
+# --count is given; --seed is read by their default case list and by a
+# sampled grid, not by an exhaustive one
 _SUITE_FLAGS = {
     "appendix": {"--k"},
     "corollary": {"--k", "--n"},
     "family-nonhc": {"--k", "--n"},
-    "q-lower": {"--k", "--n", "--mode", "--count", "--seed"},
-    "q-upper": {"--k", "--n", "--mode", "--count", "--seed"},
-    "ore": {"--trials", "--seed"},
+    "q-lower": {"--k", "--n", "--count", "--seed"},
+    "q-upper": {"--k", "--n", "--count", "--seed"},
+    "ore": {"--count", "--seed"},
     "kelmans": {"--count", "--seed"},
     "qbound": {"--count", "--seed"},
     "closure": {"--count", "--seed"},
@@ -387,10 +384,9 @@ _SUITE_FLAGS = {
 def _suite_reads(suite, given):
     if not given <= _SUITE_FLAGS[suite]:
         return False
-    grid = given & {"--k", "--n", "--mode", "--count"}
+    grid = given & {"--k", "--n", "--count"}
     return (suite not in ("q-lower", "q-upper") or not grid
-            or {"--k", "--n"} <= grid and ("--mode" in grid) == ("--count" in grid)
-            and ("--mode" in grid or "--seed" not in given))
+            or {"--k", "--n"} <= grid and ("--count" in grid or "--seed" not in given))
 
 
 def test_verify_passes_every_flag_combination(capsys, monkeypatch):
@@ -411,8 +407,7 @@ def test_verify_passes_every_flag_combination(capsys, monkeypatch):
     # the CLI looks run_suite up on hamq.verify when it runs, so the patch
     # must sit on hamq.verify itself
     monkeypatch.setattr(hamq.verify, "run_suite", fake_run_suite)
-    flags = [("--k", "2,3"), ("--n", "40..41"), ("--mode", "sample"),
-             ("--count", "5"), ("--trials", "0"), ("--seed", "0")]
+    flags = [("--k", "2,3"), ("--n", "40..41"), ("--count", "5"), ("--seed", "0")]
     parser = build_parser()
     rejected = 0
     for suite in sorted(SUITES):
@@ -434,8 +429,29 @@ def test_verify_passes_every_flag_combination(capsys, monkeypatch):
             assert got_suite == suite and got == want, argv
     # accepted: appendix 2, corollary and family-nonhc 4 each, q-lower and
     # q-upper 5 each, ore, kelmans, qbound and closure 4 each
-    assert rejected == 9 * 64 - 36
+    assert rejected == 9 * 16 - 36
     capsys.readouterr()
+
+
+def test_readme_cli_synopsis_names_only_flags_the_parser_accepts():
+    # the `hamq ...` lines of README's CLI block cover every subcommand, and
+    # each --flag on a line is one its subcommand's parser accepts
+    import argparse
+    import re
+    from pathlib import Path
+
+    from hamq.cli import build_parser
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#")[0].split() for line in block.replace("\\\n", " ").splitlines()]
+    lines = [words for words in lines if words[:1] == ["hamq"]]
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert {words[1] for words in lines} == set(sub.choices)
+    for words in lines:
+        accepted = sub.choices[words[1]]._option_string_actions
+        unknown = [f for f in re.findall(r"--[a-z][a-z-]*", " ".join(words)) if f not in accepted]
+        assert not unknown, words
 
 
 def test_verify_flag_table_names_every_suite():
@@ -463,10 +479,9 @@ def test_usage_error_is_an_input_error(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["family", "S", "--n", "9", "--k", "3", "--class", "S1", "--mode", "sample",
-     "--count", "-2"],
+    ["family", "S", "--n", "9", "--k", "3", "--class", "1", "--count", "-2"],
     ["verify", "qbound", "--count", "-3"],
-    ["verify", "ore", "--trials", "-1"],
+    ["verify", "ore", "--count", "-1"],
     ["spectrum", "-", "--tol", "-1"],
     ["spectrum", "-", "--tol", "nan"],
 ])
@@ -510,7 +525,7 @@ def test_family_unwritable_sidecar_leaves_out_as_it_was(tmp_path, capsys, existi
 def test_family_argument_error_writes_no_file(tmp_path, capsys):
     # the class budget is checked before either file is opened
     out, side = tmp_path / "m.g6", tmp_path / "m.json"
-    code, _, err = run_cli(capsys, ["family", "S", "--n", "200", "--k", "3", "--class", "S2",
+    code, _, err = run_cli(capsys, ["family", "S", "--n", "200", "--k", "3", "--class", "2",
                                     "--out", str(out), "--sidecar", str(side)])
     assert code == 4 and err.startswith("error: exhaustive enumeration of S2")
     assert not out.exists() and not side.exists()
@@ -546,7 +561,7 @@ def test_family_out_and_sidecar_naming_one_file_is_an_input_error(tmp_path, caps
         side.hardlink_to(out)
     elif spelling == "symlink":
         side.symlink_to(out)
-    code, got, err = run_cli(capsys, ["family", "S", "--n", "9", "--k", "3", "--class", "S1",
+    code, got, err = run_cli(capsys, ["family", "S", "--n", "9", "--k", "3", "--class", "1",
                                       "--out", str(out), "--sidecar", str(side)])
     assert code == 4 and got == ""
     assert err == f"error: --out and --sidecar name one file: {side}\n"
@@ -558,7 +573,7 @@ def test_family_out_and_sidecar_naming_one_file_is_an_input_error(tmp_path, caps
 
 def test_family_out_and_sidecar_in_distinct_files(tmp_path, capsys):
     out, side = tmp_path / "m.g6", tmp_path / "m.json"
-    code, _, _ = run_cli(capsys, ["family", "S", "--n", "9", "--k", "3", "--class", "S1",
+    code, _, _ = run_cli(capsys, ["family", "S", "--n", "9", "--k", "3", "--class", "1",
                                   "--out", str(out), "--sidecar", str(side)])
     assert code == 0
     assert len(out.read_text().splitlines()) == len(json.loads(side.read_text())) == 22
@@ -640,11 +655,11 @@ def test_out_of_memory_in_a_small_address_space_is_an_input_error():
 
 
 # stdout sha256 and exit code of each run, as the CLI gave them before the
-# hunt's trial/model pairing moved into hamq.verify.run_hunt
+# hunt's trial/model pairing moved into hamq.verify.run_hunt; the family and
+# sampled q-lower runs gave these bytes under their older spellings
+# (--class S2 --mode sample, --class T1, --mode sample --count 5)
 _PINNED_RUNS = [
     (["hunt"], 0, "66bdf014fe87e6ac0f73a71923aa8e78cd1cb4abd3a400b0f0c3ff487a64bcc1"),
-    (["hunt", "--n", "6", "--trials", "exhaustive"], 0,
-     "dd1abad94903b5fc6ddc8f74e612076a4546b27bbe0a6014404c1d7934c05a74"),
     (["hunt", "--n", "6", "--model", "all-connected"], 0,
      "dd1abad94903b5fc6ddc8f74e612076a4546b27bbe0a6014404c1d7934c05a74"),
     (["hunt", "--model", "gnm(9)"], 0,
@@ -663,19 +678,23 @@ _PINNED_RUNS = [
      "4d906c0ef9b7b60b6005e4ecc7345403d8643476e9102d09ffb877f76bbb664f"),
     (["verify", "appendix"], 0,
      "bbc1ad8c68f171fd890b367c023accd9ff430c51b804a4f707e45c0d5a32fa33"),
-    (["verify", "q-lower", "--k", "3", "--n", "40", "--mode", "sample", "--count", "5"], 0,
+    (["verify", "q-lower", "--k", "3", "--n", "40", "--count", "5"], 0,
      "f6341d0270987a6bcc10a797a1b980b6f7d878716a0b571a1cd88e0c8ac7bfcd"),
     (["verify", "qbound", "--count", "200"], 0,
      "dadba9c5f4b7d9b6f0948c0042c1f1e976c245a1cb9def12c52a0ff03f5cb3e1"),
     (["verify", "corollary", "--k", "2"], 1,
      "d483d249298eff53bf641fceeff56f178745d1da9b0db620a00de58b0476c98f"),
+    (["family", "S", "--n", "92", "--k", "2", "--class", "2", "--count", "3"], 0,
+     "def9bbef726f62475b41c70d6d518545a9565f4a0c2439c15d22c901308f6964"),
+    (["family", "T", "--n", "9", "--k", "3", "--class", "1"], 0,
+     "5f23f6b819ba3a4a2c1a08ed07d1ce1749da9935320531d3af361bf53c0d88ae"),
 ]
 
 
 # sha256 of the concatenated stdout of `hamq --help` and of every
 # subcommand's --help, at COLUMNS=80 under Python 3.11: the flags, their
 # choices and the help texts, as the parser prints them
-HELP_DIGEST = "f6618d07fe5c5378b29f14c9b3f4e5ba1c574d3a067b107d1f031de5c96ac1a4"
+HELP_DIGEST = "fc050f6d19cf4cda30221d0b3f30fb8ade13507281634934698e358813bd54ea"
 
 
 def test_help_bytes_are_pinned(monkeypatch):

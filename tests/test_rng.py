@@ -46,10 +46,23 @@ def test_permutation_is_bijection():
 
 
 def test_pair_unrank_covers_lexicographic_order():
-    n = 7
-    pairs = [pair_unrank(n, i) for i in range(comb(n, 2))]
-    expected = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    assert pairs == expected
+    for n in range(2, 121):
+        pairs = [pair_unrank(n, i) for i in range(comb(n, 2))]
+        expected = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        assert pairs == expected, n
+    # far past any exhaustive walk, the forward rank of each pair gives its
+    # index back: the ends, the first and last pairs of rows, the middle
+    for n in (10**6, 10**12):
+        total = comb(n, 2)
+        row_starts = [u * (n - 1) - u * (u - 1) // 2 for u in (1, 2, n // 3, n - 3, n - 2)]
+        for index in {0, 1, total // 2, total - 2, total - 1,
+                      *row_starts, *(i - 1 for i in row_starts)}:
+            u, v = pair_unrank(n, index)
+            assert 0 <= u < v < n
+            assert u * (n - 1) - u * (u - 1) // 2 + v - u - 1 == index, (n, index)
+    for index in (-1, comb(7, 2)):
+        with pytest.raises(BadParameters, match=f"^pair index {index} out of range for n=7$"):
+            pair_unrank(7, index)
 
 
 def test_gnp_determinism_and_extremes():

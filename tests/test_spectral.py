@@ -162,16 +162,26 @@ def test_rayleigh_exact_generic_matches_indicator_fast_path():
 
 
 def test_rayleigh_exact_checks_every_entry_before_the_zero_test():
-    for x in ([0, 0, 0.0], [0, True, 0], [1, 1, "1"], [0, None, 0]):
+    import numpy as np
+
+    for x in ([0, 0, 0.0], [0, True, 0], [True] * 3, [1, 1, "1"], [0, None, 0],
+              [0, np.int64(1), 0], [np.int64(0)] * 3, [2, 1.0, 0]):
         with pytest.raises(BadParameters, match="integer entries"):
             rayleigh_quotient_exact(complete(3), x)
     with pytest.raises(BadParameters, match="vector length"):
         rayleigh_quotient_exact(complete(3), [1, 1])
+    with pytest.raises(BadParameters, match="vector length"):
+        rayleigh_quotient_exact(complete(3), [1.0, 1.0])
 
     class Count(int):
         pass
 
+    # a subclass of int is an integer entry, on both routes
     assert rayleigh_quotient_exact(complete(3), [Count(1)] * 3) == 4
+    assert rayleigh_quotient_exact(complete(3), [Count(1), 1, 0]) == 3
+    assert rayleigh_quotient_exact(complete(3), [Count(2), 1, 0]) == Fraction(14, 5)
+    with pytest.raises(BadParameters, match="zero vector"):
+        rayleigh_quotient_exact(complete(3), [Count(0), 0, 0])
 
 
 def test_rayleigh_exact_matches_the_edge_sum_on_signed_vectors():

@@ -104,7 +104,7 @@ def test_reduced_scale_suites_pass():
         (run_appendix(), 22),
         (run_corollary(), 6),
         (run_family_nonhc(k_values=(2, 3), n_values=(8, 9)), 80),
-        (run_hunt(n=7, trials="exhaustive", model="all-connected"), 853),
+        (run_hunt(n=7, model="all-connected"), 853),
         (run_hunt(n=8, trials=200, seed=42, model="gnp(0.5)"), 200),
     ]:
         assert report.ok, report.suite
@@ -140,6 +140,8 @@ def test_negative_case_count_is_rejected(run, kwargs):
     {"trials": "exhaustive", "model": "gnp(0.5)"},
     {"trials": "abc"},
     {"trials": 2.5, "model": "gnm(9)"},
+    # trials is an integer only; the exhaustive hunt is the all-connected model
+    {"trials": "exhaustive", "model": "all-connected"},
 ])
 def test_hunt_rejects_a_mismatched_trials_and_model(kwargs):
     with pytest.raises(BadParameters, match="do not go with"):
@@ -147,7 +149,8 @@ def test_hunt_rejects_a_mismatched_trials_and_model(kwargs):
 
 
 @pytest.mark.parametrize("kwargs, trials, model", [
-    ({"trials": "exhaustive"}, "exhaustive", "all-connected"),
+    # the CLI passes trials=None when --trials is not given
+    ({"trials": None, "model": "all-connected"}, "exhaustive", "all-connected"),
     ({"model": "all-connected"}, "exhaustive", "all-connected"),
     ({"trials": 3}, 3, "gnp(0.5)"),
 ])
