@@ -19,7 +19,6 @@ from .graph import (
     Graph,
     complete,
     copies,
-    cycle,
     delete_edges,
     disjoint_union,
     emit_graph6,
@@ -27,7 +26,6 @@ from .graph import (
     min_degree,
     parse_edgelist,
     parse_graph6,
-    path_graph,
 )
 from .hamilton import (
     OracleAnswer,
@@ -62,7 +60,6 @@ __all__ = [
     "complete",
     "copies",
     "closure",
-    "cycle",
     "delete_edges",
     "disjoint_union",
     "emit_graph6",
@@ -76,7 +73,6 @@ __all__ = [
     "ore_check",
     "parse_edgelist",
     "parse_graph6",
-    "path_graph",
     "perron_pair",
     "rayleigh_quotient_exact",
     "thresholds",

@@ -162,7 +162,7 @@ def certify(
     trace.append(ore_entry)
 
     # closure completeness
-    cl, cl_trace = closure(g, n + 1)
+    cl, cl_trace = closure(g)
     cl_complete = cl.m == n * (n - 1) // 2
     trace.append({
         "condition": "ClosureComplete",

@@ -16,14 +16,14 @@ class BadParameters(HamqError):
 
 
 class ParseError(HamqError):
-    """Malformed graph text.
+    """Malformed graph text, located by a required byte ``offset``.
 
     ``offset`` is the byte offset of the fault in the text as given: the
     UTF-8 bytes of everything before it, skipped whitespace, blank lines and
     a graph6 header included.
     """
 
-    def __init__(self, message: str, offset: int = 0):
+    def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")
         self.offset = offset
 

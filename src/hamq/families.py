@@ -18,17 +18,18 @@ eligible deletion set E0.  A *family member* deletes a subset E' of E0:
   ``floor((k-1)/2)`` (T);
 * class 2 members have exactly one more deletion than the class-1 maximum.
 
-One record, ``HostPartition(kind, k, X, Y, Z, deleted)``, states a
+One record, ``FamilyHandle(kind, k, X, Y, Z, deleted, graph)``, states a
 partition from construction through recognition to the certificate: X, Y,
-Z in the graph's own labels and ``deleted`` the missing Y u Z pairs, which
-name the class.  A ``FamilyHandle`` carries the same six fields, then its
-order ``n`` and its ``graph``.  ``hub_partitions`` groups the degree-k
-vertices by open (S) or closed (T) neighborhood and yields each candidate
-partition; ``membership`` returns the first whose ``deleted`` fits a class,
-and the certifier's edge stage takes the first.  ``spanning_subgraph_of``
-searches for a host embedding (every edge of G mapped onto a host edge)
-over all vertices of degree <= k, under a node budget, so it also answers
-when the minimum degree is below k.  Both recognizers read ``deleted`` with one
+Z in the labels of ``graph`` and ``deleted`` the missing Y u Z pairs, which
+name the class; the order ``n`` is read off ``graph``.  A constructed
+member's graph is the host minus ``deleted``; a recognized one's is the
+graph it was read from.  ``hub_partitions`` groups the degree-k vertices by
+open (S) or closed (T) neighborhood and yields each candidate partition;
+``membership`` returns the first whose ``deleted`` fits a class, and the
+certifier's edge stage takes the first.  ``spanning_subgraph_of`` searches
+for a host embedding (every edge of G mapped onto a host edge) over all
+vertices of degree <= k, under a node budget, so it also answers when the
+minimum degree is below k.  Both recognizers read ``deleted`` with one
 missing-pair scan.  ``appendix_check`` evaluates, in exact rational
 arithmetic, the closed-form inequality (split on k mod 4) that bounds the
 class-2 spectral radius strictly below 2n - 2k once n clears the order
@@ -66,9 +67,10 @@ DEFAULT_EMBED_BUDGET = 200_000
 # -- partitions ---------------------------------------------------------------
 
 
-class HostPartition(NamedTuple):
-    """A host partition of a graph in its own labels: X the degree-k vertices,
-    Y the hub set, Z the rest, ``deleted`` the missing Y u Z pairs."""
+class FamilyHandle(NamedTuple):
+    """A host partition of ``graph`` in its own labels (see the module
+    docstring): X the degree-k vertices, Y the hub set, Z the rest,
+    ``deleted`` the missing Y u Z pairs."""
 
     kind: str  # "S" | "T"
     k: int
@@ -76,21 +78,11 @@ class HostPartition(NamedTuple):
     Y: tuple[int, ...]
     Z: tuple[int, ...]
     deleted: frozenset[Edge]
-
-
-class FamilyHandle(NamedTuple):
-    """A constructed family member: the six ``HostPartition`` fields (see
-    the module docstring), then its graph, the host of order ``n`` minus the
-    ``deleted`` edges."""
-
-    kind: str
-    k: int
-    X: tuple[int, ...]
-    Y: tuple[int, ...]
-    Z: tuple[int, ...]
-    deleted: frozenset[Edge]
-    n: int
     graph: Graph
+
+    @property
+    def n(self) -> int:
+        return self.graph.n
 
     @property
     def e0_size(self) -> int:
@@ -128,7 +120,7 @@ def build_S(n: int, k: int) -> FamilyHandle:
     _check_family_params(n, k)
     g = join(complete(k), disjoint_union(complete(n - 2 * k + 1), copies(k - 1, complete(1))))
     return FamilyHandle(kind="S", k=k, X=tuple(range(n - k + 1, n)), Y=tuple(range(k)),
-                        Z=tuple(range(k, n - k + 1)), deleted=frozenset(), n=n, graph=g)
+                        Z=tuple(range(k, n - k + 1)), deleted=frozenset(), graph=g)
 
 
 def build_T(n: int, k: int) -> FamilyHandle:
@@ -140,7 +132,7 @@ def build_T(n: int, k: int) -> FamilyHandle:
     _check_family_params(n, k)
     g = join(complete(2), disjoint_union(complete(n - k - 1), complete(k - 1)))
     return FamilyHandle(kind="T", k=k, X=tuple(range(n - k + 1, n)), Y=(0, 1),
-                        Z=tuple(range(2, n - k + 1)), deleted=frozenset(), n=n, graph=g)
+                        Z=tuple(range(2, n - k + 1)), deleted=frozenset(), graph=g)
 
 
 def family_member(base: FamilyHandle, edges: Iterable[Edge]) -> FamilyHandle:
@@ -191,17 +183,18 @@ def enumerate_class(
     mode: str = "exhaustive",
     seed: int = 0,
     count: int | None = None,
-    budget: int = DEFAULT_ENUM_BUDGET,
 ) -> Iterator[FamilyHandle]:
     """Stream members of a class.
 
     Exhaustive mode yields every admissible E' exactly once, ordered by size
     then lexicographically by sorted edge tuple; it refuses upfront (raising
-    BudgetExceeded) if the total member count exceeds ``budget``.  Sample
-    mode is deterministic in ``seed`` and yields ``count`` members; class-1
-    samples draw |E'| uniformly from 0..bound, class-2 samples always use
-    the exact class size.  The arguments and the budget are checked when the
-    function is called, before any member is drawn.
+    BudgetExceeded) if the total member count exceeds
+    ``DEFAULT_ENUM_BUDGET``.  Sample mode is deterministic in ``seed`` and
+    yields ``count`` members; class-1 samples draw |E'| uniformly from
+    0..bound, class-2 samples always use the exact class size.  The
+    arguments and the budget, read from ``DEFAULT_ENUM_BUDGET`` at that
+    moment, are checked when the function is called, before any member is
+    drawn.
     """
     _check_family_params(n, k)
     bound = class_bound(clazz, k)
@@ -211,10 +204,10 @@ def enumerate_class(
     sizes = list(range(bound + 1)) if clazz[1] == "1" else [bound]
     if mode == "exhaustive":
         total = sum(comb(e0, s) for s in sizes)
-        if total > budget:
+        if total > DEFAULT_ENUM_BUDGET:
             raise BudgetExceeded(
                 f"exhaustive enumeration of {clazz}(n={n},k={k}) has {total} members,"
-                f" budget is {budget}", budget)
+                f" budget is {DEFAULT_ENUM_BUDGET}", DEFAULT_ENUM_BUDGET)
         draws = chain.from_iterable(combinations(range(e0), s) for s in sizes)
     elif mode == "sample":
         if count is None or count < 0:
@@ -250,7 +243,7 @@ def _missing_pairs(rows: tuple[int, ...], yz_bits: int) -> frozenset[Edge]:
     return frozenset(missing)
 
 
-def hub_partitions(g: Graph, kind: str, k: int) -> Iterator[HostPartition]:
+def hub_partitions(g: Graph, kind: str, k: int) -> Iterator[FamilyHandle]:
     """Candidate host partitions of g for one kind.
 
     Candidate X vertices must have degree exactly k (deletions never touch
@@ -284,11 +277,11 @@ def hub_partitions(g: Graph, kind: str, k: int) -> Iterator[HostPartition]:
         x_bits = sum(1 << x for x in x_set)
         y_bits = key & ~x_bits
         yz_bits = ((1 << n) - 1) & ~x_bits
-        yield HostPartition(kind, k, x_set, tuple(iter_bits(y_bits)),
-                            tuple(iter_bits(yz_bits & ~y_bits)), _missing_pairs(rows, yz_bits))
+        yield FamilyHandle(kind, k, x_set, tuple(iter_bits(y_bits)),
+                           tuple(iter_bits(yz_bits & ~y_bits)), _missing_pairs(rows, yz_bits), g)
 
 
-def membership(g: Graph, clazz: str, k: int) -> HostPartition | None:
+def membership(g: Graph, clazz: str, k: int) -> FamilyHandle | None:
     """Recognize a (possibly relabeled) class member; None means absent.
 
     The first ``hub_partitions`` record whose ``deleted`` pairs fit the class
@@ -303,7 +296,7 @@ def membership(g: Graph, clazz: str, k: int) -> HostPartition | None:
 
 def spanning_subgraph_of(
     g: Graph, kind: str, k: int, budget: int = DEFAULT_EMBED_BUDGET
-) -> HostPartition | None:
+) -> FamilyHandle | None:
     """The partition of a labeling under which every edge of g is an edge of
     the host, with ``deleted`` the missing Y u Z pairs; None if there is none.
 
@@ -324,7 +317,7 @@ def spanning_subgraph_of(
         return None
     nodes = 0
 
-    def finish(x_list: list[int], union: int) -> HostPartition | None:
+    def finish(x_list: list[int], union: int) -> FamilyHandle | None:
         x_bits = sum(1 << x for x in x_list)
         outside = union & ~x_bits
         if outside.bit_count() > y_size:
@@ -344,11 +337,11 @@ def spanning_subgraph_of(
             if kind == "S" and g.row(x) & x_bits:
                 return None
         yz_bits = ((1 << n) - 1) & ~x_bits
-        return HostPartition(kind, k, tuple(x_list), tuple(y_list),
-                             tuple(iter_bits(yz_bits & ~y_bits)),
-                             _missing_pairs(g._rows, yz_bits))
+        return FamilyHandle(kind, k, tuple(x_list), tuple(y_list),
+                            tuple(iter_bits(yz_bits & ~y_bits)),
+                            _missing_pairs(g._rows, yz_bits), g)
 
-    def dfs(start: int, x_list: list[int], union: int) -> HostPartition | None:
+    def dfs(start: int, x_list: list[int], union: int) -> FamilyHandle | None:
         nonlocal nodes
         nodes += 1
         if nodes > budget:

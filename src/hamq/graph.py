@@ -167,18 +167,6 @@ def complete(n: int) -> Graph:
     return Graph._from_rows(n, [full ^ (1 << v) for v in range(n)])
 
 
-def cycle(n: int) -> Graph:
-    """The cycle C_n (n >= 3)."""
-    if n < 3:
-        raise BadParameters(f"cycle needs order >= 3, got {n}")
-    return Graph(n, [(v, (v + 1) % n) for v in range(n)])
-
-
-def path_graph(n: int) -> Graph:
-    """The path P_n."""
-    return Graph(n, [(v, v + 1) for v in range(n - 1)])
-
-
 def join(g: Graph, h: Graph) -> Graph:
     """Join of two graphs: all cross edges added.
 

@@ -67,6 +67,8 @@ class SplitMix64:
 
     def sample_distinct(self, count: int, bound: int) -> list[int]:
         """``count`` distinct integers below ``bound``, in sorted order."""
+        if count < 0:
+            raise BadParameters(f"sample count must be >= 0, got {count}")
         if count > bound:
             raise BadParameters(f"cannot sample {count} distinct below {bound}")
         chosen: set[int] = set()

@@ -22,8 +22,8 @@ worse than an earlier one's; checking every step there keeps the min and max
 over all late iterates, which is what convergence at small ``tol`` needs.
 Iteration stops once ``hi - lo <= tol`` and the eigen-equation residual of
 the returned pair is at most ``5 * tol`` (computed only once the gap is
-within ``tol``, or at ``max_iter``); otherwise the best enclosure so far is
-returned with ``converged=False``.
+within ``tol``, or at the step cap of ``200 n + 10000`` power steps); at the
+cap the best enclosure so far is returned with ``converged=False``.
 
 Exact arithmetic backs the certification paths: ``rayleigh_quotient_exact``
 evaluates ``sum((x_u + x_v)^2 for uv in E) / sum(x_v^2)`` over the integers,
@@ -60,7 +60,7 @@ class SpectralEstimate(NamedTuple):
     ``f`` is strictly positive with max entry 1; ``residual`` is
     ``max_v |(q_hat - d(v)) f_v - sum(f_u for u ~ v)|``; ``lo <= q <= hi``.
     ``iterations`` counts every power step taken, checked or not, and is at
-    most the ``max_iter`` it ran under.
+    most the step cap ``200 n + 10000``.
     """
 
     q_hat: float
@@ -92,11 +92,7 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     return bits.astype(np.float64)
 
 
-def perron_pair(
-    g: Graph,
-    tol: float = DEFAULT_TOL,
-    max_iter: int | None = None,
-) -> SpectralEstimate:
+def perron_pair(g: Graph, tol: float = DEFAULT_TOL) -> SpectralEstimate:
     """Power iteration Perron pair with certified interval [lo, hi].
 
     Deterministic: all-ones start, fixed update rule and check schedule (see
@@ -104,24 +100,21 @@ def perron_pair(
     every 8 steps while far from ``tol``, and after every step once
     ``hi - lo <= 1000 * tol``, so that the last iterates, where rounding
     decides convergence, are all checked.  ``f`` and ``residual`` belong to
-    the last checked iterate.  At most ``max_iter`` steps are taken (default
-    ``200 n + 10000``).  Raises BadParameters for ``tol <= 0``,
-    ``max_iter < 1`` and disconnected input (Perron positivity needs
-    irreducibility); callers decompose into components themselves.
+    the last checked iterate.  At most ``200 n + 10000`` steps are taken.
+    Raises BadParameters for ``tol <= 0`` and disconnected input (Perron
+    positivity needs irreducibility); callers decompose into components
+    themselves.
     """
     import numpy as np
 
     if not tol > 0:  # also rejects nan
         raise BadParameters(f"perron_pair needs tol > 0, got {tol!r}")
-    if max_iter is not None and max_iter < 1:
-        raise BadParameters(f"perron_pair needs max_iter >= 1, got {max_iter!r}")
     n = g.n
     if n < 2:
         raise BadParameters("perron_pair needs n >= 2")
     if not is_connected(g):
         raise BadParameters("perron_pair requires a connected graph")
-    if max_iter is None:
-        max_iter = 200 * n + 10_000
+    step_cap = 200 * n + 10_000
 
     q = adjacency_matrix(g)
     q[np.diag_indices(n)] = g.degrees()  # Q = A + D; A has a zero diagonal
@@ -132,20 +125,20 @@ def perron_pair(
     residual = np.inf
     stride = 1
     next_check = 1
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, step_cap + 1):
         y = q @ x
-        if iterations == next_check or iterations == max_iter:
+        if iterations == next_check or iterations == step_cap:
             hi = min(hi, float((y / x).max()))
             best_ray = max(best_ray, float(x @ y) / float(x @ x))
             gap = hi - best_ray
-            if gap <= tol or iterations == max_iter:
+            if gap <= tol or iterations == step_cap:
                 # residual of the pair that will be returned (best_ray with
                 # this x, whose max entry is 1); the internal threshold is
                 # 5*tol so that both the residual and the adjacent-pair
                 # identity defect (at most twice it) land within 10*tol
                 residual = float(np.abs(y - best_ray * x).max())
                 converged = gap <= tol and residual <= 5.0 * tol
-                if converged or iterations == max_iter:
+                if converged or iterations == step_cap:
                     break
             stride = 1 if gap <= _DENSE_CHECKS * tol else min(2 * stride, _MAX_STRIDE)
             next_check = iterations + stride

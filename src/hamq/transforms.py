@@ -1,21 +1,22 @@
 """Degree-sum closure and the Kelmans transformation.
 
-``closure(G, k)`` repeatedly joins nonadjacent pairs whose degree sum is at
-least k until none remain.  The resulting edge set is independent of the
-order of additions (Bondy and Chvátal, 1976; asserted by randomized test
-rather than re-proved here), so the implementation is free to choose one.
-It makes a single worklist pass over mutable adjacency rows and degrees.
-Alongside them it keeps ``ge[t]``, the bit mask of vertices of degree at
-least t; degrees only grow, so a degree step d -> d + 1 costs one OR into
-``ge[d + 1]``.  A vertex u taken from the worklist is joined at once to
-every vertex of ``ge[k - d(u)]`` outside its closed neighborhood, and every
-vertex whose degree rose goes back on the worklist.  A pair that qualifies
-at the end is seen by whichever endpoint was processed last, so the pass
-stops at the closure.
+``closure(G)`` is the (n+1)-closure of Bondy and Chvátal: it repeatedly
+joins nonadjacent pairs whose degree sum is at least n + 1 until none
+remain.  The resulting edge set is independent of the order of additions
+(Bondy and Chvátal, 1976; checked by test against an independent scan on
+every graph of order <= 7 and on random orders, not re-proved here), so the
+implementation is free to choose one.  It makes a single worklist pass over
+mutable adjacency rows and degrees.  Alongside them it keeps ``ge[t]``, the
+bit mask of vertices of degree at least t; degrees only grow, so a degree
+step d -> d + 1 costs one OR into ``ge[d + 1]``.  A vertex u taken from the
+worklist is joined at once to every vertex of ``ge[n + 1 - d(u)]`` outside
+its closed neighborhood, and every vertex whose degree rose goes back on the
+worklist.  A pair that qualifies at the end is seen by whichever endpoint
+was processed last, so the pass stops at the closure.
 
 The returned trace lists the additions in the order they were made.  It
 promises only that each addition was valid at the moment it was made
-(d(u) + d(v) >= k in the graph built so far); the order itself is an
+(d(u) + d(v) >= n + 1 in the graph built so far); the order itself is an
 implementation detail.
 
 ``kelmans(G, u, v)`` moves every neighbor of v outside the closed
@@ -35,21 +36,19 @@ from .graph import Edge, Graph, _degree_masks, iter_bits
 class ClosureTrace(NamedTuple):
     """Replayable record of a closure run: edges in the order added.
 
-    At the moment each edge (u, v) was added, d(u) + d(v) >= k held in the
-    graph built so far.
+    At the moment each edge (u, v) was added, d(u) + d(v) >= n + 1 held in
+    the graph built so far.
     """
 
-    k: int
     added: tuple[Edge, ...]
 
 
-def closure(g: Graph, k: int) -> tuple[Graph, ClosureTrace]:
-    """The k-closure: no nonadjacent pair of the result has degree sum >= k.
+def closure(g: Graph) -> tuple[Graph, ClosureTrace]:
+    """The (n+1)-closure: no nonadjacent pair of the result has degree sum
+    >= n + 1.
 
     Returns ``g`` itself when nothing is added.
     """
-    if k < 1:
-        raise BadParameters(f"closure parameter must be >= 1, got {k}")
     n = g.n
     rows = list(g._rows)
     deg = list(g._deg)
@@ -62,10 +61,10 @@ def closure(g: Graph, k: int) -> tuple[Graph, ClosureTrace]:
         todo ^= ub
         u = ub.bit_length() - 1
         while True:
-            t = k - deg[u]
+            t = n + 1 - deg[u]  # >= 2, since d(u) <= n - 1
             if t >= n:
                 break  # no vertex has degree >= n
-            cand = ge[t if t > 0 else 0] & ~rows[u] & ~ub
+            cand = ge[t] & ~rows[u] & ~ub
             if not cand:
                 break
             # every candidate stays valid: d(u) only grows while they are joined
@@ -82,8 +81,8 @@ def closure(g: Graph, k: int) -> tuple[Graph, ClosureTrace]:
                 ge[deg[u]] |= ub
                 added.append((u, x) if u < x else (x, u))
     if not added:
-        return g, ClosureTrace(k=k, added=())
-    return Graph._from_rows(n, rows), ClosureTrace(k=k, added=tuple(added))
+        return g, ClosureTrace(added=())
+    return Graph._from_rows(n, rows), ClosureTrace(added=tuple(added))
 
 
 def kelmans(g: Graph, u: int, v: int) -> Graph:

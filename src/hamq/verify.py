@@ -164,9 +164,11 @@ def run_ore(trials: int = 10_000, seed: int = 1) -> SuiteReport:
 # -- closure: equivalence gate and well-definedness -----------------------------
 
 
-def _closure_with_order(g: Graph, k: int, order: list[tuple[int, int]]) -> Graph:
-    """Independent route: closure under an arbitrary fixed pair scan order,
-    adding the first pair whose degree sum is >= k and restarting the scan."""
+def _closure_with_order(g: Graph, order: list[tuple[int, int]]) -> Graph:
+    """Independent route: the (n+1)-closure under an arbitrary fixed pair scan
+    order, adding the first pair whose degree sum is >= n + 1 and restarting
+    the scan."""
+    k = g.n + 1
     rows = [g.row(v) for v in range(g.n)]
     deg = list(g.degrees())
     changed = True
@@ -184,7 +186,7 @@ def _closure_with_order(g: Graph, k: int, order: list[tuple[int, int]]) -> Graph
 
 
 def _closure_equiv_check(g: Graph) -> Failures:
-    cl, _ = closure(g, g.n + 1)
+    cl, _ = closure(g)
     a = is_hamilton_connected(g).verdict
     b = is_hamilton_connected(cl).verdict
     if a == b:
@@ -198,15 +200,15 @@ def _closure_order_trial(rng: SplitMix64) -> Failures:
     n = 4 + rng.next_below(9)  # 4..12
     g = gnp(n, 0.2 + 0.6 * rng.next_float(), rng)
     k = n + 1
-    ref, _tr = closure(g, k)
+    ref, _tr = closure(g)
     bad = []
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     for _ in range(10):
         order = [pairs[i] for i in rng.permutation(len(pairs))]
-        if _closure_with_order(g, k, order) != ref:
+        if _closure_with_order(g, order) != ref:
             bad.append(_fail(g, f"closure at k={k} depends on scan order"))
             break
-    again, tr2 = closure(ref, k)
+    again, tr2 = closure(ref)
     if tr2.added or again != ref:
         bad.append(_fail(g, "closure is not idempotent"))
     deg = ref.degrees()

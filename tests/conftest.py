@@ -5,8 +5,9 @@ machinery: paths are found by permutation enumeration and checked edge by
 edge, degree sums pair by pair, eigen-equation residuals by a plain
 neighbor sum, the Perron enclosure by a power iteration that checks every
 iterate, and graph6 bodies one bit per step, so they can arbitrate
-disagreements.  ``neighbors``, ``relabel``, ``add_edges`` and
-``emit_edgelist`` are plain helpers that only the tests need.
+disagreements.  ``neighbors``, ``relabel``, ``add_edges``, ``cycle``,
+``path_graph`` and ``emit_edgelist`` are plain helpers that only the tests
+need.
 ``pairwise_gnp`` is the contract of ``hamq.rng.gnp`` written as its per-pair
 loop, one ``next_float`` per pair, and arbitrates the vectorized pass.
 """
@@ -36,6 +37,16 @@ def relabel(g: Graph, perm: Sequence[int]) -> Graph:
 def add_edges(g: Graph, edges: Iterable[Sequence[int]]) -> Graph:
     """g plus the given edges; ``Graph`` rejects a pair that is already an edge."""
     return Graph(g.n, [*g.edges(), *edges])
+
+
+def cycle(n: int) -> Graph:
+    """The cycle C_n (n >= 3)."""
+    return Graph(n, [(v, (v + 1) % n) for v in range(n)])
+
+
+def path_graph(n: int) -> Graph:
+    """The path P_n."""
+    return Graph(n, [(v, v + 1) for v in range(n - 1)])
 
 
 def emit_edgelist(g: Graph) -> str:

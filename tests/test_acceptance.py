@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 
 from hamq.corpus import connected_graphs
-from hamq.graph import complete, cycle, emit_graph6
+from hamq.graph import complete, emit_graph6
 from hamq.hamilton import is_hamilton_connected, ore_check
 from hamq.rng import SplitMix64, random_connected_gnp
 from hamq.spectral import perron_pair
@@ -26,6 +26,8 @@ from hamq.verify import (
     run_qupper,
 )
 from hamq.families import appendix_check, thresholds
+
+from conftest import cycle
 
 ORACLE_BUDGET = 10**8
 

@@ -32,19 +32,17 @@ from hamq.graph import (
     Graph,
     complete,
     cut_vertex,
-    cycle,
     delete_edges,
     disjoint_union,
     is_connected,
     join,
     min_degree,
-    path_graph,
 )
 from hamq.hamilton import is_hamilton_connected, ore_check
 from hamq.rng import SplitMix64, gnm, gnp, pair_unrank
 from hamq.spectral import perron_pair
 
-from conftest import add_edges, relabel, validate_path
+from conftest import add_edges, cycle, path_graph, relabel, validate_path
 
 
 def test_certify_complete_graph_fires_ore():
@@ -563,9 +561,7 @@ def test_oracle_timeout_outcome():
         assert cert.exit_code() == 3
     else:
         # quick negatives may decide before the oracle; force a clean case
-        from hamq.graph import cycle as cyc
-
-        cert = certify(cyc(9), pair_budget=3)
+        cert = certify(cycle(9), pair_budget=3)
         assert cert.outcome == OUTCOME_TIMEOUT
         assert cert.exit_code() == 3
 

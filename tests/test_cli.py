@@ -7,9 +7,9 @@ import pytest
 from hamq.certifier import certify
 from hamq.cli import main
 from hamq.families import build_S
-from hamq.graph import Graph, complete, cycle, emit_graph6, parse_graph6, path_graph
+from hamq.graph import Graph, complete, emit_graph6, parse_graph6
 
-from conftest import emit_edgelist
+from conftest import cycle, emit_edgelist, path_graph
 
 
 def run_cli(capsys, args, stdin=None, monkeypatch=None):

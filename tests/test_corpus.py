@@ -4,10 +4,10 @@ import pytest
 
 from hamq.corpus import all_graphs, canonical_key, connected_graphs
 from hamq.errors import BadParameters
-from hamq.graph import Graph, complete, cycle
+from hamq.graph import Graph, complete
 from hamq.rng import SplitMix64, gnp
 
-from conftest import relabel
+from conftest import cycle, relabel
 
 # published counts of graphs up to isomorphism (OEIS A000088 and A001349),
 # the anchors that validate the generator

@@ -5,10 +5,12 @@ from math import comb
 
 import pytest
 
+from hamq import families
 from hamq.certifier import certify
 from hamq.errors import BadParameters, BudgetExceeded
 from hamq.families import (
     CLASSES,
+    DEFAULT_ENUM_BUDGET,
     appendix_check,
     build_S,
     build_T,
@@ -23,14 +25,14 @@ from hamq.families import (
     spanning_subgraph_of,
     thresholds,
 )
-from hamq.graph import Graph, complete, component_count, cycle, delete_edges
+from hamq.graph import Graph, complete, component_count, delete_edges
 from hamq.hamilton import is_hamilton_connected
 from hamq.rng import SplitMix64
 from hamq.spectral import perron_pair, rayleigh_quotient_exact
 from hamq.transforms import closure
 from hamq.verify import run_appendix
 
-from conftest import neighbors, relabel
+from conftest import cycle, neighbors, relabel
 
 
 def test_build_S_examples():
@@ -96,13 +98,13 @@ def test_family_member():
     lambda: build_S(9, 2),
     lambda: next(hub_partitions(build_T(9, 2).graph, "T", 2)),
     lambda: appendix_check(3, 300),
-    lambda: closure(cycle(6), 4)[1],
+    lambda: closure(cycle(6))[1],
     lambda: is_hamilton_connected(complete(4)),
     lambda: perron_pair(complete(4)),
     lambda: certify(cycle(6)),
     lambda: run_appendix(k_values=[2]),
-], ids=["Thresholds", "FamilyHandle", "HostPartition", "AppendixReport", "ClosureTrace",
-        "OracleAnswer", "SpectralEstimate", "Certificate", "SuiteReport"])
+], ids=["Thresholds", "FamilyHandle", "FamilyHandle-recognized", "AppendixReport",
+        "ClosureTrace", "OracleAnswer", "SpectralEstimate", "Certificate", "SuiteReport"])
 def test_records_are_frozen_and_compare_by_value(make):
     a, b = make(), make()
     assert a is not b and a == b and type(a) is type(b)
@@ -150,14 +152,18 @@ def test_enumerate_sample_rejects_a_negative_count():
 
 
 def test_enumerate_budget():
-    with pytest.raises(BudgetExceeded):
-        list(enumerate_class("S2", 92, 2, "exhaustive", budget=100))
+    # S2(92, 3) has C(4005, 2) = 8,018,010 members: refused before any is drawn
+    with pytest.raises(BudgetExceeded, match="has 8018010 members, budget is 1000000") as exc:
+        enumerate_class("S2", 92, 3, "exhaustive")
+    assert exc.value.budget == DEFAULT_ENUM_BUDGET
 
 
 def test_membership_examples():
     s62 = build_S(6, 2)
     w = membership(s62.graph, "S1", 2)
     assert w is not None and w.deleted == frozenset()
+    # a recognized partition carries the graph it was read from
+    assert w.graph is s62.graph and w.n == 6 and w == s62
     assert membership(complete(6), "S1", 2) is None
 
 
@@ -408,11 +414,15 @@ def test_boundary_host_n_equals_2k():
                 assert w is not None
 
 
-def test_enumerate_budget_boundary():
+def test_enumerate_budget_boundary(monkeypatch):
+    # the budget is read from DEFAULT_ENUM_BUDGET when the function is called
     total = 1 + 21  # T1(9,3): empty set plus single deletions
-    assert len(list(enumerate_class("T1", 9, 3, "exhaustive", budget=total))) == total
-    with pytest.raises(BudgetExceeded):
-        list(enumerate_class("T1", 9, 3, "exhaustive", budget=total - 1))
+    monkeypatch.setattr(families, "DEFAULT_ENUM_BUDGET", total)
+    assert len(list(enumerate_class("T1", 9, 3, "exhaustive"))) == total
+    monkeypatch.setattr(families, "DEFAULT_ENUM_BUDGET", total - 1)
+    with pytest.raises(BudgetExceeded, match=f"has {total} members, budget is {total - 1}") as exc:
+        enumerate_class("T1", 9, 3, "exhaustive")
+    assert exc.value.budget == total - 1
 
 
 def test_prefix_pair_unrank_matches_sorted_edges():

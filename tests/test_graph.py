@@ -10,7 +10,6 @@ from hamq.graph import (
     component_count,
     copies,
     cut_vertex,
-    cycle,
     delete_edges,
     disjoint_union,
     emit_graph6,
@@ -20,12 +19,19 @@ from hamq.graph import (
     min_degree,
     parse_edgelist,
     parse_graph6,
-    path_graph,
 )
 from hamq.families import build_S, build_T
 from hamq.rng import SplitMix64, gnp
 
-from conftest import add_edges, bitwise_emit_graph6, bitwise_parse_graph6, emit_edgelist, relabel
+from conftest import (
+    add_edges,
+    bitwise_emit_graph6,
+    bitwise_parse_graph6,
+    cycle,
+    emit_edgelist,
+    path_graph,
+    relabel,
+)
 
 
 def test_complete_small():

@@ -10,13 +10,11 @@ from hamq.families import CLASSES, build_S, build_T, enumerate_class
 from hamq.graph import (
     Graph,
     complete,
-    cycle,
     delete_edges,
     disjoint_union,
     is_2_connected,
     is_connected,
     join,
-    path_graph,
 )
 from hamq.hamilton import (
     _pair_search,
@@ -26,7 +24,15 @@ from hamq.hamilton import (
 from hamq.rng import SplitMix64, gnp
 from hamq.transforms import closure
 
-from conftest import add_edges, brute_failing_pair, brute_hamilton_path, brute_ore, validate_path
+from conftest import (
+    add_edges,
+    brute_failing_pair,
+    brute_hamilton_path,
+    brute_ore,
+    cycle,
+    path_graph,
+    validate_path,
+)
 
 
 def s62():
@@ -307,7 +313,7 @@ def test_closure_gate_consistency():
     for _ in range(150):
         n = 4 + rng.next_below(6)  # 4..9
         g = gnp(n, 0.4 + 0.4 * rng.next_float(), rng)
-        cl, _ = closure(g, n + 1)
+        cl, _ = closure(g)
         if cl.m == n * (n - 1) // 2:
             assert is_hamilton_connected(g).verdict == "yes"
 

@@ -2,24 +2,39 @@
 
 import pytest
 
+from hamq.corpus import all_graphs
 from hamq.errors import BadParameters
 from hamq.families import build_S, build_T
-from hamq.graph import Graph, complete, cycle, delete_edges, is_connected, path_graph
+from hamq.graph import Graph, complete, delete_edges, is_connected
 from hamq.rng import SplitMix64, gnp, random_connected_gnp
 from hamq.spectral import perron_pair
 from hamq.transforms import closure, kelmans
 from hamq.verify import _closure_with_order
 
-from conftest import add_edges
+from conftest import add_edges, cycle, path_graph
 
 
 def test_closure_examples():
-    g, tr = closure(cycle(4), 5)
+    g, tr = closure(cycle(4))
     assert g == cycle(4) and tr.added == ()
-    g, tr = closure(delete_edges(complete(5), [(0, 1)]), 6)
+    g, tr = closure(delete_edges(complete(5), [(0, 1)]))
     assert g == complete(5) and tr.added == ((0, 1),)
-    g, tr = closure(cycle(5), 6)
+    g, tr = closure(cycle(5))
     assert g == cycle(5) and tr.added == ()
+
+
+def _lexicographic_closure(g):
+    """Independent route: scan pairs lexicographically, restarting after each addition."""
+    return _closure_with_order(g, [(u, v) for u in range(g.n) for v in range(u + 1, g.n)])
+
+
+def _assert_trace_replays(g, cl, tr):
+    replay = g
+    for u, v in tr.added:
+        # the degree-sum condition held at the moment of addition
+        assert replay.degree(u) + replay.degree(v) >= g.n + 1
+        replay = add_edges(replay, [(u, v)])
+    assert replay == cl
 
 
 def test_closure_trace_replays():
@@ -27,15 +42,21 @@ def test_closure_trace_replays():
     for _ in range(40):
         n = 4 + rng.next_below(8)
         g = gnp(n, 0.3 + 0.4 * rng.next_float(), rng)
-        k = n + 1
-        cl, tr = closure(g, k)
-        assert tr.k == k
-        replay = g
-        for u, v in tr.added:
-            # the degree-sum condition held at the moment of addition
-            assert replay.degree(u) + replay.degree(v) >= k
-            replay = add_edges(replay, [(u, v)])
-        assert replay == cl
+        cl, tr = closure(g)
+        _assert_trace_replays(g, cl, tr)
+
+
+def test_closure_matches_the_lexicographic_scan_on_every_small_graph():
+    # every graph of order 1..7, disconnected ones included
+    graphs = [g for n in range(1, 8) for g in all_graphs(n)]
+    assert len(graphs) == 1 + 2 + 4 + 11 + 34 + 156 + 1044
+    added = 0
+    for g in graphs:
+        cl, tr = closure(g)
+        assert cl == _lexicographic_closure(g)
+        _assert_trace_replays(g, cl, tr)
+        added += len(tr.added)
+    assert added > 0
 
 
 def test_closure_fixpoint_and_idempotence():
@@ -43,14 +64,13 @@ def test_closure_fixpoint_and_idempotence():
     for _ in range(40):
         n = 4 + rng.next_below(9)
         g = gnp(n, 0.4, rng)
-        k = n + 1
-        cl, _ = closure(g, k)
+        cl, _ = closure(g)
         deg = cl.degrees()
         for u in range(n):
             for v in range(u + 1, n):
                 if not cl.has_edge(u, v):
-                    assert deg[u] + deg[v] <= k - 1
-        again, tr = closure(cl, k)
+                    assert deg[u] + deg[v] <= n
+        again, tr = closure(cl)
         assert again == cl and tr.added == ()
 
 
@@ -60,12 +80,11 @@ def test_closure_order_independence():
     for _ in range(60):
         n = 4 + rng.next_below(9)  # 4..12
         g = gnp(n, 0.2 + 0.6 * rng.next_float(), rng)
-        k = n + 1
-        ref, _ = closure(g, k)
+        ref, _ = closure(g)
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         for _ in range(10):
             order = [pairs[i] for i in rng.permutation(len(pairs))]
-            assert _closure_with_order(g, k, order) == ref
+            assert _closure_with_order(g, order) == ref
 
 
 def _larger_closure_inputs():
@@ -84,27 +103,18 @@ def _larger_closure_inputs():
 def test_closure_matches_restart_scan_at_larger_orders():
     added = 0
     for g in _larger_closure_inputs():
-        k = g.n + 1
-        cl, tr = closure(g, k)
-        # independent route: scan pairs lexicographically, restarting after each addition
-        pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
-        assert cl == _closure_with_order(g, k, pairs)
-        replay = g
-        for u, v in tr.added:
-            # the degree-sum condition held at the moment of addition
-            assert replay.degree(u) + replay.degree(v) >= k
-            replay = add_edges(replay, [(u, v)])
-        assert replay == cl
+        cl, tr = closure(g)
+        assert cl == _lexicographic_closure(g)
+        _assert_trace_replays(g, cl, tr)
         added += len(tr.added)
     assert added > 0
 
 
 def test_closure_of_closed_graph_adds_nothing():
     for g in _larger_closure_inputs():
-        k = g.n + 1
-        cl, _ = closure(g, k)
-        again, tr = closure(cl, k)
-        assert again == cl and tr.added == () and tr.k == k
+        cl, _ = closure(g)
+        again, tr = closure(cl)
+        assert again == cl and tr.added == ()
 
 
 def test_kelmans_examples():
