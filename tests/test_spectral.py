@@ -241,6 +241,20 @@ def test_adjacent_pair_identity():
         assert adjacent_pair_identity_defect(g, est, u, v) <= 10 * est.tol
 
 
+def test_perron_takes_at_most_max_iter_steps():
+    # the step cap is 200 n + 10000; whatever the tolerance, the run stops by
+    # then, and the returned pair encloses q with its own residual
+    for g in (random_connected_gnp(30, 0.3, SplitMix64(61)), path_graph(40)):
+        exact = _exact_q(g)
+        for tol in (1e-2, 1e-6, 1e-10, 1e-13, 1e-300):
+            est = perron_pair(g, tol=tol)
+            assert 1 <= est.iterations <= 200 * g.n + 10_000
+            assert est.lo - 1e-9 <= exact <= est.hi + 1e-9
+            # the residual is that of the returned pair, converged or not
+            direct = eigen_residual(g, est.q_hat, list(est.f))
+            assert direct == pytest.approx(est.residual, abs=1e-9)
+
+
 def test_unconverged_estimate_still_encloses():
     # no double reaches tol = 1e-300, so the iteration runs to its step cap
     # of 200 n + 10000: 18,000 steps on P_40 and 14,000 on the gnp graph
@@ -251,6 +265,3 @@ def test_unconverged_estimate_still_encloses():
         assert est.lo <= est.q_hat <= est.hi
         exact = _exact_q(g)
         assert est.lo - 1e-9 <= exact <= est.hi + 1e-9
-        # the residual is that of the returned pair, converged or not
-        direct = eigen_residual(g, est.q_hat, list(est.f))
-        assert direct == pytest.approx(est.residual, abs=1e-9)
