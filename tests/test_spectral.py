@@ -7,7 +7,7 @@ import pytest
 
 from hamq.errors import BadParameters
 from hamq.families import enumerate_class
-from hamq.graph import complete, delete_edges, disjoint_union, is_connected, join
+from hamq.graph import Graph, complete, delete_edges, disjoint_union, is_connected, join
 from hamq.rng import SplitMix64, gnp, random_connected_gnp
 from hamq.spectral import (
     DEFAULT_TOL,
@@ -86,8 +86,9 @@ ARBITRATED = {
 
 @pytest.mark.parametrize("corpus", sorted(ARBITRATED))
 def test_perron_agrees_with_the_every_step_loop(corpus):
-    # the spaced-out enclosure checks against the loop that checks every
-    # iterate: same convergence, same radius, at most one stride more steps
+    # the shifted block loop against the unshifted loop that checks every
+    # iterate: same convergence, same radius, at most 8 more steps (the
+    # triangle with a pendant vertex takes 13 against 11 at tol 1e-10)
     graphs, tols = ARBITRATED[corpus]
     for g in graphs():
         exact = _exact_q(g)
@@ -99,6 +100,48 @@ def test_perron_agrees_with_the_every_step_loop(corpus):
             assert est.lo - slack <= exact <= est.hi + slack
             assert abs(est.q_hat - q_hat) <= 2 * tol
             assert est.iterations <= iterations + 8
+
+
+def _lollipop(clique, tail):
+    edges = [(u, v) for u in range(clique) for v in range(u + 1, clique)]
+    return Graph(clique + tail, edges + [(v, v + 1) for v in range(clique - 1, clique + tail - 1)])
+
+
+# corpus -> [(graph, tol)]: m/n is 11.1 on the lollipop and 44.5 on the
+# class-2 members, above their minimum degrees 1 and 2, so Q - (m/n) I has
+# negative diagonal entries there; the star and P_40 are bipartite, so Q has
+# the eigenvalue 0, which the shift moves to -m/n; P_40 runs to the step cap
+SHIFTED = {
+    "lollipop-30-10": lambda: [(_lollipop(30, 10), DEFAULT_TOL)],
+    "star-40": lambda: [(Graph(41, [(0, v) for v in range(1, 41)]), DEFAULT_TOL)],
+    "class2-k2-n92": lambda: [(g, DEFAULT_TOL) for g in _class2_members(92, 2, 5)],
+    "path-40-at-1e-300": lambda: [(path_graph(40), 1e-300)],
+}
+
+
+@pytest.mark.parametrize("corpus", sorted(SHIFTED))
+def test_perron_shift_keeps_the_enclosure_and_takes_no_more_steps(corpus):
+    for g, tol in SHIFTED[corpus]():
+        exact = _exact_q(g)
+        slack = 16 * np.finfo(float).eps * exact  # eigvalsh's own rounding
+        est = perron_pair(g, tol=tol)
+        assert est.lo - slack <= exact <= est.hi + slack
+        assert min(est.f) > 0 and max(est.f) == 1.0
+        assert est.residual == pytest.approx(eigen_residual(g, est.q_hat, list(est.f)), abs=1e-12)
+        assert est.iterations <= plain_perron(g, tol)[1]
+
+
+def test_perron_encloses_where_shifted_iterates_leave_the_positive_cone():
+    # K_20 with a pendant P_40: the Perron entries fall to about 1e-63 along
+    # the path, and six blocks of shifted iterates have entries <= 0 there
+    g = _lollipop(20, 40)
+    exact = _exact_q(g)
+    slack = 16 * np.finfo(float).eps * exact
+    est = perron_pair(g)
+    assert est.converged
+    assert est.lo - slack <= exact <= est.hi + slack
+    assert min(est.f) > 0 and max(est.f) == 1.0
+    assert est.residual == pytest.approx(eigen_residual(g, est.q_hat, list(est.f)), abs=1e-12)
 
 
 def test_perron_against_dense_eigensolver():

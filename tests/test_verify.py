@@ -5,12 +5,22 @@ import json
 import pytest
 
 import hamq.verify
+from hamq.certifier import (
+    OUTCOME_CERTIFIED,
+    OUTCOME_EXCEPTIONAL,
+    OUTCOME_INCONCLUSIVE,
+    OUTCOME_NOT_HC,
+    certify,
+)
 from hamq.errors import BadParameters
-from hamq.graph import parse_graph6
+from hamq.graph import complete, cut_vertex, emit_graph6, parse_graph6
+from hamq.rng import SplitMix64, gnp
 from hamq.spectral import perron_pair
 from hamq.verify import (
     CLAIM_COVERAGE,
     SUITES,
+    _case_seeds,
+    _edge_at,
     _report,
     run_appendix,
     run_closure,
@@ -115,6 +125,66 @@ def test_hunt_models():
     assert run_hunt(n=12, trials=30, seed=2, model="gnm(40)").ok
     assert run_hunt(n=22, trials=5, seed=7,
                     model="dense-above-edge-threshold(k=2)").ok
+
+
+def _lie(monkeypatch, lie_when, outcome):
+    """Make the hunt's certifier answer ``outcome`` wherever ``lie_when(g,
+    cert)`` holds; returns the graph6 strings of the graphs it lied about."""
+    lied = []
+
+    def lying_certify(g, **kwargs):
+        cert = certify(g, **kwargs)
+        if not lie_when(g, cert):
+            return cert
+        lied.append(emit_graph6(g))
+        return cert._replace(outcome=outcome)
+
+    monkeypatch.setattr(hamq.verify, "certify", lying_certify)
+    return lied
+
+
+@pytest.mark.parametrize("lie_when, outcome, model", [
+    # a cut vertex: never Hamilton-connected
+    (lambda g, cert: cut_vertex(g) is not None, OUTCOME_CERTIFIED, "gnp(0.5)"),
+    # K_8: Hamilton-connected
+    (lambda g, cert: g == complete(g.n), OUTCOME_NOT_HC, "gnp(1)"),
+    # certified graphs: the oracle says "yes" on every one
+    (lambda g, cert: cert.outcome == OUTCOME_CERTIFIED, OUTCOME_EXCEPTIONAL, "gnp(0.5)"),
+], ids=["certified-cut-vertex", "not-hc-complete", "exceptional-hc"])
+def test_hunt_catches_a_lying_certifier(monkeypatch, lie_when, outcome, model):
+    lied = _lie(monkeypatch, lie_when, outcome)
+    report = run_hunt(n=8, trials=100, model=model)
+    assert lied
+    assert sorted(f["graph6"] for f in report.failures) == sorted(lied)
+    assert all(f"certifier said {outcome}" in f["violated"] for f in report.failures)
+
+
+def test_hunt_asks_the_oracle_only_about_decided_verdicts(monkeypatch):
+    def no_oracle(g, *args, **kwargs):
+        raise RuntimeError("oracle asked")
+
+    monkeypatch.setattr(hamq.verify, "is_hamilton_connected", no_oracle)
+    seen = set()
+    for seed in range(30):
+        graphs = [gnp(8, 0.5, SplitMix64(s)) for s in _case_seeds(seed, 3)]
+        all_inconclusive = all(certify(g, oracle_gate=0).outcome == OUTCOME_INCONCLUSIVE
+                               for g in graphs)
+        seen.add(all_inconclusive)
+        if all_inconclusive:
+            assert run_hunt(n=8, trials=3, seed=seed).ok
+        else:
+            with pytest.raises(RuntimeError, match="oracle asked"):
+                run_hunt(n=8, trials=3, seed=seed)
+    assert seen == {True, False}
+
+
+def test_edge_at_is_the_indexed_edge():
+    rng = SplitMix64(71)
+    for n in range(3, 51):
+        for g in (gnp(n, rng.next_float(), rng), complete(n)):
+            assert [_edge_at(g, i) for i in range(g.m)] == g.edges()
+        with pytest.raises(IndexError):
+            _edge_at(g, g.m)
 
 
 def test_corollary_skips_k2():
