@@ -10,9 +10,12 @@ A suite is its params, a stream of cases and a per-case check that returns
 the case's failures; ``_report`` is the one case loop that walks the
 stream, counts the cases, gathers and sorts the failures, and builds every
 ``SuiteReport``.  The class-member suites draw their cases from
-``_members``.  Failures carry the graph6 string of the offending graph and
-the violated inequality with its numbers (``_fail``), so every failure is
-replayable.  Reports carry no timing and their failures are sorted, so
+``_members``.  The spectral suites solve their graphs with ``perron_pairs``:
+``q-upper`` and ``qbound`` pass their streams through ``_estimated``, which
+feeds them to it as they come, and ``kelmans`` and ``corollary`` stack the
+two graphs of a case.  Failures carry the graph6 string of the offending
+graph and the violated inequality with its numbers (``_fail``), so every
+failure is replayable.  Reports carry no timing and their failures are sorted, so
 they are byte-stable for fixed (params, seed); callers that want wall time
 measure the call.
 """
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, repeat, tee
 from math import comb
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
@@ -50,9 +53,10 @@ from .graph import Graph, emit_graph6, is_connected, min_degree
 from .hamilton import is_hamilton_connected, ore_check
 from .rng import SplitMix64, gnm, gnp, random_connected_gnp
 from .spectral import (
+    DEFAULT_TOL,
     SpectralEstimate,
     adjacent_pair_identity_defect,
-    perron_pair,
+    perron_pairs,
     rayleigh_quotient_exact,
     upper_bound_edge_count,
 )
@@ -131,6 +135,16 @@ def _members(
         for clazz in classes:
             for member in enumerate_class(clazz, n, k, mode, seed=seed, count=count):
                 yield (i, clazz), member
+
+
+def _estimated(
+    items: Iterable[Any], graph_of: Callable[[Any], Graph], tol: float = DEFAULT_TOL
+) -> Iterator[tuple[Any, SpectralEstimate]]:
+    """``(item, perron_pair(graph_of(item), tol))`` for every item, in stream
+    order.  ``perron_pairs`` reads the graphs a stack at a time, so only the
+    items of one stack are drawn ahead of the check."""
+    items, ahead = tee(items)
+    return zip(items, perron_pairs(map(graph_of, ahead), tol))
 
 
 # -- ore: degree-sum sufficiency ------------------------------------------------
@@ -258,8 +272,7 @@ def _kelmans_case(case_seed: int) -> Failures:
         gs = kelmans(g, u, v)
         if not is_connected(gs):
             continue
-        a = perron_pair(g)
-        b = perron_pair(gs)
+        a, b = perron_pairs([g, gs])
         if b.q_hat < a.q_hat - 1e-8 or a.lo > b.hi + 1e-8:
             return [_fail(g, f"kelmans({u},{v}) dropped the radius: "
                              f"q(G)~{a.q_hat:.12f} vs q(G*)~{b.q_hat:.12f}")]
@@ -276,11 +289,21 @@ def run_kelmans(count: int = 1000, seed: int = 3) -> SuiteReport:
 # -- qbound: edge-count upper bound and eigen-equation checks --------------------
 
 
-def _qbound_case(case_seed: int) -> Failures:
-    rng = SplitMix64(case_seed)
-    n = 3 + rng.next_below(48)  # 3..50
-    g = random_connected_gnp(n, 0.25 + 0.65 * rng.next_float(), rng)
-    est = perron_pair(g, tol=1e-8)
+def _qbound_draws(seed: int, count: int) -> Iterator[tuple[Graph, SplitMix64]]:
+    """Each case's graph with its generator, grouped by order: every case
+    seed's order is read first, then the graphs are drawn an order at a time,
+    and lazily, so a consumer drawing a stack at a time holds only that."""
+    by_order: dict[int, list[SplitMix64]] = {}
+    for case_seed in _case_seeds(seed, count):
+        rng = SplitMix64(case_seed)
+        by_order.setdefault(3 + rng.next_below(48), []).append(rng)  # n in 3..50
+    for n, rngs in by_order.items():
+        for rng in rngs:
+            yield random_connected_gnp(n, 0.25 + 0.65 * rng.next_float(), rng), rng
+
+
+def _qbound_check(item: tuple[tuple[Graph, SplitMix64], SpectralEstimate]) -> Failures:
+    (g, rng), est = item
     bound = float(upper_bound_edge_count(g))
     if est.lo > bound + 1e-9:
         return [_fail(g, f"certified lower bound {est.lo:.12f} above "
@@ -317,9 +340,16 @@ def _edge_at(g: Graph, i: int) -> tuple[int, int]:
 
 
 def run_qbound(count: int = 10_000, seed: int = 4) -> SuiteReport:
-    """Edge-count bound on the radius, plus residual/identity sanity."""
+    """Edge-count bound on the radius, plus residual/identity sanity.
+
+    Each case's order is read from its seed first; the cases are then grouped
+    by order, and drawn, solved with ``perron_pairs`` at tol 1e-8 and checked
+    one stack at a time.  Each case draws from its own generator, so the
+    grouping changes no graph and no estimate.
+    """
     return _report("qbound", {"count": count, "seed": seed, "n_max": 50},
-                   (_case_seeds(seed, count), _qbound_case))
+                   (_estimated(_qbound_draws(seed, count), lambda item: item[0], 1e-8),
+                    _qbound_check))
 
 
 # -- q-lower: exact class-1 certificates -----------------------------------------
@@ -427,6 +457,11 @@ def run_qupper(
     A sample need not hold the maximizer, so its best member gets only the
     member checks.
 
+    The members stream from ``_members`` to ``perron_pairs`` a stack of one
+    order at a time and are checked in stream order, so the maximizer is the
+    first member with the strictly largest ``q_hat``, as with one call per
+    member.
+
     The strict upper bound only holds once n clears the order threshold
     (quartic in k); running a case below it reports honest failures.
     """
@@ -437,9 +472,8 @@ def run_qupper(
     exhaustive = {i for i, case in enumerate(cases) if case[2] == "exhaustive"}
     best: dict[tuple[int, str], tuple[FamilyHandle, SpectralEstimate]] = {}
 
-    def check(item: Member) -> Failures:
-        group, member = item
-        est = perron_pair(member.graph)
+    def check(item: tuple[Member, SpectralEstimate]) -> Failures:
+        (group, member), est = item
         if group[0] in exhaustive and (group not in best or est.q_hat > best[group][1].q_hat):
             best[group] = (member, est)
         where = f"{group[1]}(n={member.n},k={member.k})"
@@ -452,7 +486,8 @@ def run_qupper(
                 for msg in _qupper_maximizer_checks(member, est)]
 
     return _report("q-upper", {"cases": [list(c) for c in cases], "seed": seed},
-                   (_members(cases, ("S2", "T2"), seed), check), finish=maximizers)
+                   (_estimated(_members(cases, ("S2", "T2"), seed), lambda item: item[1].graph),
+                    check), finish=maximizers)
 
 
 # -- appendix: exact rational inequality -----------------------------------------
@@ -488,8 +523,7 @@ def run_appendix(k_values: Iterable[int] = range(2, 13)) -> SuiteReport:
 def _corollary_check(case: tuple[int, int]) -> Failures:
     k, n = case
     s_host = build_S(n, k).graph
-    s_est = perron_pair(s_host)
-    t_est = perron_pair(build_T(n, k).graph)
+    s_est, t_est = perron_pairs([s_host, build_T(n, k).graph])
     base = 2 * n - 2 * k
     if s_est.lo - t_est.hi > 1e-6 and t_est.lo - base > 1e-6:
         return []

@@ -484,6 +484,7 @@ def test_usage_error_is_an_input_error(capsys, argv):
     ["verify", "ore", "--count", "-1"],
     ["spectrum", "-", "--tol", "-1"],
     ["spectrum", "-", "--tol", "nan"],
+    ["spectrum", "-", "--tol", "inf"],
 ])
 def test_negative_count_or_tolerance_is_an_input_error(capsys, monkeypatch, argv):
     code, out, err = run_cli(capsys, argv, emit_graph6(cycle(60)), monkeypatch)
@@ -657,7 +658,10 @@ def test_out_of_memory_in_a_small_address_space_is_an_input_error():
 # stdout sha256 and exit code of each run, as the CLI gave them before the
 # hunt's trial/model pairing moved into hamq.verify.run_hunt; the family and
 # sampled q-lower runs gave these bytes under their older spellings
-# (--class S2 --mode sample, --class T1, --mode sample --count 5)
+# (--class S2 --mode sample, --class T1, --mode sample --count 5); the
+# q-upper and kelmans runs give the bytes of one Perron loop per graph, which
+# the stacked loop reproduces (the k = 3 run fails at n = 20 and prints hi to
+# 12 decimals)
 _PINNED_RUNS = [
     (["hunt"], 0, "66bdf014fe87e6ac0f73a71923aa8e78cd1cb4abd3a400b0f0c3ff487a64bcc1"),
     (["hunt", "--n", "6", "--model", "all-connected"], 0,
@@ -680,6 +684,12 @@ _PINNED_RUNS = [
      "bbc1ad8c68f171fd890b367c023accd9ff430c51b804a4f707e45c0d5a32fa33"),
     (["verify", "q-lower", "--k", "3", "--n", "40", "--count", "5"], 0,
      "f6341d0270987a6bcc10a797a1b980b6f7d878716a0b571a1cd88e0c8ac7bfcd"),
+    (["verify", "q-upper", "--k", "3", "--n", "20", "--count", "6"], 1,
+     "3924608135c294304d3f26223462f0b7bc9e19461afb5ddb1a7a35e65a3c5dad"),
+    (["verify", "q-upper", "--k", "2", "--n", "92", "--count", "20"], 0,
+     "3a3cbacd2eea91e864e444c683ccf46a3346dabf202c7179cf91bae73a359205"),
+    (["verify", "kelmans", "--count", "40"], 0,
+     "57f49f64fb88d054c7a45b2784e45972bcfc1b2c6c48c0b6753b531b97ab6d3d"),
     (["verify", "qbound", "--count", "200"], 0,
      "dadba9c5f4b7d9b6f0948c0042c1f1e976c245a1cb9def12c52a0ff03f5cb3e1"),
     (["verify", "corollary", "--k", "2"], 1,

@@ -11,9 +11,10 @@ from hamq.graph import Graph, complete, delete_edges, disjoint_union, is_connect
 from hamq.rng import SplitMix64, gnp, random_connected_gnp
 from hamq.spectral import (
     DEFAULT_TOL,
-    adjacency_matrix,
+    adjacency_stack,
     adjacent_pair_identity_defect,
     perron_pair,
+    perron_pairs,
     rayleigh_quotient_exact,
     upper_bound_edge_count,
 )
@@ -54,14 +55,14 @@ def test_perron_rejects_bad_input():
         perron_pair(disjoint_union(complete(3), complete(2)))
 
 
-@pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan")])
+@pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
 def test_perron_rejects_a_tolerance_that_is_not_positive(tol):
     with pytest.raises(BadParameters):
         perron_pair(cycle(60), tol=tol)
 
 
 def _exact_q(g):
-    q = adjacency_matrix(g) + np.diag(np.asarray(g.degrees(), float))
+    q = adjacency_stack([g])[0] + np.diag(np.asarray(g.degrees(), float))
     return float(np.linalg.eigvalsh(q).max())
 
 
@@ -144,6 +145,61 @@ def test_perron_encloses_where_shifted_iterates_leave_the_positive_cone():
     assert est.residual == pytest.approx(eigen_residual(g, est.q_hat, list(est.f)), abs=1e-12)
 
 
+def _stack_mix():
+    # qbound-range gnp of several orders (two of order 30 stop in one block
+    # at steps 27 and 29; three of order 40, the order of P_40), S2/T2
+    # members at n = 92 (more than one stack of 7), the K_20 + P_40 lollipop
+    # (65 steps) and complete graphs (done in the first step)
+    rng = SplitMix64(67)
+    gnps = [random_connected_gnp(n, 0.25 + 0.65 * rng.next_float(), rng)
+            for n in (5, 5, 5, 12, 12, 12, 12, 30, 30, 30, 40, 40, 40, 50)]
+    return gnps + _class2_members(92, 2, 5) + [
+        path_graph(40), _lollipop(20, 40), complete(5), complete(40), complete(92)]
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-300])
+def test_perron_estimate_does_not_depend_on_its_stack(tol):
+    graphs = _stack_mix()
+    if tol == 1e-300:  # P_40 runs to the step cap while K_40, in its stack, stops at once
+        graphs = [complete(5), path_graph(40), complete(40)]
+    mixed = list(perron_pairs(graphs, tol))
+    assert [est.tol for est in mixed] == [tol] * len(graphs)
+    assert mixed == [perron_pair(g, tol) for g in graphs]
+    rng = SplitMix64(71)
+    for _ in range(3):
+        order = list(range(len(graphs)))
+        for i in range(len(order) - 1, 0, -1):  # Fisher-Yates
+            j = rng.next_below(i + 1)
+            order[i], order[j] = order[j], order[i]
+        start = 0
+        while start < len(order):
+            part = order[start:start + 1 + rng.next_below(12)]
+            start += len(part)
+            # stacks are cut from runs of one order, so sort to stack the part
+            part.sort(key=lambda i: graphs[i].n)
+            assert list(perron_pairs([graphs[i] for i in part], tol)) == [mixed[i] for i in part]
+    if tol == 1e-300:
+        by_graph = dict(zip(graphs, mixed))
+        assert by_graph[path_graph(40)].iterations == 200 * 40 + 10_000
+        assert by_graph[complete(40)].iterations == 1
+
+
+@pytest.mark.parametrize("graphs, tol, message", [
+    ([complete(6), path_graph(6), disjoint_union(complete(3), complete(3)), complete(6)],
+     DEFAULT_TOL, "requires a connected graph"),
+    ([Graph(1), complete(5)], DEFAULT_TOL, "needs n >= 2"),
+    ([complete(4)], float("inf"), "needs a finite tol > 0"),
+])
+def test_perron_pairs_checks_a_stack_before_its_power_steps(monkeypatch, graphs, tol, message):
+    def no_power_step(*args, **kwargs):
+        raise AssertionError("a power step ran")
+
+    assert list(perron_pairs([])) == []
+    monkeypatch.setattr(np, "matmul", no_power_step)
+    with pytest.raises(BadParameters, match=message):
+        list(perron_pairs(graphs, tol))
+
+
 def test_perron_against_dense_eigensolver():
     # independent route: LAPACK on the dense matrix
     rng = SplitMix64(31)
@@ -151,7 +207,7 @@ def test_perron_against_dense_eigensolver():
         g = random_connected_gnp(3 + rng.next_below(18), 0.2 + 0.6 * rng.next_float(), rng)
         est = perron_pair(g)
         q = np.asarray(g.degrees(), float)
-        exact = float(np.linalg.eigvalsh(adjacency_matrix(g) + np.diag(q)).max())
+        exact = float(np.linalg.eigvalsh(adjacency_stack([g])[0] + np.diag(q)).max())
         assert est.lo - 1e-9 <= exact <= est.hi + 1e-9
         assert abs(est.q_hat - exact) <= 1e-8
 
