@@ -77,9 +77,11 @@ class Graph:
 
     Invariants (established at construction): no loops, symmetric adjacency,
     cached degrees equal to row popcounts, ``2m == sum(degrees)``.
+    ``_connected`` is None until the first ``is_connected`` call fills it,
+    so callers that each validate connectivity sweep the graph once.
     """
 
-    __slots__ = ("n", "_rows", "_deg", "_m")
+    __slots__ = ("n", "_rows", "_deg", "_m", "_connected")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()):
         if n < 1:
@@ -102,6 +104,7 @@ class Graph:
         self._rows = tuple(rows)
         self._deg = tuple(map(int.bit_count, rows))
         self._m = m
+        self._connected = None
 
     @classmethod
     def _from_rows(cls, n: int, rows: Sequence[int]) -> "Graph":
@@ -111,6 +114,7 @@ class Graph:
         g._rows = tuple(rows)
         g._deg = tuple(map(int.bit_count, rows))
         g._m = sum(g._deg) // 2
+        g._connected = None
         return g
 
     # -- basic queries ------------------------------------------------------
@@ -250,8 +254,10 @@ def _reach_mask(rows: Sequence[int], start: int, allowed: int) -> int:
 
 
 def is_connected(g: Graph) -> bool:
-    full = (1 << g.n) - 1
-    return _reach_mask(g._rows, 0, full) == full
+    if g._connected is None:
+        full = (1 << g.n) - 1
+        g._connected = _reach_mask(g._rows, 0, full) == full
+    return g._connected
 
 
 def cut_vertex(g: Graph) -> int | None:

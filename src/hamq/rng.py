@@ -15,15 +15,25 @@ generator contract:
 Graph models:
 
 * ``gnp(n, p, rng)``: each pair (u, v), u < v, in lexicographic order, is an
-  edge iff ``rng.next_float() < p``.  It is computed in one vectorized numpy
-  pass, with numpy loaded on first use: draw i of the C(n, 2) has state
-  ``state + (i + 1) * 0x9E3779B97F4A7C15 mod 2**64``, so wrapping ``uint64``
-  arithmetic mixes every draw at once, and the generator ends where C(n, 2)
-  ``next_float`` calls would leave it.  The contract above is unchanged.
-  The numpy import is paid once per process: ``hamq hunt --trials 20`` (gnp
-  model, n = 8) took 0.080 s wall with the per-pair loop and 0.146 s with
-  this pass, and the default 10,000 trials 1.22 and 1.21 s (medians of 5,
-  2 cores, Python 3.11, numpy 2.4, no ``.pyc``).
+  edge iff ``rng.next_float() < p``.  ``gnps(n, cases)`` draws ``gnp(n, p,
+  rng)`` for each ``(p, rng)`` case of a stream, a stack of cases at a time,
+  and ``gnp`` is its stack of one, so every G(n, p) graph comes from the same
+  numpy pass, with numpy loaded on first use.  Draw i of the C(n, 2) of case
+  j has state ``s_j + (i + 1) * 0x9E3779B97F4A7C15 mod 2**64``, where ``s_j``
+  is the case generator's state, so wrapping ``uint64`` arithmetic mixes a
+  stack's draws in one ``(B, C(n, 2))`` array, each graph equals its per-pair
+  draw, and each generator ends where C(n, 2) ``next_float`` calls would
+  leave it.  The contract above is unchanged.  A stack holds at most 16,384
+  draws (128 KiB of ``uint64`` state): 585 graphs at n = 8, 13 at n = 50, 3
+  at n = 92, and one from n = 182 up.  The cap is a fixed constant, so a
+  stream takes the same memory at any length (``hamq hunt``'s default 10,000
+  trials never hold 10,000 graphs), and larger stacks stop paying: per
+  graph, n = 50 took 15-22 us in stacks of 13, 21-31 us in stacks of 26 and
+  25-31 us in stacks of 53, and n = 92 took 96-128 us in stacks of 7 to 15
+  against 81-118 us alone.  At n = 8 a graph takes 2-4 us in a stack and
+  16-19 us alone, where the one-graph pass this replaced took 18-19 us
+  (n = 50: 26-28 against 37-44 us; n = 92: 63-85 against 66-77 us; best of
+  5 per process, 6 alternating processes, 2 cores, Python 3.11, numpy 2.4).
 * ``gnm(n, m, rng)``: draw pair indices ``next_below(C(n,2))`` until m
   distinct values are collected; pairs are ranked lexicographically.
 """
@@ -31,7 +41,9 @@ Graph models:
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import islice, tee
 from math import ceil, comb, isqrt
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BadParameters
 from .graph import Graph, is_connected
@@ -40,6 +52,8 @@ _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+# draws one gnps stack may hold (128 KiB of uint64 states)
+_STACK_DRAWS = 16_384
 
 
 class SplitMix64:
@@ -102,47 +116,93 @@ def pair_unrank(n: int, index: int) -> tuple[int, int]:
 
 @lru_cache(maxsize=64)
 def _gnp_plan(n: int):
-    """Per-order constants of ``gnp``: the step offsets ``(i + 1) * gamma``
-    of the C(n, 2) draws, and the strict upper triangle of an n x n mask,
-    whose True cells run through the pairs in lexicographic order."""
-    import numpy as np
-
-    steps = np.arange(1, comb(n, 2) + 1, dtype=np.uint64) * np.uint64(_GAMMA)
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    steps.flags.writeable = upper.flags.writeable = False  # shared by every call
-    return steps, upper
-
-
-def gnp(n: int, p: float, rng: SplitMix64) -> Graph:
-    """G(n, p) under the contract of the module docstring, in one numpy pass."""
+    """Per-order constants of a G(n, p) stack: the step offsets ``(i + 1) *
+    gamma`` of the C(n, 2) draws, the packed row width in bits, and the draw
+    index of each cell of an n x width adjacency matrix, C(n, 2) (a column
+    that is always False) off the pairs.  A row up to 64 bits wide is a
+    power of two wide, so the packed rows read as one ``uint8`` to
+    ``uint64`` word each."""
     import numpy as np
 
     if n < 1:
         raise BadParameters(f"graph order must be >= 1, got {n}")
-    steps, upper = _gnp_plan(n)
-    s = rng.state
-    z = steps + np.uint64(s)
-    rng.state = (s + len(steps) * _GAMMA) & _MASK
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_MIX1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_MIX2)
-    z ^= z >> np.uint64(31)
-    # next_float() < p  iff  (z >> 11) * 2**-53 < p  iff  z >> 11 < ceil(p * 2**53)
+    pairs = comb(n, 2)
+    steps = np.arange(1, pairs + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+    width = max(8, 1 << (n - 1).bit_length()) if n <= 64 else 8 * ceil(n / 8)
+    cells = np.full((n, width), pairs, dtype=np.intp)
+    u, v = np.triu_indices(n, 1)
+    cells[u, v] = cells[v, u] = np.arange(pairs)
+    cells = cells.ravel()
+    steps.flags.writeable = cells.flags.writeable = False  # shared by every call
+    return steps, cells, width
+
+
+@lru_cache(maxsize=1)
+def _mixing():
+    """The shifts and multipliers of the output mixing, and the shift from
+    ``next_u64`` to the 53 bits of ``next_float``, as ``uint64`` scalars,
+    built once: building them on every call cost a one-graph ``gnp`` at
+    n = 8 about 8%."""
+    import numpy as np
+
+    return tuple(map(np.uint64, (30, _MIX1, 27, _MIX2, 31, 11)))
+
+
+def _below(p: float) -> int:
+    """The bound b with ``next_float() < p`` iff ``next_u64() >> 11 < b``."""
     if not p > 0:  # also nan
-        below = 0
-    elif p >= 1:
-        below = 1 << 53
+        return 0
+    return 1 << 53 if p >= 1 else ceil(p * 2**53)
+
+
+def _gnp_stack(n: int, cases: Sequence[tuple[float, SplitMix64]]) -> list[Graph]:
+    """``gnp(n, p, rng)`` of each ``(p, rng)`` case, in one numpy pass."""
+    import numpy as np
+
+    steps, cells, width = _gnp_plan(n)
+    s1, m1, s2, m2, s3, to_float = _mixing()
+    pairs = len(steps)
+    z = np.array([rng.state for _, rng in cases], dtype=np.uint64)[:, None] + steps
+    for _, rng in cases:
+        rng.state = (rng.state + pairs * _GAMMA) & _MASK
+    z ^= z >> s1
+    z *= m1
+    z ^= z >> s2
+    z *= m2
+    z ^= z >> s3
+    z >>= to_float
+    # column ``pairs`` stays False: the cells off the pairs read it
+    drawn = np.zeros((len(cases), pairs + 1), dtype=bool)
+    below = np.array([_below(p) for p, _ in cases], dtype=np.uint64)
+    np.less(z, below[:, None], out=drawn[:, :pairs])
+    packed = np.packbits(drawn.take(cells, axis=1).reshape(-1, width), axis=1, bitorder="little")
+    if width <= 64:
+        rows = packed.view(f"<u{width // 8}").ravel().tolist()
     else:
-        below = ceil(p * 2**53)
-    adj = np.zeros((n, n), dtype=bool)
-    adj[upper] = z >> np.uint64(11) < np.uint64(below)
-    adj |= adj.T
-    nbytes = (n + 7) // 8
-    buf = np.packbits(adj, axis=1, bitorder="little").tobytes()
-    return Graph._from_rows(
-        n, [int.from_bytes(buf[i : i + nbytes], "little") for i in range(0, n * nbytes, nbytes)]
-    )
+        buf, nbytes = packed.tobytes(), width // 8
+        rows = [int.from_bytes(buf[i : i + nbytes], "little") for i in range(0, len(buf), nbytes)]
+    return [Graph._from_rows(n, rows[i : i + n]) for i in range(0, len(rows), n)]
+
+
+def gnps(n: int, cases: Iterable[tuple[float, SplitMix64]]) -> Iterator[Graph]:
+    """``gnp(n, p, rng)`` of every ``(p, rng)`` case, in input order.
+
+    Lazy: the cases are read and drawn in stacks of at most 16,384 draws
+    (at least one case), one stack in memory at a time (see the module
+    docstring).  Each graph and each generator's end state are those of
+    ``gnp`` on that case alone.  Raises BadParameters for ``n < 1`` when the
+    first stack is drawn, before any generator moves.
+    """
+    size = max(1, _STACK_DRAWS // max(1, n * (n - 1) // 2))
+    cases = iter(cases)
+    while stack := list(islice(cases, size)):
+        yield from _gnp_stack(n, stack)
+
+
+def gnp(n: int, p: float, rng: SplitMix64) -> Graph:
+    """G(n, p) under the contract of the module docstring: the stack of one
+    of ``gnps``."""
+    return _gnp_stack(n, [(p, rng)])[0]
 
 
 def gnm(n: int, m: int, rng: SplitMix64) -> Graph:
@@ -155,8 +215,28 @@ def gnm(n: int, m: int, rng: SplitMix64) -> Graph:
 
 def random_connected_gnp(n: int, p: float, rng: SplitMix64) -> Graph:
     """Resample gnp until connected, at most 10,000 times."""
-    for _ in range(10_000):
+    return _connected(gnp(n, p, rng), n, p, rng)
+
+
+def random_connected_gnps(
+    n: int, cases: Iterable[tuple[float, SplitMix64]]
+) -> Iterator[Graph]:
+    """``random_connected_gnp(n, p, rng)`` of every ``(p, rng)`` case, in
+    input order: the first draws come from ``gnps`` a stack at a time, and
+    a case whose first draw is not connected redraws one graph at a time
+    from its own generator."""
+    cases, ahead = tee(cases)
+    for g, (p, rng) in zip(gnps(n, ahead), cases):
+        yield _connected(g, n, p, rng)
+
+
+def _connected(g: Graph, n: int, p: float, rng: SplitMix64) -> Graph:
+    """``g`` if it is connected, else the first connected redraw of
+    ``gnp(n, p, rng)``; ``g`` counts as the first of at most 10,000 draws."""
+    tries = 1
+    while not is_connected(g):
+        if tries == 10_000:
+            raise BadParameters(f"no connected gnp({n},{p}) sample in 10000 tries")
         g = gnp(n, p, rng)
-        if is_connected(g):
-            return g
-    raise BadParameters(f"no connected gnp({n},{p}) sample in 10000 tries")
+        tries += 1
+    return g

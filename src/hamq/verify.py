@@ -13,11 +13,14 @@ stream, counts the cases, gathers and sorts the failures, and builds every
 ``_members``.  The spectral suites solve their graphs with ``perron_pairs``:
 ``q-upper`` and ``qbound`` pass their streams through ``_estimated``, which
 feeds them to it as they come, and ``kelmans`` and ``corollary`` stack the
-two graphs of a case.  Failures carry the graph6 string of the offending
-graph and the violated inequality with its numbers (``_fail``), so every
-failure is replayable.  Reports carry no timing and their failures are sorted, so
-they are byte-stable for fixed (params, seed); callers that want wall time
-measure the call.
+two graphs of a case.  The suites that draw one G(n, p) graph per case from
+the case's own generator (a gnp hunt, ``closure``'s random graphs and
+``qbound``) draw them with ``gnps`` a stack at a time, which leaves each
+case the graph and generator state of its own ``gnp`` call.  Failures
+carry the graph6 string of the offending graph and the violated inequality
+with its numbers (``_fail``), so every failure is replayable.  Reports carry
+no timing and their failures are sorted, so they are byte-stable for fixed
+(params, seed); callers that want wall time measure the call.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from .families import (
 )
 from .graph import Graph, emit_graph6, is_connected, min_degree
 from .hamilton import is_hamilton_connected, ore_check
-from .rng import SplitMix64, gnm, gnp, random_connected_gnp
+from .rng import SplitMix64, gnm, gnp, gnps, random_connected_gnp, random_connected_gnps
 from .spectral import (
     DEFAULT_TOL,
     SpectralEstimate,
@@ -244,10 +247,9 @@ def run_closure(
     set is scan-order independent and the operator is idempotent."""
     ns = list(exhaustive_n)
     graphs = [g for n in ns for g in connected_graphs(n)]
-    for i, s in enumerate(_case_seeds(seed, 2 * random_per_n)):
-        rng = SplitMix64(s)
-        n = 8 if i < random_per_n else 9
-        graphs.append(random_connected_gnp(n, 0.2 + 0.6 * rng.next_float(), rng))
+    rngs = list(map(SplitMix64, _case_seeds(seed, 2 * random_per_n)))
+    for n, part in ((8, rngs[:random_per_n]), (9, rngs[random_per_n:])):
+        graphs += random_connected_gnps(n, [(0.2 + 0.6 * rng.next_float(), rng) for rng in part])
     return _report(
         "closure",
         {"random_per_n": random_per_n, "order_trials": order_trials,
@@ -291,15 +293,16 @@ def run_kelmans(count: int = 1000, seed: int = 3) -> SuiteReport:
 
 def _qbound_draws(seed: int, count: int) -> Iterator[tuple[Graph, SplitMix64]]:
     """Each case's graph with its generator, grouped by order: every case
-    seed's order is read first, then the graphs are drawn an order at a time,
-    and lazily, so a consumer drawing a stack at a time holds only that."""
+    seed's order is read first, then the graphs are drawn an order at a time
+    by ``random_connected_gnps``, lazily, so a consumer reading a stack at a
+    time holds only that and the stack ``gnps`` draws."""
     by_order: dict[int, list[SplitMix64]] = {}
     for case_seed in _case_seeds(seed, count):
         rng = SplitMix64(case_seed)
         by_order.setdefault(3 + rng.next_below(48), []).append(rng)  # n in 3..50
     for n, rngs in by_order.items():
-        for rng in rngs:
-            yield random_connected_gnp(n, 0.25 + 0.65 * rng.next_float(), rng), rng
+        cases = ((0.25 + 0.65 * rng.next_float(), rng) for rng in rngs)
+        yield from zip(random_connected_gnps(n, cases), rngs)
 
 
 def _qbound_check(item: tuple[tuple[Graph, SplitMix64], SpectralEstimate]) -> Failures:
@@ -611,14 +614,20 @@ def run_hunt(
     if n is None:
         n = CORPUS_SIZE_GATE if sample is None else 8
     graphs = (connected_graphs(n) if sample is None
-              else (sample(n, SplitMix64(s)) for s in _case_seeds(seed, trials)))
+              else sample(n, map(SplitMix64, _case_seeds(seed, trials))))
     return _report("hunt", {"n": n, "trials": trials, "seed": seed, "model": model},
                    (graphs, _hunt_check))
 
 
-def _parse_model(model: str) -> Callable[[int, SplitMix64], Graph] | None:
-    """The sampler ``(n, rng) -> Graph`` a hunt model names, or None for
-    ``all-connected``, which enumerates instead of sampling."""
+Sampler = Callable[[int, Iterator[SplitMix64]], Iterable[Graph]]
+
+
+def _parse_model(model: str) -> Sampler | None:
+    """The sampler a hunt model names, or None for ``all-connected``, which
+    enumerates instead of sampling.  A sampler maps the order and the stream
+    of case generators to the stream of graphs, one per case and lazily: a
+    gnp model draws them with ``gnps`` a stack at a time, and the others
+    draw case by case."""
     model = model.strip()
     if model == "all-connected":
         return None
@@ -629,17 +638,17 @@ def _parse_model(model: str) -> Callable[[int, SplitMix64], Graph] | None:
             p = _model_number(float, arg, model)
             if not 0 <= p <= 1:
                 raise BadParameters(f"gnp probability must lie in [0, 1]: {model!r}")
-            return lambda n, rng: gnp(n, p, rng)
+            return lambda n, rngs: gnps(n, zip(repeat(p), rngs))
         if name == "gnm":
             m = _model_number(int, arg, model)
             if m < 0:
                 raise BadParameters(f"gnm edge count must be non-negative: {model!r}")
-            return lambda n, rng: gnm(n, m, rng)
+            return lambda n, rngs: (gnm(n, m, rng) for rng in rngs)
         if name == "dense-above-edge-threshold":
             if not arg.startswith("k="):
                 raise BadParameters("dense model takes k=<int>")
             th = thresholds(_model_number(int, arg[2:], model))
-            return lambda n, rng: _dense_sample(n, th, rng)
+            return lambda n, rngs: (_dense_sample(n, th, rng) for rng in rngs)
     raise BadParameters(f"unknown model {model!r}")
 
 

@@ -79,6 +79,23 @@ def test_disjoint_union_and_copies():
     assert g.n == 6 and g.m == 10 and not is_connected(g)
 
 
+def test_is_connected_sweeps_a_graph_once(monkeypatch):
+    import hamq.graph
+
+    sweeps = []
+    monkeypatch.setattr(hamq.graph, "_reach_mask",
+                        lambda *args: sweeps.append(args) or _reach_mask(*args))
+    rng = SplitMix64(17)
+    graphs = [gnp(9, 0.2, rng) for _ in range(40)] + [Graph(6, [(0, 1), (2, 3)]), complete(4)]
+    first = [is_connected(g) for g in graphs]
+    assert len(sweeps) == len(graphs)
+    assert [is_connected(g) for g in graphs] == first  # the cached answers
+    assert len(sweeps) == len(graphs)
+    full = [(1 << g.n) - 1 for g in graphs]
+    assert first == [_reach_mask(g._rows, 0, f) == f for g, f in zip(graphs, full)]
+    assert True in first and False in first
+
+
 def test_delete_edges():
     p3 = delete_edges(complete(3), [(0, 1)])
     assert p3.m == 2 and not p3.has_edge(0, 1)

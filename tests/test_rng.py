@@ -1,12 +1,22 @@
 """Generator contract and graph models."""
 
+from itertools import count, islice
 from math import comb
 
 import pytest
 
 from hamq.errors import BadParameters
 from hamq.graph import is_connected
-from hamq.rng import SplitMix64, gnm, gnp, pair_unrank, random_connected_gnp
+from hamq.rng import (
+    _STACK_DRAWS,
+    SplitMix64,
+    gnm,
+    gnp,
+    gnps,
+    pair_unrank,
+    random_connected_gnp,
+    random_connected_gnps,
+)
 
 from conftest import pairwise_gnp
 
@@ -82,18 +92,56 @@ def test_gnp_rejects_an_order_below_one_before_drawing(n):
 
 
 def test_gnp_matches_the_per_pair_contract():
-    # n = 1..70 crosses the byte edges of the packed rows; 2**-53 and
-    # 1 - 2**-53 are the smallest nonzero and the largest draw, and a p equal
-    # to a draw must leave that pair out (the comparison is a strict <)
+    # n = 1..70 crosses the byte edges of the packed rows and the 64-bit row
+    # word; 2**-53 and 1 - 2**-53 are the smallest nonzero and the largest
+    # draw, and a p equal to a draw must leave that pair out (the comparison
+    # is a strict <).  Every p is drawn alone and as one member of a mixed-p
+    # gnps stream, whose stacks of at most _STACK_DRAWS draws cut it from
+    # n = 58 up.
     probabilities = [0.0, 1.0, 0.5, 1 / 3, float("nan"), -1.0, 2.0, 2.0**-53, 1 - 2.0**-53]
     for n in range(1, 71):
         seed = 1_000 + n
         ahead = SplitMix64(seed)
         draws = [ahead.next_float() for _ in range(comb(n, 2))]
-        for p in probabilities + draws[len(draws) // 2 : len(draws) // 2 + 1]:
+        ps = probabilities + draws[len(draws) // 2 : len(draws) // 2 + 1]
+        for p in ps:
             fast, slow = SplitMix64(seed), SplitMix64(seed)
             assert gnp(n, p, fast) == pairwise_gnp(n, p, slow), (n, p)
             assert fast.state == slow.state == ahead.state, (n, p)
+        fast = [SplitMix64(seed + j) for j in range(len(ps))]
+        slow = [SplitMix64(seed + j) for j in range(len(ps))]
+        assert list(gnps(n, zip(ps, fast))) == [pairwise_gnp(n, *case) for case in zip(ps, slow)]
+        assert [r.state for r in fast] == [r.state for r in slow], n
+
+
+@pytest.mark.parametrize("n", [2, 8, 9, 64, 65, 200])
+def test_gnps_streams_across_the_stack_cap(n):
+    size = max(1, _STACK_DRAWS // max(1, comb(n, 2)))
+    cases = 2 * size + 3 if n < 64 else size + 2
+    ps = [(j % 7) / 6 for j in range(cases)]
+    fast = [SplitMix64(50 + j) for j in range(cases)]
+    slow = [SplitMix64(50 + j) for j in range(cases)]
+    assert list(gnps(n, zip(ps, fast))) == [gnp(n, *case) for case in zip(ps, slow)]
+    assert [r.state for r in fast] == [r.state for r in slow]
+    assert list(gnps(n, [])) == []
+
+
+def test_gnps_holds_one_stack_of_an_endless_stream():
+    read = count()
+    stream = ((0.5, SplitMix64(next(read))) for _ in count())
+    first = list(islice(gnps(8, stream), 3))
+    assert next(read) == _STACK_DRAWS // comb(8, 2)  # one stack read, no more
+    assert first == [gnp(8, 0.5, SplitMix64(s)) for s in range(3)]
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_gnps_rejects_an_order_below_one_at_the_first_stack(n):
+    assert list(gnps(n, [])) == []
+    rng = SplitMix64(5)
+    stream = gnps(n, [(0.5, rng)])
+    with pytest.raises(BadParameters, match=rf"^graph order must be >= 1, got {n}$"):
+        next(stream)
+    assert rng.state == SplitMix64(5).state
 
 
 def test_gnm_edge_counts():
@@ -110,6 +158,22 @@ def test_random_connected():
         assert is_connected(random_connected_gnp(8, 0.4, rng))
 
 
+def test_random_connected_gnps_redraws_each_case_alone():
+    # at p = 0.1 most first draws at n = 9 are disconnected, so most cases redraw
+    ps = [0.1 + 0.05 * (j % 5) for j in range(60)]
+    fast = [SplitMix64(300 + j) for j in range(60)]
+    slow = [SplitMix64(300 + j) for j in range(60)]
+    redraws = sum(not is_connected(gnp(9, p, SplitMix64(300 + j))) for j, p in enumerate(ps))
+    assert 20 < redraws < 60
+    assert (list(random_connected_gnps(9, zip(ps, fast)))
+            == [random_connected_gnp(9, *case) for case in zip(ps, slow)])
+    assert [r.state for r in fast] == [r.state for r in slow]
+
+
 def test_random_connected_gives_up_after_10000_tries():
     with pytest.raises(BadParameters, match=r"no connected gnp\(2,0.0\) sample in 10000 tries"):
         random_connected_gnp(2, 0.0, SplitMix64(1))
+    rng = SplitMix64(1)
+    with pytest.raises(BadParameters, match=r"no connected gnp\(2,0.0\) sample in 10000 tries"):
+        list(random_connected_gnps(2, [(0.0, rng)]))
+    assert rng.state == (1 + 10_000 * 0x9E3779B97F4A7C15) % 2**64

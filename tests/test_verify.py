@@ -13,7 +13,7 @@ from hamq.certifier import (
     certify,
 )
 from hamq.errors import BadParameters
-from hamq.graph import complete, cut_vertex, emit_graph6, parse_graph6
+from hamq.graph import complete, cut_vertex, emit_graph6, is_connected, parse_graph6
 from hamq.rng import SplitMix64, gnp
 from hamq.spectral import perron_pair
 from hamq.verify import (
@@ -34,6 +34,8 @@ from hamq.verify import (
     run_qupper,
     run_suite,
 )
+
+from conftest import pairwise_gnp
 
 
 def test_registry_contains_all_contracted_suites():
@@ -157,6 +159,66 @@ def test_hunt_catches_a_lying_certifier(monkeypatch, lie_when, outcome, model):
     assert lied
     assert sorted(f["graph6"] for f in report.failures) == sorted(lied)
     assert all(f"certifier said {outcome}" in f["violated"] for f in report.failures)
+
+
+# The pinned report digests hold graphs only where a check fails, so they
+# cannot see a changed stream.  These tests record the graphs each suite that
+# draws with gnps checks, and compare them with a stream drawn one pair and
+# one case at a time (pairwise_gnp, redrawn while disconnected).
+
+
+def _record(monkeypatch, check_name, graph_of):
+    seen = []
+
+    def check(item):
+        seen.append(graph_of(item))
+        return []
+
+    monkeypatch.setattr(hamq.verify, check_name, check)
+    return seen
+
+
+def _connected_pairwise(n, p, rng):
+    """The first connected pairwise draw, and whether the first draw was not."""
+    g = pairwise_gnp(n, p, rng)
+    redrawn = not is_connected(g)
+    while not is_connected(g):
+        g = pairwise_gnp(n, p, rng)
+    return g, redrawn
+
+
+def test_hunt_checks_the_one_at_a_time_gnp_stream(monkeypatch):
+    seen = _record(monkeypatch, "_hunt_check", lambda g: g)
+    assert run_hunt(n=8, trials=1000, seed=42, model="gnp(0.5)").cases == 1000
+    assert seen == [pairwise_gnp(8, 0.5, SplitMix64(s)) for s in _case_seeds(42, 1000)]
+
+
+def test_qbound_checks_the_one_at_a_time_stream(monkeypatch):
+    # each graph with its generator's state when the check starts drawing
+    seen = _record(monkeypatch, "_qbound_check", lambda item: (item[0][0], item[0][1].state))
+    redraws = 0
+    for seed in (4, 5, 123):
+        seen.clear()
+        run_qbound(count=375, seed=seed)
+        by_order = {}
+        for case_seed in _case_seeds(seed, 375):
+            rng = SplitMix64(case_seed)
+            n = 3 + rng.next_below(48)
+            g, redrawn = _connected_pairwise(n, 0.25 + 0.65 * rng.next_float(), rng)
+            redraws += redrawn
+            by_order.setdefault(n, []).append((g, rng.state))
+        assert seen == [case for cases in by_order.values() for case in cases], seed
+    assert redraws == 49
+
+
+def test_closure_checks_the_one_at_a_time_random_stream(monkeypatch):
+    seen = _record(monkeypatch, "_closure_equiv_check", lambda g: g)
+    run_closure(random_per_n=250, seed=2, order_trials=0, exhaustive_n=())
+    want = []
+    for i, case_seed in enumerate(_case_seeds(2, 500)):
+        rng = SplitMix64(case_seed)
+        want.append(_connected_pairwise(8 if i < 250 else 9, 0.2 + 0.6 * rng.next_float(), rng)[0])
+    assert seen == want
 
 
 def test_hunt_asks_the_oracle_only_about_decided_verdicts(monkeypatch):
