@@ -8,11 +8,20 @@ condition with its exceptional hosts, the spectral annotation, and finally
 attempt trace is kept on the certificate.
 
 The degree-sum condition is evaluated first, in O(n) mask operations, and
-the screen's depth-first search runs only where it fails.  The trace keeps
-the order above: a graph that passes the degree sums is connected with no
-cut vertex (see ``ore_check``), so the screen would have passed it, and
-where the sums fail the screen's entry is written before the Ore entry, or
-alone when the screen decides.
+the edge-count stage's threshold test (at k = min(delta, n/11) >= 2, below)
+right after it; the screen's depth-first search runs only where neither
+holds.  The trace keeps the order above: a graph that passes either test is
+connected with no cut vertex, so the screen would have passed it, and the
+screen writes an entry only when it decides, as the whole trace.  For the
+degree sums see ``ore_check``.  For the edge count, let 1 <= k <= delta and
+m > C(n-k, 2) + k(k+1), and suppose G - c splits for a vertex c, or G
+itself does.  Every piece has at least k vertices, because a vertex of a
+piece has all its neighbours in that piece and c.  Take a piece A of a
+vertices and the b vertices outside A and c (no c when G splits):
+a, b >= k, a + b >= n-1, and no pair between the two sides is an edge, so
+at least ab >= k(a + b - k) >= k(n-1-k) pairs are missing.  Hence
+m <= C(n, 2) - k(n-1-k) = C(n-k, 2) + k(k+1) - k(k+1)/2, below the
+threshold.
 
 The edge-count stage checks one k, min(delta, n/11), so delta >= k and
 n >= 11k hold; once also m > C(n-k, 2) + k(k+1) it decides.  That k has
@@ -147,18 +156,26 @@ def certify(
         trace.append(ore_entry)
         return done(OUTCOME_CERTIFIED, {"name": "Ore"}, {})
 
+    # the edge-count stage's k and threshold test, read before the screen:
+    # above at k >= 2 means connected with no cut vertex (see the module
+    # docstring), so the screen could not have stopped the graph
+    k = min(delta, n // 11)
+    need = thresholds(k).edge(n) if k >= 2 else None
+    above = k >= 2 and g.m > need
+
     # structural screen: these graphs cannot be Hamilton-connected.  For
     # n >= 3 every disconnected graph has a vertex whose removal leaves it
     # disconnected, so connectivity is asked only when cut_vertex finds one
-    cut = cut_vertex(g)
-    if (cut is not None or n == 2) and not is_connected(g):
-        trace.append({"condition": "Connectivity", "verdict": "fail",
-                      "hypotheses": [_hyp("connected", True, False)]})
-        return done(OUTCOME_NOT_HC, None, {"reason": "disconnected"})
-    if cut is not None:
-        trace.append({"condition": "TwoConnectivity", "verdict": "fail",
-                      "hypotheses": [_hyp("two_connected", True, False)]})
-        return done(OUTCOME_NOT_HC, None, {"reason": "cut-vertex", "cut_vertex": cut})
+    if not above:
+        cut = cut_vertex(g)
+        if (cut is not None or n == 2) and not is_connected(g):
+            trace.append({"condition": "Connectivity", "verdict": "fail",
+                          "hypotheses": [_hyp("connected", True, False)]})
+            return done(OUTCOME_NOT_HC, None, {"reason": "disconnected"})
+        if cut is not None:
+            trace.append({"condition": "TwoConnectivity", "verdict": "fail",
+                          "hypotheses": [_hyp("two_connected", True, False)]})
+            return done(OUTCOME_NOT_HC, None, {"reason": "cut-vertex", "cut_vertex": cut})
     trace.append(ore_entry)
 
     # closure completeness
@@ -176,10 +193,7 @@ def certify(
 
     # edge-count condition at the k with the lowest threshold; its host
     # partition is read for S first, then T (see the module docstring)
-    k = min(delta, n // 11)
     if k >= 2:
-        need = thresholds(k).edge(n)
-        above = g.m > need
         part = None
         if above:
             part = next(hub_partitions(g, "S", k), None) or next(hub_partitions(g, "T", k), None)

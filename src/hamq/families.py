@@ -38,7 +38,7 @@ threshold ``n_min(k) = k^4 + 5k^3 + 2k^2 + 8k + 12``.
 
 from __future__ import annotations
 
-from itertools import chain, combinations
+from itertools import chain, combinations, compress
 from math import comb
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
@@ -46,6 +46,7 @@ from .errors import BadParameters, BudgetExceeded
 from .graph import (
     Edge,
     Graph,
+    _bit_selector,
     complete,
     copies,
     delete_edges,
@@ -232,14 +233,13 @@ def class_size_ok(clazz: str, k: int, size: int) -> bool:
 
 def _missing_pairs(rows: tuple[int, ...], yz_bits: int) -> frozenset[Edge]:
     """The pairs (u, v), u < v, inside the vertex mask ``yz_bits`` that are
-    not edges: one mask per row, where ``above`` holds the vertices after u."""
+    not edges: the mask's vertices are read at C speed, and bit i of
+    ``gaps`` is the non-neighbour u + 1 + i of u."""
     missing = []
-    above = yz_bits
-    for u in iter_bits(yz_bits):
-        above ^= 1 << u
-        gaps = above & ~rows[u]
+    for u in compress(range(len(rows)), _bit_selector(yz_bits)):
+        gaps = (yz_bits & ~rows[u]) >> (u + 1)
         if gaps:
-            missing.extend((u, v) for v in iter_bits(gaps))
+            missing.extend((u, u + 1 + i) for i in iter_bits(gaps))
     return frozenset(missing)
 
 
@@ -263,11 +263,10 @@ def hub_partitions(g: Graph, kind: str, k: int) -> Iterator[FamilyHandle]:
     if not _in_domain(n, k):
         return
     rows = g._rows
-    buckets: dict[int, list[int]] = {}  # ascending members, one pass over v
-    for v, d in enumerate(g._deg):
-        if d == k:
-            key = rows[v] if kind == "S" else rows[v] | (1 << v)
-            buckets.setdefault(key, []).append(v)
+    buckets: dict[int, list[int]] = {}  # ascending members
+    for v in compress(range(n), map(k.__eq__, g._deg)):
+        key = rows[v] if kind == "S" else rows[v] | (1 << v)
+        buckets.setdefault(key, []).append(v)
     want_pop = k if kind == "S" else k + 1
     for key in sorted(buckets):
         members = buckets[key]
@@ -278,7 +277,8 @@ def hub_partitions(g: Graph, kind: str, k: int) -> Iterator[FamilyHandle]:
         y_bits = key & ~x_bits
         yz_bits = ((1 << n) - 1) & ~x_bits
         yield FamilyHandle(kind, k, x_set, tuple(iter_bits(y_bits)),
-                           tuple(iter_bits(yz_bits & ~y_bits)), _missing_pairs(rows, yz_bits), g)
+                           tuple(compress(range(n), _bit_selector(yz_bits & ~y_bits))),
+                           _missing_pairs(rows, yz_bits), g)
 
 
 def membership(g: Graph, clazz: str, k: int) -> FamilyHandle | None:

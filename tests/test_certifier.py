@@ -3,6 +3,7 @@
 import hashlib
 import json
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -128,6 +129,85 @@ def test_ore_graphs_skip_the_screen_it_could_not_fail(small_connected, monkeypat
     cert = certify(cycle(6))
     assert searched.pop().n == 6 and cert.trace[0]["condition"] == "Ore"
 
+
+
+def _edge_count_above(g, k):
+    """The edge-count stage's threshold test m > C(n-k, 2) + k(k+1), at any k."""
+    return g.m > comb(g.n - k, 2) + k * (k + 1)
+
+
+def test_edge_count_rules_out_a_cut_vertex(small_connected):
+    # the certifier docstring's lemma: m > C(n-k, 2) + k(k+1) with
+    # 1 <= k <= delta leaves G connected with no cut vertex.  It is checked
+    # at every such k, and the graphs where it holds at certify's own
+    # k = min(delta, n/11) >= 2 are counted
+    graphs = [g for n in range(1, 8) for g in small_connected[n]]
+    rng = SplitMix64(283)
+    for _ in range(400):
+        n = 3 + rng.next_below(10)  # 3..12, disconnected ones included
+        graphs.append(gnp(n, 0.2 + 0.8 * rng.next_float(), rng))
+    for _ in range(400):
+        n = 22 + rng.next_below(39)  # 22..60, around the threshold
+        graphs.append(gnp(n, 0.8 + 0.2 * rng.next_float(), rng))
+    for n, k in ((92, 2), (270, 3)):
+        for clazz in CLASSES:
+            graphs.extend(m.graph for m in enumerate_class(clazz, n, k, "sample", seed=n,
+                                                           count=3))
+        graphs += [build_S(n, k).graph, build_T(n, k).graph]
+    for k in (2, 3):
+        for n in (11 * k, 92):
+            # the tight graph below, and its split counterpart
+            graphs.append(join(complete(1), disjoint_union(complete(k), complete(n - 1 - k))))
+            graphs.append(disjoint_union(complete(k + 1), complete(n - 1 - k)))
+    held = at_certify_k = 0
+    for g in graphs:
+        delta = min_degree(g)
+        if any(_edge_count_above(g, k) for k in range(1, delta + 1)):
+            held += 1
+            assert cut_vertex(g) is None and is_connected(g)
+            k = min(delta, g.n // 11)
+            at_certify_k += k >= 2 and _edge_count_above(g, k)
+    assert held > 500 and at_certify_k > 200
+
+
+def test_edge_count_screen_skip_is_tight():
+    # K_1 v (K_k + K_{n-1-k}) has delta = k, a cut vertex, and k(k+1)/2
+    # edges fewer than the threshold, the most the lemma allows: certify's
+    # test fails there and the screen still reports the cut vertex
+    for k in (2, 3):
+        for n in (11 * k, 92):
+            g = join(complete(1), disjoint_union(complete(k), complete(n - 1 - k)))
+            assert min_degree(g) == k == min(k, n // 11)
+            assert g.m == thresholds(k).edge(n) - k * (k + 1) // 2
+            cert = certify(g)
+            assert cert.outcome == OUTCOME_NOT_HC
+            assert cert.witnesses == {"reason": "cut-vertex", "cut_vertex": 0}
+            assert [t["condition"] for t in cert.trace] == ["TwoConnectivity"]
+
+
+def test_edge_count_graphs_skip_the_screen_it_could_not_fail(monkeypatch):
+    # certify runs cut_vertex only where its edge-count test fails, so the
+    # class-2 members, a host plus an X-Z edge and the docstring's EdgeCount
+    # graph reach their verdicts without it
+    import hamq.certifier as certifier
+
+    searched = []
+    monkeypatch.setattr(certifier, "cut_vertex", lambda g: searched.append(g) or cut_vertex(g))
+    host = build_S(270, 3)
+    cases = [(m.graph, OUTCOME_EXCEPTIONAL) for clazz in ("S2", "T2")
+             for m in enumerate_class(clazz, 92, 2, "sample", seed=9, count=3)]
+    cases += [(add_edges(host.graph, [(host.Z[0], host.X[0])]), OUTCOME_CERTIFIED),
+              (_k5_graph((0, 1, 2), [(51, 52), (52, 53), (53, 54), (51, 54)]),
+               OUTCOME_CERTIFIED)]
+    for g, outcome in cases:
+        assert not ore_check(g)
+        cert = certify(g)
+        assert cert.outcome == outcome and cert.trace[0]["condition"] == "Ore"
+    assert searched == []
+    g = gnp(92, 0.2, SplitMix64(92))
+    assert not _edge_count_above(g, min(min_degree(g), 8))
+    certify(g)
+    assert searched == [g]
 
 def test_certify_host_is_exceptional_with_confirmation():
     host = build_S(22, 2)
