@@ -15,25 +15,27 @@ generator contract:
 Graph models:
 
 * ``gnp(n, p, rng)``: each pair (u, v), u < v, in lexicographic order, is an
-  edge iff ``rng.next_float() < p``.  ``gnps(n, cases)`` draws ``gnp(n, p,
-  rng)`` for each ``(p, rng)`` case of a stream, a stack of cases at a time,
-  and ``gnp`` is its stack of one, so every G(n, p) graph comes from the same
-  numpy pass, with numpy loaded on first use.  Draw i of the C(n, 2) of case
-  j has state ``s_j + (i + 1) * 0x9E3779B97F4A7C15 mod 2**64``, where ``s_j``
-  is the case generator's state, so wrapping ``uint64`` arithmetic mixes a
-  stack's draws in one ``(B, C(n, 2))`` array, each graph equals its per-pair
-  draw, and each generator ends where C(n, 2) ``next_float`` calls would
-  leave it.  The contract above is unchanged.  A stack holds at most 16,384
-  draws (128 KiB of ``uint64`` state): 585 graphs at n = 8, 13 at n = 50, 3
-  at n = 92, and one from n = 182 up.  The cap is a fixed constant, so a
-  stream takes the same memory at any length (``hamq hunt``'s default 10,000
-  trials never hold 10,000 graphs), and larger stacks stop paying: per
-  graph, n = 50 took 15-22 us in stacks of 13, 21-31 us in stacks of 26 and
-  25-31 us in stacks of 53, and n = 92 took 96-128 us in stacks of 7 to 15
-  against 81-118 us alone.  At n = 8 a graph takes 2-4 us in a stack and
-  16-19 us alone, where the one-graph pass this replaced took 18-19 us
-  (n = 50: 26-28 against 37-44 us; n = 92: 63-85 against 66-77 us; best of
-  5 per process, 6 alternating processes, 2 cores, Python 3.11, numpy 2.4).
+  edge iff ``rng.next_float() < p``.  ``gnps(cases)`` draws ``gnp(n, p, rng)``
+  for each ``(n, p, rng)`` case of a stream of any orders, in stream order
+  (``random_connected_gnps(cases)`` takes the same cases).  It cuts each run
+  of consecutive same-order cases into stacks, as ``spectral.perron_pairs``
+  cuts its graphs, and ``gnp`` is its stack of one, so every G(n, p) graph
+  comes from the same numpy pass, with numpy loaded on first use.  Draw i of
+  the C(n, 2) of case j has state ``s_j + (i + 1) * 0x9E3779B97F4A7C15 mod
+  2**64``, where ``s_j`` is the case generator's state, so wrapping
+  ``uint64`` arithmetic mixes a stack's draws in one ``(B, C(n, 2))`` array,
+  each graph equals its per-pair draw, and each generator ends where C(n, 2)
+  ``next_float`` calls would leave it.  The contract above is unchanged.  A
+  stack holds at most 16,384 draws (128 KiB of ``uint64`` state): 585 graphs
+  at n = 8, 13 at n = 50, 3 at n = 92, and one from n = 182 up.  The cap is
+  a fixed constant, so a stream takes the same memory at any length
+  (``hamq hunt``'s default 10,000 trials never hold 10,000 graphs), and
+  larger stacks stop paying: per graph, n = 50 took 15-22 us in stacks of
+  13, 21-31 us in stacks of 26 and 25-31 us in stacks of 53, and n = 92 took
+  96-128 us in stacks of 7 to 15 against 81-118 us alone.  At n = 8 a graph
+  takes 2-4 us in a stack and 16-19 us alone (alone, n = 50 took 26-28 us
+  and n = 92 63-85 us; best of 5 per process, 6 alternating processes, 2
+  cores, Python 3.11, numpy 2.4).
 * ``gnm(n, m, rng)``: draw pair indices ``next_below(C(n,2))`` until m
   distinct values are collected; pairs are ranked lexicographically.
 """
@@ -41,7 +43,7 @@ Graph models:
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import islice, tee
+from itertools import groupby, islice, tee
 from math import ceil, comb, isqrt
 from typing import Iterable, Iterator, Sequence
 
@@ -99,6 +101,10 @@ class SplitMix64:
         return perm
 
 
+# one G(n, p) draw: the order, the edge probability and the case's generator
+GnpCase = tuple[int, float, SplitMix64]
+
+
 def pair_unrank(n: int, index: int) -> tuple[int, int]:
     """The index-th pair (u, v), u < v, in lexicographic order over n vertices.
 
@@ -117,11 +123,13 @@ def pair_unrank(n: int, index: int) -> tuple[int, int]:
 @lru_cache(maxsize=64)
 def _gnp_plan(n: int):
     """Per-order constants of a G(n, p) stack: the step offsets ``(i + 1) *
-    gamma`` of the C(n, 2) draws, the packed row width in bits, and the draw
+    gamma`` of the C(n, 2) draws, the packed row width in bits, the draw
     index of each cell of an n x width adjacency matrix, C(n, 2) (a column
-    that is always False) off the pairs.  A row up to 64 bits wide is a
-    power of two wide, so the packed rows read as one ``uint8`` to
-    ``uint64`` word each."""
+    that is always False) off the pairs, and the output mixing's shifts and
+    multipliers and the ``next_float`` shift as ``uint64`` scalars (built on
+    every call, they cost a one-graph ``gnp`` at n = 8 about 8%).  A row up
+    to 64 bits wide is a power of two wide, so the packed rows read as one
+    ``uint8`` to ``uint64`` word each."""
     import numpy as np
 
     if n < 1:
@@ -134,18 +142,8 @@ def _gnp_plan(n: int):
     cells[u, v] = cells[v, u] = np.arange(pairs)
     cells = cells.ravel()
     steps.flags.writeable = cells.flags.writeable = False  # shared by every call
-    return steps, cells, width
-
-
-@lru_cache(maxsize=1)
-def _mixing():
-    """The shifts and multipliers of the output mixing, and the shift from
-    ``next_u64`` to the 53 bits of ``next_float``, as ``uint64`` scalars,
-    built once: building them on every call cost a one-graph ``gnp`` at
-    n = 8 about 8%."""
-    import numpy as np
-
-    return tuple(map(np.uint64, (30, _MIX1, 27, _MIX2, 31, 11)))
+    mixing = tuple(map(np.uint64, (30, _MIX1, 27, _MIX2, 31, 11)))
+    return steps, cells, width, mixing
 
 
 def _below(p: float) -> int:
@@ -155,15 +153,14 @@ def _below(p: float) -> int:
     return 1 << 53 if p >= 1 else ceil(p * 2**53)
 
 
-def _gnp_stack(n: int, cases: Sequence[tuple[float, SplitMix64]]) -> list[Graph]:
-    """``gnp(n, p, rng)`` of each ``(p, rng)`` case, in one numpy pass."""
+def _gnp_stack(n: int, cases: Sequence[GnpCase]) -> list[Graph]:
+    """``gnp(n, p, rng)`` of each ``(n, p, rng)`` case of order n, in one numpy pass."""
     import numpy as np
 
-    steps, cells, width = _gnp_plan(n)
-    s1, m1, s2, m2, s3, to_float = _mixing()
+    steps, cells, width, (s1, m1, s2, m2, s3, to_float) = _gnp_plan(n)
     pairs = len(steps)
-    z = np.array([rng.state for _, rng in cases], dtype=np.uint64)[:, None] + steps
-    for _, rng in cases:
+    z = np.array([rng.state for _, _, rng in cases], dtype=np.uint64)[:, None] + steps
+    for _, _, rng in cases:
         rng.state = (rng.state + pairs * _GAMMA) & _MASK
     z ^= z >> s1
     z *= m1
@@ -173,7 +170,7 @@ def _gnp_stack(n: int, cases: Sequence[tuple[float, SplitMix64]]) -> list[Graph]
     z >>= to_float
     # column ``pairs`` stays False: the cells off the pairs read it
     drawn = np.zeros((len(cases), pairs + 1), dtype=bool)
-    below = np.array([_below(p) for p, _ in cases], dtype=np.uint64)
+    below = np.array([_below(p) for _, p, _ in cases], dtype=np.uint64)
     np.less(z, below[:, None], out=drawn[:, :pairs])
     packed = np.packbits(drawn.take(cells, axis=1).reshape(-1, width), axis=1, bitorder="little")
     if width <= 64:
@@ -184,25 +181,27 @@ def _gnp_stack(n: int, cases: Sequence[tuple[float, SplitMix64]]) -> list[Graph]
     return [Graph._from_rows(n, rows[i : i + n]) for i in range(0, len(rows), n)]
 
 
-def gnps(n: int, cases: Iterable[tuple[float, SplitMix64]]) -> Iterator[Graph]:
-    """``gnp(n, p, rng)`` of every ``(p, rng)`` case, in input order.
+def gnps(cases: Iterable[GnpCase]) -> Iterator[Graph]:
+    """``gnp(n, p, rng)`` of every ``(n, p, rng)`` case, in input order.
 
-    Lazy: the cases are read and drawn in stacks of at most 16,384 draws
-    (at least one case), one stack in memory at a time (see the module
-    docstring).  Each graph and each generator's end state are those of
-    ``gnp`` on that case alone.  Raises BadParameters for ``n < 1`` when the
-    first stack is drawn, before any generator moves.
+    Lazy: each run of consecutive cases of one order is read and drawn in
+    stacks of at most 16,384 draws (at least one case), one stack in memory
+    at a time (see the module docstring); the first case after a run is read
+    when the run's last stack is.  Each graph and each generator's end state
+    are those of ``gnp`` on that case alone.  Raises BadParameters for an
+    order below one when its stack is drawn, before any generator of the
+    stack moves.
     """
-    size = max(1, _STACK_DRAWS // max(1, n * (n - 1) // 2))
-    cases = iter(cases)
-    while stack := list(islice(cases, size)):
-        yield from _gnp_stack(n, stack)
+    for n, run in groupby(cases, key=lambda case: case[0]):
+        size = max(1, _STACK_DRAWS // max(1, n * (n - 1) // 2))
+        while stack := list(islice(run, size)):
+            yield from _gnp_stack(n, stack)
 
 
 def gnp(n: int, p: float, rng: SplitMix64) -> Graph:
     """G(n, p) under the contract of the module docstring: the stack of one
     of ``gnps``."""
-    return _gnp_stack(n, [(p, rng)])[0]
+    return _gnp_stack(n, [(n, p, rng)])[0]
 
 
 def gnm(n: int, m: int, rng: SplitMix64) -> Graph:
@@ -218,15 +217,13 @@ def random_connected_gnp(n: int, p: float, rng: SplitMix64) -> Graph:
     return _connected(gnp(n, p, rng), n, p, rng)
 
 
-def random_connected_gnps(
-    n: int, cases: Iterable[tuple[float, SplitMix64]]
-) -> Iterator[Graph]:
-    """``random_connected_gnp(n, p, rng)`` of every ``(p, rng)`` case, in
+def random_connected_gnps(cases: Iterable[GnpCase]) -> Iterator[Graph]:
+    """``random_connected_gnp(n, p, rng)`` of every ``(n, p, rng)`` case, in
     input order: the first draws come from ``gnps`` a stack at a time, and
     a case whose first draw is not connected redraws one graph at a time
     from its own generator."""
     cases, ahead = tee(cases)
-    for g, (p, rng) in zip(gnps(n, ahead), cases):
+    for g, (n, p, rng) in zip(gnps(ahead), cases):
         yield _connected(g, n, p, rng)
 
 

@@ -90,8 +90,11 @@ def kelmans(g: Graph, u: int, v: int) -> Graph:
 
     Exactly the edges {vx : x in N(v) \\ N[u]} are deleted and {ux} added;
     adjacency between u and v, and the degree of every other vertex, are
-    unchanged.
+    unchanged.  Raises BadParameters unless u and v are distinct vertices
+    of g.
     """
+    if not (0 <= u < g.n and 0 <= v < g.n):
+        raise BadParameters(f"kelmans vertex ({u},{v}) out of range for n={g.n}")
     if u == v:
         raise BadParameters("kelmans needs two distinct vertices")
     moved = g.row(v) & ~(g.row(u) | (1 << u))

@@ -15,8 +15,11 @@ stream, counts the cases, gathers and sorts the failures, and builds every
 feeds them to it as they come, and ``kelmans`` and ``corollary`` stack the
 two graphs of a case.  The suites that draw one G(n, p) graph per case from
 the case's own generator (a gnp hunt, ``ore``, ``closure``'s random graphs
-and ``qbound``) draw them with ``gnps`` a stack at a time, which leaves each
-case the graph and generator state of its own ``gnp`` call.  Failures
+and ``qbound``) pass one stream of ``(n, p, rng)`` cases to ``gnps`` or
+``random_connected_gnps``, which cuts each run of one order into stacks and
+leaves each case the graph and generator state of its own ``gnp`` call;
+``ore`` and ``qbound`` read every case's order first and group the cases by
+order (``_gnp_cases``), so their runs are long.  Failures
 carry the graph6 string of the offending graph and the violated inequality
 with its numbers (``_fail``), so every failure is replayable.  Reports carry
 no timing and their failures are sorted, so they are byte-stable for fixed
@@ -54,7 +57,7 @@ from .families import (
 )
 from .graph import Graph, emit_graph6, is_connected, min_degree
 from .hamilton import is_hamilton_connected, ore_check
-from .rng import SplitMix64, gnm, gnp, gnps, random_connected_gnp, random_connected_gnps
+from .rng import GnpCase, SplitMix64, gnm, gnp, gnps, random_connected_gnp, random_connected_gnps
 from .spectral import (
     DEFAULT_TOL,
     SpectralEstimate,
@@ -150,18 +153,20 @@ def _estimated(
     return zip(items, perron_pairs(map(graph_of, ahead), tol))
 
 
-# -- ore: degree-sum sufficiency ------------------------------------------------
-
-
-def _ore_draws(case_seeds: list[int]) -> Iterator[Graph]:
-    """Each trial's graph, grouped by order: every case seed's order is read
-    first, then the graphs are drawn an order at a time by ``gnps``."""
-    by_order: dict[int, list[SplitMix64]] = {}
-    for case_seed in case_seeds:
+def _gnp_cases(seed: int, count: int, n_max: int, p_lo: float, p_width: float) -> list[GnpCase]:
+    """``count`` G(n, p) cases, each on its own case seed's generator, which
+    gives n in 3..n_max and then p = p_lo + p_width * next_float(); grouped
+    by order, the orders in the order they first appear.  Each case draws
+    from its own generator, so the grouping changes no graph."""
+    by_order: dict[int, list[GnpCase]] = {}
+    for case_seed in _case_seeds(seed, count):
         rng = SplitMix64(case_seed)
-        by_order.setdefault(3 + rng.next_below(6), []).append(rng)  # n in 3..8
-    for n, rngs in by_order.items():
-        yield from gnps(n, ((0.15 + 0.7 * rng.next_float(), rng) for rng in rngs))
+        n = 3 + rng.next_below(n_max - 2)
+        by_order.setdefault(n, []).append((n, p_lo + p_width * rng.next_float(), rng))
+    return [case for cases in by_order.values() for case in cases]
+
+
+# -- ore: degree-sum sufficiency ------------------------------------------------
 
 
 def _ore_case(g: Graph) -> Failures:
@@ -175,15 +180,13 @@ def _ore_case(g: Graph) -> Failures:
 
 def run_ore(trials: int = 10_000, seed: int = 1) -> SuiteReport:
     """Degree-sum sufficiency: whenever the check fires, the oracle agrees,
-    on every connected graph of order <= 7 and on ``trials`` random graphs.
-
-    Each trial draws from its own generator, so grouping the trials by
-    order changes no graph."""
+    on every connected graph of order <= 7 and on ``trials`` random graphs
+    of orders 3..8, grouped by order (``_gnp_cases``)."""
     corpus = (g for n in range(1, 8) for g in connected_graphs(n))
     return _report(
         "ore",
         {"trials": trials, "seed": seed, "corpus": "connected n<=7"},
-        (chain(corpus, _ore_draws(_case_seeds(seed, trials))), _ore_case),
+        (chain(corpus, gnps(_gnp_cases(seed, trials, 8, 0.15, 0.7))), _ore_case),
     )
 
 
@@ -257,9 +260,10 @@ def run_closure(
     set is scan-order independent and the operator is idempotent."""
     ns = list(exhaustive_n)
     graphs = [g for n in ns for g in connected_graphs(n)]
-    rngs = list(map(SplitMix64, _case_seeds(seed, 2 * random_per_n)))
-    for n, part in ((8, rngs[:random_per_n]), (9, rngs[random_per_n:])):
-        graphs += random_connected_gnps(n, [(0.2 + 0.6 * rng.next_float(), rng) for rng in part])
+    rngs = map(SplitMix64, _case_seeds(seed, 2 * random_per_n))
+    orders = chain(repeat(8, random_per_n), repeat(9))  # n = 8, then n = 9
+    graphs += random_connected_gnps((n, 0.2 + 0.6 * rng.next_float(), rng)
+                                    for n, rng in zip(orders, rngs))
     return _report(
         "closure",
         {"random_per_n": random_per_n, "order_trials": order_trials,
@@ -299,20 +303,6 @@ def run_kelmans(count: int = 1000, seed: int = 3) -> SuiteReport:
 
 
 # -- qbound: edge-count upper bound and eigen-equation checks --------------------
-
-
-def _qbound_draws(seed: int, count: int) -> Iterator[tuple[Graph, SplitMix64]]:
-    """Each case's graph with its generator, grouped by order: every case
-    seed's order is read first, then the graphs are drawn an order at a time
-    by ``random_connected_gnps``, lazily, so a consumer reading a stack at a
-    time holds only that and the stack ``gnps`` draws."""
-    by_order: dict[int, list[SplitMix64]] = {}
-    for case_seed in _case_seeds(seed, count):
-        rng = SplitMix64(case_seed)
-        by_order.setdefault(3 + rng.next_below(48), []).append(rng)  # n in 3..50
-    for n, rngs in by_order.items():
-        cases = ((0.25 + 0.65 * rng.next_float(), rng) for rng in rngs)
-        yield from zip(random_connected_gnps(n, cases), rngs)
 
 
 def _qbound_check(item: tuple[tuple[Graph, SplitMix64], SpectralEstimate]) -> Failures:
@@ -355,14 +345,14 @@ def _edge_at(g: Graph, i: int) -> tuple[int, int]:
 def run_qbound(count: int = 10_000, seed: int = 4) -> SuiteReport:
     """Edge-count bound on the radius, plus residual/identity sanity.
 
-    Each case's order is read from its seed first; the cases are then grouped
-    by order, and drawn, solved with ``perron_pairs`` at tol 1e-8 and checked
-    one stack at a time.  Each case draws from its own generator, so the
-    grouping changes no graph and no estimate.
+    The cases are grouped by order (``_gnp_cases``), and drawn, solved with
+    ``perron_pairs`` at tol 1e-8 and checked one stack at a time; each check
+    goes on drawing from its case's generator.
     """
+    cases = _gnp_cases(seed, count, 50, 0.25, 0.65)
+    draws = zip(random_connected_gnps(cases), (rng for _, _, rng in cases))
     return _report("qbound", {"count": count, "seed": seed, "n_max": 50},
-                   (_estimated(_qbound_draws(seed, count), lambda item: item[0], 1e-8),
-                    _qbound_check))
+                   (_estimated(draws, lambda item: item[0], 1e-8), _qbound_check))
 
 
 # -- q-lower: exact class-1 certificates -----------------------------------------
@@ -648,7 +638,7 @@ def _parse_model(model: str) -> Sampler | None:
             p = _model_number(float, arg, model)
             if not 0 <= p <= 1:
                 raise BadParameters(f"gnp probability must lie in [0, 1]: {model!r}")
-            return lambda n, rngs: gnps(n, zip(repeat(p), rngs))
+            return lambda n, rngs: gnps((n, p, rng) for rng in rngs)
         if name == "gnm":
             m = _model_number(int, arg, model)
             if m < 0:

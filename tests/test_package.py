@@ -19,9 +19,10 @@ from hamq.families import (
 from hamq.graph import Graph, complete, copies, delete_edges
 from hamq.rng import SplitMix64, gnm, pair_unrank
 from hamq.spectral import adjacent_pair_identity_defect, perron_pair, upper_bound_edge_count
+from hamq.transforms import kelmans
 from hamq.verify import run_hunt
 
-from conftest import cycle
+from conftest import cycle, path_graph
 
 
 def test_all_names_exactly_the_public_attributes():
@@ -72,6 +73,10 @@ _K34 = Graph(7, [(a, b) for a in range(3) for b in range(3, 7)])
     (lambda: SplitMix64(1).sample_distinct(-2, 5), "sample count must be >= 0, got -2"),
     (lambda: gnm(5, -3, SplitMix64(1)), "sample count must be >= 0, got -3"),
     (lambda: pair_unrank(4, 6), "pair index 6 out of range for n=4"),
+    # a vertex past n - 1 or below 0, on either side
+    (lambda: kelmans(path_graph(4), 0, 9), r"kelmans vertex \(0,9\) out of range for n=4"),
+    (lambda: kelmans(path_graph(4), -1, 0), r"kelmans vertex \(-1,0\) out of range for n=4"),
+    (lambda: kelmans(path_graph(4), 1, -1), r"kelmans vertex \(1,-1\) out of range for n=4"),
     (lambda: upper_bound_edge_count(Graph(1)), "bound needs n >= 2"),
     (lambda: adjacent_pair_identity_defect(cycle(4), perron_pair(cycle(4)), 0, 2),
      "must be an edge"),

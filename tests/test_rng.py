@@ -1,6 +1,6 @@
 """Generator contract and graph models."""
 
-from itertools import count, islice
+from itertools import count, islice, repeat
 from math import comb
 
 import pytest
@@ -110,7 +110,8 @@ def test_gnp_matches_the_per_pair_contract():
             assert fast.state == slow.state == ahead.state, (n, p)
         fast = [SplitMix64(seed + j) for j in range(len(ps))]
         slow = [SplitMix64(seed + j) for j in range(len(ps))]
-        assert list(gnps(n, zip(ps, fast))) == [pairwise_gnp(n, *case) for case in zip(ps, slow)]
+        assert (list(gnps(zip(repeat(n), ps, fast)))
+                == [pairwise_gnp(n, *case) for case in zip(ps, slow)])
         assert [r.state for r in fast] == [r.state for r in slow], n
 
 
@@ -121,24 +122,49 @@ def test_gnps_streams_across_the_stack_cap(n):
     ps = [(j % 7) / 6 for j in range(cases)]
     fast = [SplitMix64(50 + j) for j in range(cases)]
     slow = [SplitMix64(50 + j) for j in range(cases)]
-    assert list(gnps(n, zip(ps, fast))) == [gnp(n, *case) for case in zip(ps, slow)]
+    assert list(gnps(zip(repeat(n), ps, fast))) == [gnp(n, *case) for case in zip(ps, slow)]
     assert [r.state for r in fast] == [r.state for r in slow]
-    assert list(gnps(n, [])) == []
+    assert list(gnps([])) == []
 
 
 def test_gnps_holds_one_stack_of_an_endless_stream():
     read = count()
-    stream = ((0.5, SplitMix64(next(read))) for _ in count())
-    first = list(islice(gnps(8, stream), 3))
+    stream = ((8, 0.5, SplitMix64(next(read))) for _ in count())
+    first = list(islice(gnps(stream), 3))
     assert next(read) == _STACK_DRAWS // comb(8, 2)  # one stack read, no more
     assert first == [gnp(8, 0.5, SplitMix64(s)) for s in range(3)]
 
 
+def test_gnps_cuts_a_mixed_order_stream_into_runs():
+    # runs longer than a stack, runs of one, and orders that come back later
+    orders = [8] * 600 + [50] * 14 + [8] * 3 + [1] + [200, 200, 2] + [9] * 40 + [50]
+    ps = [0.25 + (j % 4) / 4 for j in range(len(orders))]
+    fast = [SplitMix64(700 + j) for j in range(len(orders))]
+    slow = [SplitMix64(700 + j) for j in range(len(orders))]
+    assert list(gnps(zip(orders, ps, fast))) == [gnp(*case) for case in zip(orders, ps, slow)]
+    assert [r.state for r in fast] == [r.state for r in slow]
+    assert (list(random_connected_gnps(zip(orders[:620], ps, fast)))
+            == [random_connected_gnp(*case) for case in zip(orders[:620], ps, slow)])
+    assert [r.state for r in fast] == [r.state for r in slow]
+    # a run's last stack reads one case past the run, and no more
+    read = count()
+    stream = ((8 if i < 3 else 9, 0.5, SplitMix64(i)) for i in read)
+    assert next(gnps(stream)) == gnp(8, 0.5, SplitMix64(0))
+    assert next(read) == 4
+    # an order below one raises at its own stack, after the graphs before it
+    rng = SplitMix64(5)
+    stream = gnps([(8, 0.5, SplitMix64(4)), (0, 0.5, rng)])
+    assert next(stream) == gnp(8, 0.5, SplitMix64(4))
+    with pytest.raises(BadParameters, match=r"^graph order must be >= 1, got 0$"):
+        next(stream)
+    assert rng.state == SplitMix64(5).state
+
+
 @pytest.mark.parametrize("n", [0, -1])
 def test_gnps_rejects_an_order_below_one_at_the_first_stack(n):
-    assert list(gnps(n, [])) == []
+    assert list(gnps([])) == []
     rng = SplitMix64(5)
-    stream = gnps(n, [(0.5, rng)])
+    stream = gnps([(n, 0.5, rng)])
     with pytest.raises(BadParameters, match=rf"^graph order must be >= 1, got {n}$"):
         next(stream)
     assert rng.state == SplitMix64(5).state
@@ -165,7 +191,7 @@ def test_random_connected_gnps_redraws_each_case_alone():
     slow = [SplitMix64(300 + j) for j in range(60)]
     redraws = sum(not is_connected(gnp(9, p, SplitMix64(300 + j))) for j, p in enumerate(ps))
     assert 20 < redraws < 60
-    assert (list(random_connected_gnps(9, zip(ps, fast)))
+    assert (list(random_connected_gnps(zip(repeat(9), ps, fast)))
             == [random_connected_gnp(9, *case) for case in zip(ps, slow)])
     assert [r.state for r in fast] == [r.state for r in slow]
 
@@ -175,5 +201,5 @@ def test_random_connected_gives_up_after_10000_tries():
         random_connected_gnp(2, 0.0, SplitMix64(1))
     rng = SplitMix64(1)
     with pytest.raises(BadParameters, match=r"no connected gnp\(2,0.0\) sample in 10000 tries"):
-        list(random_connected_gnps(2, [(0.0, rng)]))
+        list(random_connected_gnps([(2, 0.0, rng)]))
     assert rng.state == (1 + 10_000 * 0x9E3779B97F4A7C15) % 2**64

@@ -12,6 +12,7 @@ from hamq.certifier import (
     OUTCOME_NOT_HC,
     certify,
 )
+from hamq.corpus import connected_graphs
 from hamq.errors import BadParameters
 from hamq.graph import complete, cut_vertex, emit_graph6, is_connected, parse_graph6
 from hamq.rng import SplitMix64, gnp
@@ -191,6 +192,18 @@ def test_hunt_checks_the_one_at_a_time_gnp_stream(monkeypatch):
     seen = _record(monkeypatch, "_hunt_check", lambda g: g)
     assert run_hunt(n=8, trials=1000, seed=42, model="gnp(0.5)").cases == 1000
     assert seen == [pairwise_gnp(8, 0.5, SplitMix64(s)) for s in _case_seeds(42, 1000)]
+
+
+def test_ore_checks_the_one_at_a_time_stream(monkeypatch):
+    seen = _record(monkeypatch, "_ore_case", lambda g: g)
+    assert run_ore(trials=3000, seed=1).cases == len(seen)
+    by_order = {}
+    for case_seed in _case_seeds(1, 3000):
+        rng = SplitMix64(case_seed)
+        n = 3 + rng.next_below(6)
+        by_order.setdefault(n, []).append(pairwise_gnp(n, 0.15 + 0.7 * rng.next_float(), rng))
+    corpus = [g for n in range(1, 8) for g in connected_graphs(n)]
+    assert seen == corpus + [g for graphs in by_order.values() for g in graphs]
 
 
 def test_qbound_checks_the_one_at_a_time_stream(monkeypatch):
