@@ -5,7 +5,15 @@ graphs with a cut vertex are never Hamilton-connected at order >= 3), the
 degree-sum condition, the closure-completeness gate, the edge-count
 condition with its exceptional hosts, the spectral annotation, and finally
 (size-gated) the exact oracle.  The first decisive step wins and the full
-attempt trace is kept on the certificate.
+attempt trace is kept on the certificate.  One exception to that order:
+where the edge count is above its threshold, the stage's host partition is
+read before the closure, and a graph that has one is decided exceptional
+without running the closure (the closure could not have fired; see the
+last paragraph).  Its trace is Ore, EdgeCount (exceptional),
+ExceptionalConfirmation, with no ClosureComplete entry: the trace lists
+the conditions attempted.  Every other graph meets the closure before the
+edge count, so a graph whose closure is complete is certified by the
+closure's additions, which a reader can replay, rather than by the count.
 
 The degree-sum condition is evaluated first, in O(n) mask operations, and
 the edge-count stage's threshold test (at k = min(delta, n/11) >= 2, below)
@@ -64,6 +72,15 @@ found in O(n + m), is the witness.  Every item leaves that many: for S,
 G - Y has the k - 1 X vertices as isolated vertices plus a nonempty Z; for
 T, X has no edge to Z and both are nonempty.  A short count is therefore an
 internal error, never a verdict.
+
+The same count is why the closure is skipped on these graphs.  A graph with
+a host partition is not Hamilton-connected (Chvatal 1973, above), and a
+graph whose (n+1)-closure is Hamilton-connected is itself Hamilton-connected
+(Bondy and Chvatal 1976); the complete graph is, so the closure of a graph
+with a host partition is never complete, and running it would only have
+counted its additions.  The read is guarded by one count: every
+``hub_partitions`` group holds k - 1 vertices of degree k, so a graph with
+fewer has none and goes on to the closure without a read.
 """
 
 from __future__ import annotations
@@ -178,25 +195,31 @@ def certify(
             return done(OUTCOME_NOT_HC, None, {"reason": "cut-vertex", "cut_vertex": cut})
     trace.append(ore_entry)
 
-    # closure completeness
-    cl, cl_trace = closure(g)
-    cl_complete = cl.m == n * (n - 1) // 2
-    trace.append({
-        "condition": "ClosureComplete",
-        "verdict": "fired" if cl_complete else "fail",
-        "hypotheses": [_hyp("closure_complete", True, cl_complete)],
-        "edges_added": len(cl_trace.added),
-    })
-    if cl_complete:
-        return done(OUTCOME_CERTIFIED, {"name": "ClosureComplete"},
-                    {"closure_additions": cl_trace.added})
+    # the edge-count stage's host partition, read for S first, then T (see
+    # the module docstring) and before the closure: a graph that has one is
+    # not Hamilton-connected, so its closure is incomplete.  Each group needs
+    # k - 1 vertices of degree k, which one count rules out on most graphs
+    part = None
+    if above and g._deg.count(k) >= k - 1:
+        part = next(hub_partitions(g, "S", k), None) or next(hub_partitions(g, "T", k), None)
 
-    # edge-count condition at the k with the lowest threshold; its host
-    # partition is read for S first, then T (see the module docstring)
+    # closure completeness, ahead of the edge count so that a complete
+    # closure certifies with its replayable additions
+    if part is None:
+        cl, cl_trace = closure(g)
+        cl_complete = cl.m == n * (n - 1) // 2
+        trace.append({
+            "condition": "ClosureComplete",
+            "verdict": "fired" if cl_complete else "fail",
+            "hypotheses": [_hyp("closure_complete", True, cl_complete)],
+            "edges_added": len(cl_trace.added),
+        })
+        if cl_complete:
+            return done(OUTCOME_CERTIFIED, {"name": "ClosureComplete"},
+                        {"closure_additions": cl_trace.added})
+
+    # edge-count condition at the k with the lowest threshold
     if k >= 2:
-        part = None
-        if above:
-            part = next(hub_partitions(g, "S", k), None) or next(hub_partitions(g, "T", k), None)
         trace.append({
             "condition": "EdgeCount", "k": k,
             "hypotheses": [

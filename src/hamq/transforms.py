@@ -14,6 +14,12 @@ its closed neighborhood, and every vertex whose degree rose goes back on the
 worklist.  A pair that qualifies at the end is seen by whichever endpoint
 was processed last, so the pass stops at the closure.
 
+Before any of that, the pass is skipped when the two largest degrees sum to
+at most n: then no pair, adjacent or not, has degree sum n + 1, so no
+first addition exists, no degree ever grows, and the closure is G itself.
+The test costs one sort of the degrees; it spares the degree masks and the
+n-vertex worklist scan.
+
 The returned trace lists the additions in the order they were made.  It
 promises only that each addition was valid at the moment it was made
 (d(u) + d(v) >= n + 1 in the graph built so far); the order itself is an
@@ -50,6 +56,8 @@ def closure(g: Graph) -> tuple[Graph, ClosureTrace]:
     Returns ``g`` itself when nothing is added.
     """
     n = g.n
+    if sum(sorted(g._deg)[-2:]) <= n:
+        return g, ClosureTrace(added=())  # no pair reaches n + 1 (module docstring)
     rows = list(g._rows)
     deg = list(g._deg)
     # degrees stay <= n - 1 while they grow, so ge[n] stays 0

@@ -3,6 +3,7 @@
 import hashlib
 import json
 from fractions import Fraction
+from itertools import chain
 from math import comb
 
 import pytest
@@ -42,6 +43,7 @@ from hamq.graph import (
 from hamq.hamilton import is_hamilton_connected, ore_check
 from hamq.rng import SplitMix64, gnm, gnp, pair_unrank
 from hamq.spectral import perron_pair
+from hamq.transforms import closure
 
 from conftest import add_edges, cycle, path_graph, relabel, validate_path
 
@@ -208,6 +210,90 @@ def test_edge_count_graphs_skip_the_screen_it_could_not_fail(monkeypatch):
     assert not _edge_count_above(g, min(min_degree(g), 8))
     certify(g)
     assert searched == [g]
+
+
+def _exceptional_cases():
+    """Relabeled S1/T1/S2/T2 members at (n, k) = (92, 2) and (270, 3), and
+    near-hosts there with no added edge."""
+    rng = SplitMix64(30)
+    for n, k in ((92, 2), (270, 3)):
+        for clazz in CLASSES:
+            for m in enumerate_class(clazz, n, k, "sample", seed=n + 1, count=2):
+                yield relabel(m.graph, rng.permutation(n)), k
+        for kind in "ST":
+            yield _near_host(rng, kind, n, k, 2 + rng.next_below(5), 0), k
+
+
+def test_exceptional_graphs_skip_the_closure_they_could_not_fire(monkeypatch):
+    # certify reads the host partition before the closure where the edge
+    # count is above its threshold, and a graph with one never meets the
+    # closure; every other graph meets it once, before the edge count
+    import hamq.certifier as certifier
+
+    closed = []
+    monkeypatch.setattr(certifier, "closure", lambda g: closed.append(g) or closure(g))
+    for g, k in _exceptional_cases():
+        cert = certify(g)
+        assert cert.outcome == OUTCOME_EXCEPTIONAL and cert.exit_code() == 1
+        assert cert.trace == [
+            {"condition": "Ore", "verdict": "fail",
+             "hypotheses": [{"name": "degree_sum_condition", "required": True,
+                             "actual": False, "passed": False}]},
+            {"condition": "EdgeCount", "k": k,
+             "hypotheses": [
+                 {"name": "min_degree", "required": k, "actual": k, "passed": True},
+                 {"name": "order", "required": 11 * k, "actual": g.n, "passed": True},
+                 {"name": "edge_count_exceeds", "required": thresholds(k).edge(g.n),
+                  "actual": g.m, "passed": True}],
+             "verdict": "exceptional"},
+            {"condition": "ExceptionalConfirmation", "verdict": "confirmed"}]
+    assert closed == []
+    host = build_S(270, 3)
+    xz = add_edges(host.graph, [(host.Z[0], host.X[0])])
+    k5 = _k5_graph((0, 1, 2), [(51, 52), (52, 53), (53, 54), (51, 54)])
+    for g, fired in ((xz, "ClosureComplete"), (k5, "EdgeCount")):
+        cert = certify(g)
+        assert closed == [g] and cert.fired_condition["name"] == fired
+        closed.clear()
+    assert [(t["condition"], t["verdict"]) for t in cert.trace] == [
+        ("Ore", "fail"), ("ClosureComplete", "fail"), ("EdgeCount", "fired")]
+
+
+def test_host_read_needs_k_minus_1_vertices_of_degree_k(monkeypatch):
+    # each hub_partitions group holds k - 1 vertices of degree k, so a graph
+    # above the edge threshold with fewer goes to the closure unread
+    import hamq.certifier as certifier
+
+    read = []
+    monkeypatch.setattr(certifier, "hub_partitions",
+                        lambda g, kind, k: read.append(kind) or hub_partitions(g, kind, k))
+    host = build_S(270, 3)
+    rng = SplitMix64(31)
+    cases = [add_edges(host.graph, [(host.Z[0], host.X[0])])]
+    cases += [_near_host(rng, kind, 92, 2, 2 + rng.next_below(5), 1) for kind in "ST"]
+    for g in cases:
+        k = min(min_degree(g), g.n // 11)
+        assert _edge_count_above(g, k) and g.degrees().count(k) < k - 1
+        assert certify(g).fired_condition == {"name": "ClosureComplete"}
+    assert read == []
+    # a T1 member at k = 3 is read for S, then T
+    member = next(enumerate_class("T1", 270, 3, "sample", seed=1, count=1))
+    assert certify(member.graph).outcome == OUTCOME_EXCEPTIONAL
+    assert read == ["S", "T"]
+
+
+def test_exceptional_verdicts_have_incomplete_closures():
+    # arbiter for the skip: a graph certify calls exceptional has a closure
+    # that is not complete, so running it could not have certified the graph
+    seen = 0
+    graphs = chain(_pinned_corpus(), (g for g, _ in _exceptional_cases()))
+    for g in graphs:
+        if certify(g).outcome == OUTCOME_EXCEPTIONAL:
+            seen += 1
+            cl, _ = closure(g)
+            assert cl.m < comb(g.n, 2)
+    assert seen == 32 + 20
+
 
 def test_certify_host_is_exceptional_with_confirmation():
     host = build_S(22, 2)
@@ -423,7 +509,10 @@ def test_certificate_json_roundtrip():
 
 # sha256 of every report and exit code of _pinned_corpus(); a change that
 # alters report bytes on purpose updates it and says so
-REPORT_DIGEST = "869311ea26487f209ed50ee0e5a266308e88dcde1df2b22600bc5cf93f66e1a4"
+REPORT_DIGEST = "e7415bd4eacf06233d900a7a41d49e31c073ace4467bc70cf95f686680c69fed"
+# the same without each report's trace: a change to the trace's format
+# alone leaves it as it is
+VERDICT_DIGEST = "baae28487e67bb0586aa6aba06332f8fb25a802b1ba0c90befafb2e4a3f67e6b"
 
 
 def _pinned_corpus():
@@ -450,6 +539,16 @@ def test_report_bytes_are_pinned():
         digest.update(b"%d\n" % cert.exit_code())
     assert {OUTCOME_EXCEPTIONAL, OUTCOME_EXACT_YES, OUTCOME_EXACT_NO} <= outcomes
     assert digest.hexdigest() == REPORT_DIGEST
+
+
+def test_verdicts_are_pinned_apart_from_the_trace():
+    digest = hashlib.sha256()
+    for g in _pinned_corpus():
+        cert = certify(g)
+        report = {f: v for f, v in explain(cert).items() if f != "trace"}
+        digest.update(json.dumps(report, sort_keys=True).encode())
+        digest.update(b"%d\n" % cert.exit_code())
+    assert digest.hexdigest() == VERDICT_DIGEST
 
 
 def _annotate_class(g, k):

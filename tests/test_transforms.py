@@ -5,7 +5,7 @@ import pytest
 from hamq.corpus import all_graphs
 from hamq.errors import BadParameters
 from hamq.families import build_S, build_T
-from hamq.graph import Graph, complete, delete_edges, is_connected
+from hamq.graph import Graph, _degree_masks, complete, delete_edges, is_connected
 from hamq.rng import SplitMix64, gnp, random_connected_gnp
 from hamq.spectral import perron_pair
 from hamq.transforms import closure, kelmans
@@ -57,6 +57,38 @@ def test_closure_matches_the_lexicographic_scan_on_every_small_graph():
         _assert_trace_replays(g, cl, tr)
         added += len(tr.added)
     assert added > 0
+
+
+def test_closure_skips_the_pass_when_no_pair_reaches_n_plus_1(small_connected, monkeypatch):
+    # when the two largest degrees sum to at most n, closure returns g itself
+    # without building the degree masks; on either side of that cut-off
+    # (sums n - 3 .. n + 3 on seeded gnp, n = 3..60) it agrees with the
+    # restart scan
+    import hamq.transforms as transforms
+
+    built = []
+    monkeypatch.setattr(transforms, "_degree_masks",
+                        lambda deg: built.append(deg) or _degree_masks(deg))
+    near = []
+    rng = SplitMix64(79)
+    while len(near) < 400:
+        n = 3 + rng.next_below(58)
+        g = gnp(n, 0.25 + 0.3 * rng.next_float(), rng)
+        if abs(sum(sorted(g.degrees())[-2:]) - n) <= 3:
+            near.append(g)
+    graphs = [g for n in range(1, 8) for g in small_connected[n]] + near
+    skipped = 0
+    for g in graphs:
+        cl, tr = closure(g)
+        assert cl == _lexicographic_closure(g)
+        _assert_trace_replays(g, cl, tr)
+        if sum(sorted(g.degrees())[-2:]) <= g.n:
+            assert cl is g and tr.added == () and built == []
+            skipped += 1
+        else:
+            assert len(built) == 1
+        built.clear()
+    assert skipped > 300 and len(graphs) - skipped > 300
 
 
 def test_closure_fixpoint_and_idempotence():
