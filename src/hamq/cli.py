@@ -27,8 +27,9 @@ sniffed from the first non-empty line: ``"n m"`` headers select the
 edge-list reader, anything else must be the input's only graph6 line.  A
 parse error's byte offset counts the input's bytes as given.
 
-``hamq.verify`` is imported only by ``verify`` and ``hunt``, so the other
-commands do not compile the suites at start-up.
+``hamq.verify`` is imported only by ``verify`` and ``hunt``, and
+``hamq.rng`` only by those two and ``family --class``, so the other commands
+compile neither the suites nor the generators at start-up.
 """
 
 from __future__ import annotations

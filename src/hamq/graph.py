@@ -23,9 +23,13 @@ Serialization supports the standard graph6 byte layout (bit-exact) and a
 plain edge-list text format (first line ``"n m"``, then ``m`` lines ``"u v"``).
 graph6 is read and written a word at a time: the body's six-bit groups are
 base64 in another alphabet, so one byte translation and ``binascii`` turn the
-body into one bit string; column j of the upper triangle is one slice of it,
-and one transpose of the columns gives each row.  A ``ParseError`` from
-either reader carries the byte offset in the text as given: leading
+body into one bit string; column j of the upper triangle is one slice of it.
+The columns, each zero-padded to n, make one n x n string, and row v is the
+head of v's own column followed by a strided slice down the later columns.
+A plain edge list (ASCII digits, spaces and tabs, LF, CRLF or CR line ends,
+every line blank or two tokens) is read in one bulk pass; any other input,
+and any plain input with a fault, is read line by line.  A ``ParseError``
+from either reader carries the byte offset in the text as given: leading
 whitespace, blank lines, a ``>>graph6<<`` header and the UTF-8 width of
 every character before the fault all count.
 """
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 import binascii
 import re
-from itertools import compress, repeat, zip_longest
+from itertools import compress, repeat
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BadParameters, ParseError
@@ -422,21 +426,74 @@ def parse_graph6(text: str) -> Graph:
     data = s[idx:].translate(_G6_TO_B64)
     raw = binascii.a2b_base64(data + b"A" * (-len(data) % 4))
     bits = format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b")
-    cols = [bits[j * (j - 1) // 2 : j * (j + 1) // 2] for j in range(n)]
-    # transposing the zero-padded columns gives upper[v], whose bit u is the
-    # pair (v, u) for u > v; the last vertex has no later neighbour
-    upper = ["".join(t) for t in zip_longest(*cols, fillvalue="0")] + ["0"]
-    rows = [int((cols[v] + upper[v][v:])[::-1], 2) for v in range(n)]
+    # square[j*n + u] is the pair (u, j) for u < j and "0" from u = j on, so
+    # row v is column v's own v bits, then the pairs (v, u) for u >= v read
+    # down the later columns with stride n (the first is v's zero diagonal)
+    zeros = "0" * n
+    square = "".join([bits[j * (j - 1) // 2 : j * (j + 1) // 2] + zeros[j:] for j in range(n)])
+    rows = [int((square[v * n : v * n + v] + square[v * n + v :: n])[::-1], 2) for v in range(n)]
     return Graph._from_rows(n, rows)
+
+
+# a line's shape: digits to "1", spaces and tabs to " ", CR and LF to "\n";
+# the lines of a plain edge list come in a few shapes, such as "1 111"
+_PLAIN_BYTES = b"0123456789 \t\r\n"
+_SHAPE = bytes.maketrans(_PLAIN_BYTES, b"1111111111  \n\n")
 
 
 def parse_edgelist(text: str) -> Graph:
     """Parse the edge-list format: first line ``n m``, then m lines ``u v``.
 
-    Each edge is checked once, as its row bits are set, so the rows go
-    straight to the graph.  Lines are kept by index; the UTF-8 byte offset
-    of a line is counted only when an error there is raised.
+    Plain input (ASCII digits, spaces and tabs, LF, CRLF or CR line ends,
+    every line blank or two tokens) is read in one bulk pass: one check per
+    distinct line shape (digits as "1", blanks as " "), one ``split``, one
+    ``int`` per distinct token, a range check on the distinct values, one
+    OR per endpoint, and one edge count, which falls short of m on a loop
+    or a repeated edge.  Any fault there, an ``int`` refused for its length
+    among them, and any other input (Unicode digits or spaces, signs,
+    underscores, other line breaks) go to the line-by-line reader, which
+    alone raises.  It checks each edge once, as its row bits are set, and
+    keeps lines by index; the UTF-8 byte offset of a line is counted only
+    when an error there is raised, so the first fault in line order is the
+    one reported.
     """
+    g = _parse_plain_edgelist(text)
+    return g if g is not None else _parse_edgelist_lines(text)
+
+
+def _parse_plain_edgelist(text: str) -> Graph | None:
+    """The graph of a plain edge list with no fault, else None."""
+    if not text.isascii():
+        return None
+    data = text.encode()
+    shapes = set(data.translate(_SHAPE).split(b"\n"))
+    # a byte plain input does not hold, or a line of other than 0 or 2 tokens
+    if data.translate(None, _PLAIN_BYTES) or any(len(s.split()) not in (0, 2) for s in shapes):
+        return None
+    tokens = data.split()
+    if not tokens:
+        return None
+    ends = tokens[2:]
+    try:
+        n, m = int(tokens[0]), int(tokens[1])
+        value = {t: int(t) for t in set(ends)}
+    except ValueError:  # a token over int()'s digit limit
+        return None
+    if n < 1 or len(ends) != 2 * m or max(value.values(), default=0) >= n:
+        return None
+    rows = [0] * n
+    it = map(value.__getitem__, ends)
+    for u, v in zip(it, it):
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    # a new edge sets two bits, a loop one and a repeated line none, so the
+    # bits add up to 2m only when every line is a new edge
+    g = Graph._from_rows(n, rows)
+    return g if g.m == m else None
+
+
+def _parse_edgelist_lines(text: str) -> Graph:
+    """The line-by-line edge-list reader; raises at the first fault."""
     raw = text.splitlines(keepends=True)
 
     def error(message: str, i: int) -> ParseError:

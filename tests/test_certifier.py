@@ -551,6 +551,29 @@ def test_verdicts_are_pinned_apart_from_the_trace():
     assert digest.hexdigest() == VERDICT_DIGEST
 
 
+def test_deciding_entries_rest_on_passed_hypotheses():
+    # arbiter for every stage: a trace entry that fired or found an
+    # exceptional host lists only hypotheses that hold, so no stage decides
+    # outside its theorem; S(n, k) and T(n, k) at n = 11k - 1 and 11k pin the
+    # edge-count stage's order floor from both sides
+    edge = {}
+    for k in (2, 3):
+        for n in (11 * k - 1, 11 * k):
+            edge[n] = [certify(build(n, k).graph) for build in (build_S, build_T)]
+    assert {n: {c.outcome for c in certs} for n, certs in edge.items()} == {
+        21: {OUTCOME_INCONCLUSIVE}, 22: {OUTCOME_EXCEPTIONAL},
+        32: {OUTCOME_INCONCLUSIVE}, 33: {OUTCOME_EXCEPTIONAL},
+    }
+    certs = chain(map(certify, _pinned_corpus()), chain.from_iterable(edge.values()))
+    deciding = 0
+    for cert in certs:
+        for entry in cert.trace:
+            if entry["verdict"] in ("fired", "exceptional"):
+                deciding += 1
+                assert all(h["passed"] for h in entry["hypotheses"]), entry
+    assert deciding == 164
+
+
 def _annotate_class(g, k):
     # the class search certify ran before it read the class off its edge
     # stage's partition: membership for S1, T1, S2, T2 in turn

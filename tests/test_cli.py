@@ -285,7 +285,8 @@ def test_certify_start_up_stays_lean(tmp_path):
     # hamq.verify is not loaded at all.  The records are named tuples and
     # plain classes, so dataclasses (and inspect, which it imports) never
     # load; fractions loads only in the stages with exact rationals, which
-    # the Ore-settled K8 never reaches
+    # the Ore-settled K8 never reaches; certify samples nothing, so the
+    # generators in hamq.rng are not loaded either
     import os
     import subprocess
     import sys
@@ -300,7 +301,8 @@ def test_certify_start_up_stays_lean(tmp_path):
     sparse.write_text(emit_graph6(gnp(92, 0.2, SplitMix64(7))))
     script = ("import sys\nfrom hamq.cli import main\nrc = main(sys.argv[1:])\n"
               "print(sorted(m for m in ('numpy', 'concurrent.futures', 'multiprocessing',"
-              " 'hamq.verify', 'dataclasses', 'inspect', 'fractions') if m in sys.modules))\n"
+              " 'hamq.verify', 'hamq.rng', 'dataclasses', 'inspect', 'fractions')"
+              " if m in sys.modules))\n"
               "sys.exit(rc)")
     env = dict(os.environ)
     src = str(Path(hamq.__file__).resolve().parents[1])

@@ -5,6 +5,8 @@ import pytest
 from hamq.errors import BadParameters, ParseError
 from hamq.graph import (
     Graph,
+    _parse_edgelist_lines,
+    _parse_plain_edgelist,
     _reach_mask,
     complete,
     component_count,
@@ -365,6 +367,105 @@ def test_edgelist_reader_matches_the_constructor():
         assert g.m == len(edges) and g.degrees() == Graph(n, edges).degrees()
 
 
+def test_edgelist_faults_go_to_the_line_reader():
+    # the bulk pass checks range, loops and duplicates over the whole list,
+    # and int() refuses a string of more than 4,300 digits, so each fault
+    # here goes back to the line reader, which names the first in line order
+    huge = "1" * 5000
+    cases = [
+        # a duplicate on line 3 ahead of a loop on line 5
+        ("4 4\n0 1\n1 0\n2 3\n2 2\n", "duplicate edge (1,0)", 8),
+        ("4 3\n2 2\n0 9\n0 1\n", "loop at vertex 2", 4),
+        ("4 3\n0 9\n2 2\n0 1\n", "edge (0,9) out of range", 4),
+        ("4 3\n0 1\n0 1\n0 9\n", "duplicate edge (0,1)", 8),
+        ("4 3\n0 1\n1 2 3\n0 9\n", "edge line must be 'u v'", 8),
+        ("4 3\n0 1\n3\n1 2 3\n", "edge line must be 'u v'", 8),
+        # six numbers for the header's three edges, on two lines
+        ("4 3\n0 1 2\n3 1 3\n", "expected 3 edge lines, found 2", 0),
+        # a lone surrogate has no UTF-8 form, so only the line reader sees it
+        ("3 1\n0 1\ud800\n", "edge line must contain two integers", 4),
+        (f"3 1\n0 {huge}\n", "edge line must contain two integers", 4),
+        (f"3 2\n0 1\n{'0' * 4999}2 1\n", "edge line must contain two integers", 8),
+        (f"{huge} 1\n0 1\n", "header must contain two integers", 0),
+    ]
+    for text, message, offset in cases:
+        assert _parse_plain_edgelist(text) is None
+        with pytest.raises(ParseError) as err:
+            parse_edgelist(text)
+        assert str(err.value) == f"{message} (byte offset {offset})"
+
+
+def test_edgelist_line_forms_read_alike():
+    # CRLF, CR, tabs, blank lines and leading zeros are plain input and take
+    # the bulk pass; Unicode spaces and digits take the line reader; all read
+    # the graph the LF form does
+    rng = SplitMix64(31)
+    for n in (1, 2, 9, 40, 92):
+        g = gnp(n, 0.3, rng)
+        plain = emit_edgelist(g)
+        lines = plain.splitlines()
+        forms = [
+            ("plain", plain),
+            ("plain", plain.rstrip("\n")),
+            ("plain", plain.replace("\n", "\r\n")),
+            ("plain", plain.replace("\n", "\r")),
+            ("plain", "\t" + plain.replace(" ", " \t ").replace("\n", "\t\n")),
+            ("plain", "\n \n" + "\n\n\t\n".join(lines) + "\n \n"),
+            ("plain", "\n".join(" ".join(t.zfill(7) for t in ln.split()) for ln in lines)),
+            ("lines", plain.replace(" ", "\xa0")),
+            ("lines", plain.replace(" ", " \u0660")),
+            ("lines", plain.replace("\n", "\u2028")),
+        ]
+        for kind, text in forms:
+            assert (_parse_plain_edgelist(text) is not None) == (kind == "plain")
+            assert parse_edgelist(text) == _parse_edgelist_lines(text) == g
+
+
+def test_edgelist_bulk_pass_agrees_with_the_line_reader():
+    # random edits of small plain lists: where the line reader raises, the
+    # bulk pass returns None and parse_edgelist raises the same error; where
+    # it reads a graph, the bulk pass reads the same one
+    rng = SplitMix64(37)
+    faults = 0
+    for _ in range(400):
+        n = 1 + rng.next_below(8)
+        g = gnp(n, rng.next_float(), rng)
+        lines = emit_edgelist(g).splitlines()
+        for _ in range(1 + rng.next_below(3)):
+            if not lines:
+                break
+            i = rng.next_below(len(lines))
+            kind = rng.next_below(6)
+            if kind == 0:
+                lines.insert(i, lines[i])
+            elif kind == 1:
+                del lines[i]
+            elif kind == 2:
+                lines[i] += f" {rng.next_below(n + 2)}"
+            elif kind == 3:
+                lines[i] = " ".join(lines[i].split()[:1])
+            elif kind == 4:
+                v = rng.next_below(n + 2)
+                lines.insert(i + 1, f"{v} {v if rng.next_below(2) else n}")
+            else:
+                lines[i] = " ".join(reversed(lines[i].split()))
+        if lines and rng.next_below(2):
+            lines[0] = f"{n} {len(lines) - 1}"  # so the deeper checks are reached
+        text = "\n".join(lines)
+        fast = _parse_plain_edgelist(text)
+        try:
+            slow = _parse_edgelist_lines(text)
+        except ParseError as exc:
+            faults += 1
+            assert fast is None
+            with pytest.raises(ParseError) as err:
+                parse_edgelist(text)
+            assert (str(err.value), err.value.offset) == (str(exc), exc.offset)
+        else:
+            assert fast == slow == parse_edgelist(text)
+    assert faults > 100 and 400 - faults > 30
+
+
 def test_constructor_rejects_bad_input():
     with pytest.raises(BadParameters):
         Graph(0)
@@ -422,6 +523,7 @@ def test_graph6_against_independent_reference():
         ref = nx.to_graph6_bytes(h, header=False).decode().strip()
         assert ours == ref
         assert nx.from_graph6_bytes(ours.encode()).number_of_edges() == g.m
+        assert parse_graph6(ref) == g
 
 
 def test_graph6_order_form_boundaries():
