@@ -752,6 +752,38 @@ def test_dense_regime_soundness():
             assert cert.witnesses["non_hamilton_connected"] is True
 
 
+# gnp(n, 0.5, SplitMix64(n)) at the paper orders: the count and the sha256 of
+# the sorted closure additions, computed before the round pass existed.  The
+# pass may reorder the additions, never change their set
+_PAPER_ORDER_CLOSURES = {
+    92: (2136, "61e6fe9e90e0b368d1ac1df7919f7a415f4c3e0d6df4776505bd4533387336f4"),
+    270: (18175, "59333dedb315490ff114b9fafc46fbacee38283f9f687992621ce349f8c57a1c"),
+    652: (106169, "32999d4d3393f2e1c73c156b369ed90c6b4c4b359b9ee08fca8b8024066a273e"),
+}
+
+
+def test_paper_order_closures_replay_to_the_complete_graph():
+    for n, (count, digest) in _PAPER_ORDER_CLOSURES.items():
+        g = gnp(n, 0.5, SplitMix64(n))
+        cert = certify(g)
+        assert cert.outcome == OUTCOME_CERTIFIED
+        assert cert.fired_condition == {"name": "ClosureComplete"}
+        added = cert.witnesses["closure_additions"]
+        assert cert.trace[-1]["edges_added"] == len(added) == count
+        # replay in the given order, from g's degrees up to K_n
+        rows = [g.row(v) for v in range(n)]
+        deg = list(g.degrees())
+        for u, v in added:
+            assert u < v and not rows[u] >> v & 1
+            assert deg[u] + deg[v] >= n + 1
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+            deg[u] += 1
+            deg[v] += 1
+        assert deg == [n - 1] * n
+        assert hashlib.sha256(repr(sorted(added)).encode()).hexdigest() == digest
+
+
 def test_oracle_timeout_outcome():
     from hamq.certifier import OUTCOME_TIMEOUT
 

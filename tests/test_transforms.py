@@ -29,12 +29,18 @@ def _lexicographic_closure(g):
 
 
 def _assert_trace_replays(g, cl, tr):
-    replay = g
+    rows = [g.row(v) for v in range(g.n)]
+    deg = list(g.degrees())
     for u, v in tr.added:
-        # the degree-sum condition held at the moment of addition
-        assert replay.degree(u) + replay.degree(v) >= g.n + 1
-        replay = add_edges(replay, [(u, v)])
-    assert replay == cl
+        # a missing edge whose degree sum held at the moment of addition
+        assert u != v and not rows[u] >> v & 1
+        assert deg[u] + deg[v] >= g.n + 1
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+        deg[u] += 1
+        deg[v] += 1
+    assert Graph(g.n, [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                       if rows[u] >> v & 1]) == cl
 
 
 def test_closure_trace_replays():
@@ -63,7 +69,8 @@ def test_closure_skips_the_pass_when_no_pair_reaches_n_plus_1(small_connected, m
     # when the two largest degrees sum to at most n, closure returns g itself
     # without building the degree masks; on either side of that cut-off
     # (sums n - 3 .. n + 3 on seeded gnp, n = 3..60) it agrees with the
-    # restart scan
+    # restart scan.  A graph that is not skipped builds the masks once on the
+    # worklist (fewer than 4n missing pairs), once per round otherwise
     import hamq.transforms as transforms
 
     built = []
@@ -85,8 +92,10 @@ def test_closure_skips_the_pass_when_no_pair_reaches_n_plus_1(small_connected, m
         if sum(sorted(g.degrees())[-2:]) <= g.n:
             assert cl is g and tr.added == () and built == []
             skipped += 1
-        else:
+        elif _missing(g) < 4 * g.n:
             assert len(built) == 1
+        else:
+            assert len(built) >= 1
         built.clear()
     assert skipped > 300 and len(graphs) - skipped > 300
 
@@ -132,14 +141,62 @@ def _larger_closure_inputs():
             yield add_edges(h.graph, [(x, z)])
 
 
-def test_closure_matches_restart_scan_at_larger_orders():
+def _missing(g):
+    return g.n * (g.n - 1) // 2 - g.m
+
+
+def _with_missing(g, target, rng):
+    """g with random pairs joined or cut until exactly ``target`` pairs are missing."""
+    rows = [g.row(v) for v in range(g.n)]
+    missing = _missing(g)
+    while missing != target:
+        u, v = rng.next_below(g.n), rng.next_below(g.n)
+        if u == v or bool(rows[u] >> v & 1) != (missing < target):
+            continue
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+        missing += 1 if missing < target else -1
+    return Graph(g.n, [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                       if rows[u] >> v & 1])
+
+
+def _gate_edge_inputs():
+    # seeded gnp reaches a complete closure at these counts; the hosts stop short
+    rng = SplitMix64(83)
+    for n in (20, 40, 92):
+        for base in (gnp(n, 0.5, rng), build_S(n, 2).graph, build_T(n, 2).graph):
+            for target in (4 * n - 1, 4 * n):
+                yield _with_missing(base, target, rng)
+
+
+def test_closure_matches_restart_scan_at_larger_orders(monkeypatch):
+    # also on either side of the round gate: 4n - 1 missing pairs take the
+    # worklist, which builds the degree masks exactly once; 4n take the
+    # rounds, which build them once per round and replay in order
+    import hamq.transforms as transforms
+
+    built = []
+    monkeypatch.setattr(transforms, "_degree_masks",
+                        lambda deg: built.append(deg) or _degree_masks(deg))
     added = 0
-    for g in _larger_closure_inputs():
+    sides = {"worklist": 0, "rounds": 0, "incomplete": 0}
+    for g in [*_larger_closure_inputs(), *_gate_edge_inputs()]:
         cl, tr = closure(g)
         assert cl == _lexicographic_closure(g)
         _assert_trace_replays(g, cl, tr)
         added += len(tr.added)
+        if sum(sorted(g.degrees())[-2:]) <= g.n:
+            assert built == []
+        elif _missing(g) < 4 * g.n:
+            assert len(built) == 1
+            sides["worklist"] += 1
+        else:
+            assert len(built) >= 1
+            sides["rounds"] += 1
+        sides["incomplete"] += _missing(cl) > 0
+        built.clear()
     assert added > 0
+    assert sides["worklist"] >= 9 + 6 and sides["rounds"] >= 9 and sides["incomplete"] >= 12
 
 
 def test_closure_of_closed_graph_adds_nothing():
