@@ -18,7 +18,10 @@ closure's additions, which a reader can replay, rather than by the count.
 The degree-sum condition is evaluated first, in O(n) mask operations, and
 the edge-count stage's threshold test (at k = min(delta, n/11) >= 2, below)
 right after it; the screen's depth-first search runs only where neither
-holds.  The trace keeps the order above: a graph that passes either test is
+holds.  That search also records on the graph whether it reached every
+vertex (``Graph._connected``), so neither the screen's connectivity
+question nor the spectral bound's input check sweeps the graph again.  The
+trace keeps the order above: a graph that passes either test is
 connected with no cut vertex, so the screen would have passed it, and the
 screen writes an entry only when it decides, as the whole trace.  For the
 degree sums see ``ore_check``.  For the edge count, let 1 <= k <= delta and
@@ -58,7 +61,9 @@ covers.  Such a k has k <= delta and n >= n_min(k) >= 11k, so the edge-count
 stage failed at min(delta, n/11) >= k, where the edge threshold is lowest:
 m <= C(n-k, 2) + k(k+1).  Since (n-1)(n-2k+2) - 2(C(n-k, 2) + k(k+1)) =
 2n - 3k^2 - k - 2 > 0, U < 2n - 2k, and a bound reaching it is an internal
-error.  The host-comparison variant (q >= q(S(n, k))) is not run:
+error.  The k are found by walking up from k = 2 and stopping at the first
+k with n < n_min(k), which is increasing in k, and are listed from the
+largest down.  The host-comparison variant (q >= q(S(n, k))) is not run:
 q(S(n, k)) >= 2n - 2k + k(k-1)/(n-k+1) (the indicator Rayleigh quotient on
 Y u Z), so it could only fire where the spectral threshold had.
 
@@ -182,7 +187,8 @@ def certify(
 
     # structural screen: these graphs cannot be Hamilton-connected.  For
     # n >= 3 every disconnected graph has a vertex whose removal leaves it
-    # disconnected, so connectivity is asked only when cut_vertex finds one
+    # disconnected, so connectivity is asked only when cut_vertex finds one,
+    # and then read from the record its search leaves on g (no sweep)
     if not above:
         cut = cut_vertex(g)
         if (cut is not None or n == 2) and not is_connected(g):
@@ -246,12 +252,18 @@ def certify(
             return done(OUTCOME_EXCEPTIONAL, None, witnesses)
 
     # spectral annotation: the exact bound U on q against 2n - 2k at every k
-    # the theorem covers; it never decides (see the module docstring)
-    ks = [k for k in range(min(delta, n // 2), 1, -1) if n >= thresholds(k).n_min]
+    # the theorem covers, listed from the largest; it never decides (see the
+    # module docstring).  n_min(k) grows with k, so the walk stops at the
+    # first k the order does not reach
+    ks: list[int] = []
+    for k in range(2, min(delta, n // 2) + 1):
+        if n < thresholds(k).n_min:
+            break
+        ks.append(k)
     if ks:
         bound = upper_bound_edge_count(g)
         params["q_upper_bound"] = str(bound)
-        for k in ks:
+        for k in reversed(ks):
             thr = thresholds(k).spectral(n)
             if bound >= thr:
                 raise AssertionError(f"q bound {bound} reaches 2n - 2k = {thr} at k = {k}")

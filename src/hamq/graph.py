@@ -81,8 +81,10 @@ class Graph:
 
     Invariants (established at construction): no loops, symmetric adjacency,
     cached degrees equal to row popcounts, ``2m == sum(degrees)``.
-    ``_connected`` is None until the first ``is_connected`` call fills it,
-    so callers that each validate connectivity sweep the graph once.
+    ``_connected`` is None until the first ``is_connected`` call or, at
+    order >= 3, the first ``cut_vertex`` search fills it, so callers that
+    each validate connectivity sweep the graph at most once, and not at all
+    after the cut-vertex search.
     """
 
     __slots__ = ("n", "_rows", "_deg", "_m", "_connected")
@@ -281,6 +283,11 @@ def cut_vertex(g: Graph) -> int | None:
     On a disconnected graph G - v stays disconnected for every v unless G
     is one isolated vertex u plus one connected component; the answer is 0,
     or 1 when u = 0.
+
+    The search reaches every vertex exactly when G is connected, so it
+    records that in ``g._connected`` and a later ``is_connected(g)`` does not
+    sweep again.  Graphs of order <= 2 return before the search and are left
+    unfilled.
     """
     n = g.n
     if n < 3:
@@ -304,6 +311,7 @@ def cut_vertex(g: Graph) -> int | None:
             stack.append(c)
         else:
             stack.pop()
+    g._connected = not unvisited  # the search reached every vertex
     if unvisited:
         if len(order) == 1 and _reach_mask(rows, 1, full ^ 1) == full ^ 1:
             return 1

@@ -9,38 +9,61 @@ implementation is free to choose one.  It works on mutable adjacency rows
 and degrees, alongside ``ge[t]``, the bit mask of vertices of degree at
 least t (``graph._degree_masks``), and runs one of two passes.
 
-The worklist pass, for graphs that miss fewer than 4n pairs: degrees only
-grow, so a degree step d -> d + 1 costs one OR into ``ge[d + 1]``.  A vertex
-u taken from the worklist is joined at once to every vertex of
-``ge[n + 1 - d(u)]`` outside its closed neighborhood, and every vertex whose
-degree rose goes back on the worklist.  A pair that qualifies at the end is
-seen by whichever endpoint was processed last, so the pass stops at the
-closure.
+The worklist pass, for graphs of order n < 64 that miss fewer than 4n
+pairs: degrees only grow, so a degree step d -> d + 1 costs one OR into
+``ge[d + 1]``.  A vertex u taken from the worklist is joined at once to
+every vertex of ``ge[n + 1 - d(u)]`` outside its closed neighborhood, and
+every vertex whose degree rose goes back on the worklist.  A pair that
+qualifies at the end is seen by whichever endpoint was processed last, so
+the pass stops at the closure.
 
-The round pass, for graphs that miss M >= 4n pairs: each round builds
-``ge`` once from the degrees at its start and gives every vertex u its
-qualifying non-neighbours at those degrees, ``ge[n + 1 - d(u)] & ~N[u]``.
-That set is symmetric (v is in u's exactly when u is in v's), so u ORs it
-into its own row only, and v's own turn adds the other half.  Each pair is
-listed once, from its lower endpoint, by ``itertools.compress`` over the
-set's bits.  The pass stops when a round adds nothing (the closure) or all
-M pairs are in (K_n).  Every pair of a round qualifies at the round's
-start, and degrees only grow, so it still qualifies when the additions are
-replayed one at a time in the listed order.
+The round pass, for every other graph (order n >= 64, or M >= 4n missing
+pairs): each round builds ``ge`` once from the degrees at its start and
+gives every vertex u its qualifying non-neighbours at those degrees,
+``ge[n + 1 - d(u)] & ~N[u]``.  That set is symmetric (v is in u's exactly
+when u is in v's), so u ORs it into its own row only, and v's own turn adds
+the other half.  Each pair is listed once, from its lower endpoint, by
+``itertools.compress`` over the set's bits.  The pass stops when a round
+adds nothing (the closure) or all M pairs are in (K_n).  Every pair of a
+round qualifies at the round's start, and degrees only grow, so it still
+qualifies when the additions are replayed one at a time in the listed
+order.
 
-Why 4n: the rounds do O(n) mask operations per round, however few pairs a
-round adds, and the last round adds none; the worklist pays per pair.
-Measured as the round pass's time over the worklist's, on the same seeded
-gnp graphs (Python 3.11, one core, best of 50): at n = 92, 0.66 at
-M/n = 23 (p = 0.5), 0.85 at M/n = 4.4 and 0.95 at M/n = 3.6; at n = 270,
-0.45 at M/n = 67 (p = 0.5), 0.61 at M/n = 14 and 1.06 to 1.09 at
-M/n = 4.0.  So 4n is about where the rounds stop paying.  At n = 8 they
-take 0.9 to 1.7 times as long; the gate keeps every graph with n <= 9 off
-them, since C(n, 2) >= 4n needs n >= 9 and at n = 9 only the edgeless
-graph, which the early exit below returns, misses 36 pairs.  Alone, the
-rounds would also win on an S/T host plus one X-Z edge (0.50 at n = 92,
-M = n; 0.78 at n = 270, M = 2n); whether the gate can move below 4n for
-that shape is open.
+Why n >= 64 or M >= 4n: the rounds do O(n) mask operations per round,
+however few pairs a round adds, and the last round usually adds none; the
+worklist pays per pair and per rescan.  Measured as the round pass's time
+over the worklist's on the same graphs (Python 3.11, one core, best of 15
+to 25 per graph), the worklist wins at small orders: 1.75 on gnp(8, 0.5),
+1.96 on gnp(9, 0.5), 1.75 on gnp(14, p) for p = 0.3 to 0.7, and 1.04 on
+the hunt's dense samples at n = 22 (summed over 60 to 250 seeded graphs).
+A grid over n = 8 to 270 and M/n = 0.5 to 5 (four graphs per cell), on
+seeded gnp with M pairs missing at random, on an S/T host plus one X-Z
+edge, and on near-hosts (a host with 2 to 6 pairs deleted inside Y u Z and
+one X-Z edge added, then relabeled), gives:
+
+* n <= 22: the worklist wins on gnp with M/n >= 2 (0.86 to 2.6, above 1
+  on all but a few graphs) and on the near-hosts (1.23 to 1.37 at n = 22);
+  gnp below M/n = 2 is mixed (0.62 to 1.73).  The rounds win only on the
+  host plus one edge (0.55 to 0.86).
+* n = 32 to 56: gnp 0.60 to 1.11, the host plus one edge 0.54 to 0.58,
+  the near-hosts 0.92 to 1.20.
+* n = 64 to 92: gnp 0.72 to 1.32 (most cells below 1), the host plus one
+  edge 0.52 to 0.84, the near-hosts 0.93 to 1.07.
+* n = 128 to 270: the host plus one edge 0.51 to 0.79 (0.78 at n = 270,
+  M = 2n, k = 3), the near-hosts 0.80 to 1.08, gnp 0.78 to 1.23, with the
+  worklist ahead at M/n = 1 to 3 (0.99 to 1.23) and 1.11 on
+  gnp(270, 0.97) (M = 4.0n; 1.06 to 1.09 in an earlier measurement).
+
+Above n = 30 neither pass is more than about 1.3 times slower than the
+other on any shape but one: the host plus one edge, on which the rounds
+take 0.51 to 0.86 of the worklist's time.  That shape is what ``certify`` closes at the paper's
+orders, since missing pairs spread at random leave every nonadjacent pair
+a degree sum near 2n and the Ore stage decides such graphs first.  So the
+rounds take every graph from n = 64 up, where the near-hosts stop losing,
+and graphs with M >= 4n below it.  A host with deletions and no added edge
+loses 1.3 to 1.65 at every order (its closure re-adds a few pairs, then
+spends a whole round finding nothing), but it is exceptional and
+``certify`` skips its closure.
 
 Before either pass, closure returns at once when the two largest degrees
 sum to at most n: then no pair, adjacent or not, has degree sum n + 1, so no
@@ -90,7 +113,7 @@ def closure(g: Graph) -> tuple[Graph, ClosureTrace]:
     rows = list(g._rows)
     deg = list(g._deg)
     missing = n * (n - 1) // 2 - g._m
-    if missing >= 4 * n:
+    if missing >= 4 * n or n >= 64:  # where the rounds win (module docstring)
         added = _rounds(n, rows, deg, missing)
     else:
         added = _worklist(n, rows, deg)

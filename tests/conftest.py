@@ -2,7 +2,7 @@
 
 The brute-force routines here deliberately avoid the package's own search
 machinery: paths are found by permutation enumeration and checked edge by
-edge, degree sums pair by pair, eigen-equation residuals by a plain
+edge, connectivity one neighbour at a time, degree sums pair by pair, eigen-equation residuals by a plain
 neighbor sum, the Perron enclosure by a power iteration that checks every
 iterate, and graph6 bodies one bit per step, so they can arbitrate
 disagreements.  ``neighbors``, ``relabel``, ``add_edges``, ``cycle``,
@@ -26,6 +26,18 @@ from hamq.rng import SplitMix64
 def neighbors(g: Graph, v: int) -> list[int]:
     """The neighbours of v in ascending order."""
     return [u for u in range(g.n) if g.has_edge(v, u)]
+
+
+def brute_connected(g: Graph) -> bool:
+    """Whether every vertex is reached from vertex 0, one neighbour at a time."""
+    seen = {0}
+    todo = [0]
+    while todo:
+        for u in neighbors(g, todo.pop()):
+            if u not in seen:
+                seen.add(u)
+                todo.append(u)
+    return len(seen) == g.n
 
 
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:

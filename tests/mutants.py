@@ -16,6 +16,8 @@ Usage, from the repository root::
 
 Each run takes about as long as tier-1 (under a minute on two cores), so the
 runner stays out of tier-1 and CI; pytest does not collect this file.
+``tests/test_mutants.py`` checks in tier-1 that every mutant still applies
+to the working tree, so a source edit that orphans one fails at once.
 Exit status: 0 when no mutant that is not marked equivalent survives.
 """
 
@@ -42,6 +44,7 @@ class Mutant(NamedTuple):
 
 
 CERTIFIER = "src/hamq/certifier.py"
+GRAPH = "src/hamq/graph.py"
 TRANSFORMS = "src/hamq/transforms.py"
 
 MUTANTS = (
@@ -59,13 +62,16 @@ MUTANTS = (
     Mutant("separator-count-c-plus-1", CERTIFIER,
            "if not 2 <= len(y) <= c:", "if not 2 <= len(y) <= c + 1:"),
     Mutant("spectral-drops-k2", CERTIFIER,
-           "range(min(delta, n // 2), 1, -1)", "range(min(delta, n // 2), 2, -1)"),
+           "range(2, min(delta, n // 2) + 1)", "range(3, min(delta, n // 2) + 1)"),
     # class-1 and class-2 deletion counts are disjoint, so at most one class fits
     Mutant("family-class-order", CERTIFIER,
            '(part.kind + "1", part.kind + "2")', '(part.kind + "2", part.kind + "1")',
            equivalent=True),
     Mutant("edge-count-floor-10k", CERTIFIER,
            "k = min(delta, n // 11)", "k = min(delta, n // 10)"),
+    # the screen's connectivity record
+    Mutant("connectivity-record-true", GRAPH,
+           "g._connected = not unvisited", "g._connected = True"),
     # the closure's round pass
     Mutant("closure-emit-shift-u", TRANSFORMS,
            "hi = cand >> (u + 1)", "hi = cand >> u"),
@@ -74,9 +80,11 @@ MUTANTS = (
            "added += zip(repeat(u), compress(range(n), _bit_selector(cand)))"),
     Mutant("closure-one-round", TRANSFORMS,
            "if len(added) in (before, missing):", "if True:"),
+    Mutant("closure-order-gate-65", TRANSFORMS,
+           "missing >= 4 * n or n >= 64", "missing >= 4 * n or n >= 65"),
     # rounds on every graph compute the same closure, only slower
     Mutant("closure-gate-ge-0", TRANSFORMS,
-           "if missing >= 4 * n:", "if missing >= 0:", equivalent=True),
+           "if missing >= 4 * n or n >= 64:", "if missing >= 0:", equivalent=True),
 )
 
 
@@ -87,17 +95,26 @@ def export(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=tar, check=True)
 
 
+def locate(mutant: Mutant, lines: list[str]) -> int:
+    """The index of the one line of ``lines`` that holds ``mutant.old``, once;
+    ValueError when there is no such line, or more than one."""
+    hits = [i for i, line in enumerate(lines) if mutant.old in line]
+    if len(hits) != 1:
+        raise ValueError(f"{mutant.name}: {mutant.old!r} is on {len(hits)} lines of "
+                         f"{mutant.path}, not one")
+    if lines[hits[0]].count(mutant.old) != 1:
+        raise ValueError(f"{mutant.name}: {mutant.old!r} occurs more than once on its line")
+    return hits[0]
+
+
 def apply(mutant: Mutant, tree: Path) -> None:
     """Replace ``mutant.old`` by ``mutant.new`` on its one line in ``tree``."""
     path = tree / mutant.path
     lines = path.read_text().splitlines(keepends=True)
-    hits = [i for i, line in enumerate(lines) if mutant.old in line]
-    if len(hits) != 1:
-        raise SystemExit(f"{mutant.name}: {mutant.old!r} is on {len(hits)} lines of "
-                         f"{mutant.path}, not one")
-    i = hits[0]
-    if lines[i].count(mutant.old) != 1:
-        raise SystemExit(f"{mutant.name}: {mutant.old!r} occurs more than once on its line")
+    try:
+        i = locate(mutant, lines)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
     lines[i] = lines[i].replace(mutant.old, mutant.new)
     path.write_text("".join(lines))
 
@@ -113,9 +130,11 @@ def run(mutant: Mutant, rev: str, workdir: str | None) -> tuple[str, float, str]
         env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
         env.update(PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
         start = time.perf_counter()
+        # a mutated tree fails test_mutants.py by construction (the old text
+        # is gone), so that check is left out of the run
         done = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-             "--continue-on-collection-errors"],
+             "--continue-on-collection-errors", "--ignore=tests/test_mutants.py"],
             cwd=tree, env=env, capture_output=True, text=True)
         wall = time.perf_counter() - start
     lines = done.stdout.strip().splitlines() or [""]

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
 from itertools import chain
 from math import comb
@@ -94,6 +95,40 @@ def test_screen_reports_disconnection_from_the_cut_vertex_search(monkeypatch):
     for g in (complete(1), complete(2), complete(5), cycle(6), path_graph(4)):
         certify(g)
     assert calls == [2, 4]
+
+
+def _two_blocks(n, p, rng, shared):
+    """gnp(p) on 0..n//2 and on n//2..n-1, sharing vertex n//2 when
+    ``shared``, else with the upper block shifted off it."""
+    c = n // 2
+    lower = [(u, v) for u in range(c + 1) for v in range(u + 1, c + 1) if rng.next_float() < p]
+    top = c if shared else c + 1
+    upper = [(u, v) for u in range(top, n) for v in range(u + 1, n) if rng.next_float() < p]
+    return Graph(n, lower + upper)
+
+
+def test_screen_record_spares_every_later_sweep(monkeypatch):
+    # the cut-vertex search leaves connectivity on g, so neither the
+    # screen's question nor the spectral bound's input check sweeps again
+    import hamq.graph
+
+    sweeps = []
+    real = hamq.graph._reach_mask
+    monkeypatch.setattr(hamq.graph, "_reach_mask", lambda *args: sweeps.append(args) or real(*args))
+    rng = SplitMix64(157)
+    sparse = gnp(270, 0.2, rng)
+    cert = certify(sparse)
+    assert cert.outcome == OUTCOME_INCONCLUSIVE and "q_upper_bound" in cert.parameters
+    assert [t["k"] for t in cert.trace if t["condition"] == "Spectral"] == [3, 2]
+    cut = _two_blocks(270, 0.6, rng, shared=True)
+    cert = certify(cut)
+    assert cert.witnesses == {"reason": "cut-vertex", "cut_vertex": 135}
+    assert sweeps == []
+    # a disconnected graph: the search stops short of the second block,
+    # which the record says, and the verdict names the disconnection
+    cert = certify(_two_blocks(270, 0.6, rng, shared=False))
+    assert cert.witnesses == {"reason": "disconnected"}
+    assert [t["condition"] for t in cert.trace] == ["Connectivity"]
 
 
 def test_ore_graphs_skip_the_screen_it_could_not_fail(small_connected, monkeypatch):
@@ -782,6 +817,77 @@ def test_paper_order_closures_replay_to_the_complete_graph():
             deg[v] += 1
         assert deg == [n - 1] * n
         assert hashlib.sha256(repr(sorted(added)).encode()).hexdigest() == digest
+
+
+def _paper_order_corpus():
+    """Seeded gnp across the census bands at n = 92, a few gnp at n = 270, a
+    sparse and a dense gnp at n = 652, and relabeled hosts, near-hosts (one
+    X-Z edge added, one X-Y edge removed) and class members at (92, 2) and
+    (270, 3)."""
+    rng = SplitMix64(2033)
+    for p in (0.05, 0.1, 0.2, 0.3, 0.4, 0.5):
+        for _ in range(3):
+            yield gnp(92, p, rng)
+    for p in (0.05, 0.2, 0.5, 0.9):
+        yield gnp(270, p, rng)
+    yield gnp(652, 0.05, rng)
+    yield gnp(652, 0.5, rng)
+    for n, k in ((92, 2), (270, 3)):
+        for build in (build_S, build_T):
+            h = build(n, k)
+            x = h.X[rng.next_below(len(h.X))]
+            y = h.Y[rng.next_below(len(h.Y))]
+            z = h.Z[rng.next_below(len(h.Z))]
+            for g in (h.graph, add_edges(h.graph, [(x, z)]), delete_edges(h.graph, [(x, y)])):
+                yield relabel(g, rng.permutation(n))
+        for clazz in CLASSES:
+            for member in enumerate_class(clazz, n, k, mode="sample", seed=n, count=2):
+                yield relabel(member.graph, rng.permutation(n))
+
+
+def _census_key(cert):
+    """The stage that settled a certificate: the fired condition, else the
+    entry that found an exceptional host, else the screen entry of a
+    negative, else "none"."""
+    if cert.fired_condition:
+        return cert.fired_condition["name"]
+    for entry in cert.trace:
+        if entry["verdict"] == "exceptional":
+            return entry["condition"]
+    if cert.outcome == OUTCOME_NOT_HC:
+        return cert.trace[0]["condition"]
+    return "none"
+
+
+# (outcome, deciding stage) counts over _paper_order_corpus(), and the
+# sha256 of its reports and exit codes with closure_additions sorted, since
+# their order is the closure's choice; both computed before the closure's
+# pass selection looked at the order n
+_PAPER_ORDER_CENSUS = {
+    ("CertifiedHamiltonConnected", "ClosureComplete"): 7,
+    ("CertifiedHamiltonConnected", "Ore"): 3,
+    ("ExceptionalFamily", "EdgeCount"): 20,
+    ("Inconclusive", "none"): 17,
+    ("NotHamiltonConnected", "Connectivity"): 2,
+    ("NotHamiltonConnected", "TwoConnectivity"): 3,
+}
+_PAPER_ORDER_DIGEST = "bffc7f3990e14321cd0a563de9d086ec39d887f7dde173b6d4a2f871f4b9adb5"
+
+
+def test_paper_order_verdicts_and_witness_sets_are_pinned():
+    census = Counter()
+    digest = hashlib.sha256()
+    for g in _paper_order_corpus():
+        cert = certify(g)
+        census[cert.outcome, _census_key(cert)] += 1
+        report = explain(cert)
+        if "closure_additions" in report["witnesses"]:
+            report["witnesses"] = {**report["witnesses"],
+                                   "closure_additions": sorted(report["witnesses"]["closure_additions"])}
+        digest.update(json.dumps(report, sort_keys=True).encode())
+        digest.update(b"%d\n" % cert.exit_code())
+    assert dict(census) == _PAPER_ORDER_CENSUS
+    assert digest.hexdigest() == _PAPER_ORDER_DIGEST
 
 
 def test_oracle_timeout_outcome():

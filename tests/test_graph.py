@@ -23,12 +23,13 @@ from hamq.graph import (
     parse_graph6,
 )
 from hamq.families import build_S, build_T
-from hamq.rng import SplitMix64, gnp
+from hamq.rng import SplitMix64, gnp, random_connected_gnp
 
 from conftest import (
     add_edges,
     bitwise_emit_graph6,
     bitwise_parse_graph6,
+    brute_connected,
     cycle,
     emit_edgelist,
     path_graph,
@@ -244,6 +245,37 @@ def test_cut_vertex_isolated_vertices_plus_a_clique():
         assert cut_vertex(disjoint_union(complete(n - 1), complete(1))) == 0
         assert cut_vertex(disjoint_union(two, complete(n - 2))) == 0
         assert cut_vertex(disjoint_union(complete(n - 2), two)) == 0
+
+
+def test_cut_vertex_records_connectivity(small_connected, monkeypatch):
+    # the search reaches every vertex exactly when g is connected and leaves
+    # that on g, so is_connected answers after it without a sweep
+    import hamq.graph
+
+    sweeps = []
+    monkeypatch.setattr(hamq.graph, "_reach_mask",
+                        lambda *args: sweeps.append(args) or _reach_mask(*args))
+    rng = SplitMix64(151)
+    graphs = [g for n in range(3, 8) for g in small_connected[n]]
+    for n in (3, 4, 10, 92):  # vertex 0 isolated, then the last vertex
+        graphs += [disjoint_union(complete(1), complete(n - 1)),
+                   disjoint_union(complete(n - 1), complete(1))]
+    for _ in range(300):  # two components under a random relabeling
+        a, b = 1 + rng.next_below(9), 2 + rng.next_below(8)
+        two = disjoint_union(random_connected_gnp(a, 0.5, rng), random_connected_gnp(b, 0.5, rng))
+        graphs.append(relabel(two, rng.permutation(a + b)))
+    connected = []
+    for g in graphs:
+        g = Graph(g.n, g.edges())  # a fresh value, with nothing recorded yet
+        assert g._connected is None
+        cut_vertex(g)
+        before = len(sweeps)
+        connected.append(is_connected(g))
+        assert connected[-1] == brute_connected(g) and len(sweeps) == before
+    assert True in connected and False in connected
+    # below order 3 the search does not run and records nothing
+    for g in (complete(1), complete(2), Graph(2, [])):
+        assert cut_vertex(g) is None and g._connected is None
 
 
 def test_component_count():
