@@ -229,13 +229,15 @@ def min_degree(g: Graph) -> int:
 
 
 def _degree_masks(deg: Sequence[int]) -> list[int]:
-    """``ge[t]``, the mask of vertices of degree >= t, for t = 0..n.
+    """``ge[t]``, the mask of vertices of degree >= t, for t = 0..n + 1.
 
-    Degrees are at most n - 1, so ``ge[n] == 0``.  Cost: O(n) operations on
-    n-bit integers.
+    Degrees are at most n - 1, so ``ge[n] == ge[n + 1] == 0``, and
+    ``ge[n + 1 - d]``, the partners a vertex of degree d needs for a degree
+    sum of n + 1, is an entry for every degree d, 0 included.  Cost: O(n)
+    operations on n-bit integers.
     """
     n = len(deg)
-    ge = [0] * (n + 1)
+    ge = [0] * (n + 2)
     for v, d in enumerate(deg):
         ge[d] |= 1 << v
     for t in range(n - 1, -1, -1):

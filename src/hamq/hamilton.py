@@ -213,9 +213,9 @@ def ore_check(g: Graph) -> bool:
     The pairs are read as masks: with ``ge[t]`` the vertices of degree >= t
     (``graph._degree_masks``), a non-neighbour v != u of u sums to at least
     n + 1 iff v lies in ``ge[n + 1 - d(u)]``, so the check fails iff some u
-    has ``ge[n + 1 - d(u)] | N[u]`` short of all n vertices.  ``ge[n] == 0``
-    stands in for t = n + 1 (d(u) = 0), which no vertex reaches either.
-    Cost: O(n) operations on n-bit integers, not the O(n^2) pair loop.
+    has ``ge[n + 1 - d(u)] | N[u]`` short of all n vertices.  The masks run
+    to t = n + 1, so that entry exists for every degree, 0 included.  Cost:
+    O(n) operations on n-bit integers, not the O(n^2) pair loop.
 
     Two cheaper steps come first.  With 2 * delta >= n + 1 every pair sums
     to at least n + 1.  Otherwise a vertex u of minimum degree asks the most
@@ -239,6 +239,6 @@ def ore_check(g: Graph) -> bool:
             return False
     ge = _degree_masks(deg)
     for u, d in enumerate(deg):
-        if (ge[min(n + 1 - d, n)] | rows[u] | 1 << u) != full:
+        if (ge[n + 1 - d] | rows[u] | 1 << u) != full:
             return False
     return True

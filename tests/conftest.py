@@ -43,7 +43,12 @@ def brute_connected(g: Graph) -> bool:
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     """Apply a vertex permutation: vertex v of g becomes perm[v]."""
     assert sorted(perm) == list(range(g.n)), "perm is not a permutation of the vertex set"
-    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    bit = [1 << p for p in perm]
+    rows = [0] * g.n
+    for u, v in g.edges():
+        rows[perm[u]] |= bit[v]
+        rows[perm[v]] |= bit[u]
+    return Graph._from_rows(g.n, rows)
 
 
 def add_edges(g: Graph, edges: Iterable[Sequence[int]]) -> Graph:

@@ -80,11 +80,15 @@ MUTANTS = (
            "added += zip(repeat(u), compress(range(n), _bit_selector(cand)))"),
     Mutant("closure-one-round", TRANSFORMS,
            "if len(added) in (before, missing):", "if True:"),
-    Mutant("closure-order-gate-65", TRANSFORMS,
-           "missing >= 4 * n or n >= 64", "missing >= 4 * n or n >= 65"),
+    # the rounds only from order N + 1: the order-N graphs go to the worklist
+    Mutant("closure-order-gate-gt", TRANSFORMS,
+           "_rounds if n >= _ROUNDS_FROM_ORDER", "_rounds if n > _ROUNDS_FROM_ORDER"),
     # rounds on every graph compute the same closure, only slower
     Mutant("closure-gate-ge-0", TRANSFORMS,
-           "if missing >= 4 * n or n >= 64:", "if missing >= 0:", equivalent=True),
+           "_rounds if n >= _ROUNDS_FROM_ORDER else", "_rounds if n >= 0 else", equivalent=True),
+    # the degree masks one entry short: ge[n + 1], read for a vertex of
+    # degree 0, is past the end
+    Mutant("degree-masks-short", GRAPH, "ge = [0] * (n + 2)", "ge = [0] * (n + 1)"),
 )
 
 

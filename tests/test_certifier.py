@@ -845,6 +845,28 @@ def _paper_order_corpus():
                 yield relabel(member.graph, rng.permutation(n))
 
 
+def _paper_order_corpus_k4_k5():
+    """Relabeled hosts, near-hosts (one X-Z edge added, one X-Y edge removed)
+    and one member of each class at (652, 4), and the n = 55, k = 5
+    EdgeCount graph of the ``hamq.certifier`` docstring, as given and
+    relabeled."""
+    rng = SplitMix64(2034)
+    n, k = 652, 4
+    for build in (build_S, build_T):
+        h = build(n, k)
+        perm = rng.permutation(n)
+        x = perm[h.X[rng.next_below(len(h.X))]]
+        y = perm[h.Y[rng.next_below(len(h.Y))]]
+        z = perm[h.Z[rng.next_below(len(h.Z))]]
+        g = relabel(h.graph, perm)
+        yield from (g, add_edges(g, [(x, z)]), delete_edges(g, [(x, y)]))
+    for clazz in CLASSES:
+        for member in enumerate_class(clazz, n, k, mode="sample", seed=n, count=1):
+            yield relabel(member.graph, rng.permutation(n))
+    g = _k5_graph((0, 1, 2), [(51, 52), (52, 53), (53, 54), (51, 54)])
+    yield from (g, relabel(g, rng.permutation(55)))
+
+
 def _census_key(cert):
     """The stage that settled a certificate: the fired condition, else the
     entry that found an exceptional host, else the screen entry of a
@@ -872,12 +894,23 @@ _PAPER_ORDER_CENSUS = {
     ("NotHamiltonConnected", "TwoConnectivity"): 3,
 }
 _PAPER_ORDER_DIGEST = "bffc7f3990e14321cd0a563de9d086ec39d887f7dde173b6d4a2f871f4b9adb5"
+# the same over _paper_order_corpus_k4_k5(), computed before the closure chose
+# its pass by the order alone
+_PAPER_ORDER_K4_K5_CENSUS = {
+    ("CertifiedHamiltonConnected", "ClosureComplete"): 2,
+    ("CertifiedHamiltonConnected", "EdgeCount"): 2,
+    ("ExceptionalFamily", "EdgeCount"): 6,
+    ("Inconclusive", "none"): 2,
+}
+_PAPER_ORDER_K4_K5_DIGEST = "f76ecddbc5b5d011db77a590766da9b9156e575e7b6d69459fd204eaa82b20b9"
 
 
-def test_paper_order_verdicts_and_witness_sets_are_pinned():
+def _census_and_digest(graphs):
+    """The (outcome, deciding stage) counts of ``graphs`` and the sha256 of
+    their reports and exit codes, with closure_additions sorted."""
     census = Counter()
     digest = hashlib.sha256()
-    for g in _paper_order_corpus():
+    for g in graphs:
         cert = certify(g)
         census[cert.outcome, _census_key(cert)] += 1
         report = explain(cert)
@@ -886,8 +919,14 @@ def test_paper_order_verdicts_and_witness_sets_are_pinned():
                                    "closure_additions": sorted(report["witnesses"]["closure_additions"])}
         digest.update(json.dumps(report, sort_keys=True).encode())
         digest.update(b"%d\n" % cert.exit_code())
-    assert dict(census) == _PAPER_ORDER_CENSUS
-    assert digest.hexdigest() == _PAPER_ORDER_DIGEST
+    return dict(census), digest.hexdigest()
+
+
+def test_paper_order_verdicts_and_witness_sets_are_pinned():
+    assert _census_and_digest(_paper_order_corpus()) == (
+        _PAPER_ORDER_CENSUS, _PAPER_ORDER_DIGEST)
+    assert _census_and_digest(_paper_order_corpus_k4_k5()) == (
+        _PAPER_ORDER_K4_K5_CENSUS, _PAPER_ORDER_K4_K5_DIGEST)
 
 
 def test_oracle_timeout_outcome():

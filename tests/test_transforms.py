@@ -6,12 +6,13 @@ from hamq.corpus import all_graphs
 from hamq.errors import BadParameters
 from hamq.families import build_S, build_T
 from hamq.graph import Graph, _degree_masks, complete, delete_edges, is_connected
+from hamq.hamilton import ore_check
 from hamq.rng import SplitMix64, gnp, random_connected_gnp
 from hamq.spectral import perron_pair
-from hamq.transforms import closure, kelmans
+from hamq.transforms import _ROUNDS_FROM_ORDER, closure, kelmans
 from hamq.verify import _closure_with_order
 
-from conftest import add_edges, cycle, path_graph
+from conftest import add_edges, brute_ore, cycle, path_graph, relabel
 
 
 def test_closure_examples():
@@ -70,7 +71,7 @@ def test_closure_skips_the_pass_when_no_pair_reaches_n_plus_1(small_connected, m
     # without building the degree masks; on either side of that cut-off
     # (sums n - 3 .. n + 3 on seeded gnp, n = 3..60) it agrees with the
     # restart scan.  A graph that is not skipped builds the masks once on the
-    # worklist (fewer than 4n missing pairs), once per round otherwise
+    # worklist (order below the round pass's), once per round otherwise
     import hamq.transforms as transforms
 
     built = []
@@ -92,7 +93,7 @@ def test_closure_skips_the_pass_when_no_pair_reaches_n_plus_1(small_connected, m
         if sum(sorted(g.degrees())[-2:]) <= g.n:
             assert cl is g and tr.added == () and built == []
             skipped += 1
-        elif _missing(g) < 4 * g.n:
+        elif g.n < _ROUNDS_FROM_ORDER:
             assert len(built) == 1
         else:
             assert len(built) >= 1
@@ -160,21 +161,27 @@ def _with_missing(g, target, rng):
                        if rows[u] >> v & 1])
 
 
-def _gate_edge_inputs():
-    # seeded gnp reaches a complete closure at these counts; the hosts stop short
+def _missing_count_inputs():
+    # the pass does not depend on the missing-pair count M: graphs at
+    # M = 4n - 1 and 4n, and seeded gnp with M >= 4n below the order gate,
+    # where the worklist is the faster pass.  Seeded gnp reaches a complete
+    # closure at these counts; the hosts stop short
     rng = SplitMix64(83)
     for n in (20, 40, 92):
         for base in (gnp(n, 0.5, rng), build_S(n, 2).graph, build_T(n, 2).graph):
             for target in (4 * n - 1, 4 * n):
                 yield _with_missing(base, target, rng)
+    for n in (16, 20, 24, 28):
+        for target in (4 * n, 5 * n):
+            yield _with_missing(gnp(n, 0.5, rng), target, rng)
 
 
 def _order_gate_inputs():
-    # fewer than 4n missing pairs on either side of the order gate (n = 63
-    # takes the worklist, n = 64 the rounds), and S/T(270, 3) plus one X-Z
-    # edge, the paper-order shape that gate is for
+    # either side of the order gate (n = N - 1 takes the worklist, n = N the
+    # rounds), and S/T(270, 3) plus one X-Z edge, the paper-order shape the
+    # rounds are for
     rng = SplitMix64(89)
-    for n in (63, 64):
+    for n in (_ROUNDS_FROM_ORDER - 1, _ROUNDS_FROM_ORDER):
         for base in (gnp(n, 0.5, rng), build_S(n, 2).graph, build_T(n, 2).graph):
             for target in (n, 2 * n, 4 * n - 1):
                 yield _with_missing(base, target, rng)
@@ -194,10 +201,9 @@ def _assert_closed(g):
 
 
 def test_closure_matches_restart_scan_at_larger_orders(monkeypatch):
-    # also on either side of the pass gates: graphs of order < 64 with
-    # fewer than 4n missing pairs take the worklist, which builds the degree
-    # masks exactly once; the rest take the rounds, which build them once
-    # per round and replay in order
+    # also on either side of the order gate: graphs of order below it take
+    # the worklist, which builds the degree masks exactly once; the rest
+    # take the rounds, which build them once per round and replay in order
     import hamq.transforms as transforms
 
     built = []
@@ -209,7 +215,7 @@ def test_closure_matches_restart_scan_at_larger_orders(monkeypatch):
                             name=name: passes.append(name) or real(*args))
     added = 0
     sides = {"worklist": 0, "rounds": 0, "incomplete": 0}
-    for g in [*_larger_closure_inputs(), *_gate_edge_inputs(), *_order_gate_inputs()]:
+    for g in [*_larger_closure_inputs(), *_missing_count_inputs(), *_order_gate_inputs()]:
         cl, tr = closure(g)
         if g.n <= 92:
             assert cl == _lexicographic_closure(g)
@@ -221,7 +227,7 @@ def test_closure_matches_restart_scan_at_larger_orders(monkeypatch):
         added += len(tr.added)
         if sum(sorted(g.degrees())[-2:]) <= g.n:
             assert built == [] and passes == []
-        elif _missing(g) < 4 * g.n and g.n < 64:
+        elif g.n < _ROUNDS_FROM_ORDER:
             assert passes == ["_worklist"] and len(built) == 1
             sides["worklist"] += 1
         else:
@@ -239,6 +245,43 @@ def test_closure_of_closed_graph_adds_nothing():
         cl, _ = closure(g)
         again, tr = closure(cl)
         assert again == cl and tr.added == ()
+
+
+def _clique_pendant_isolated(n, rng):
+    """K_{n-2} on vertices 0..n-3, a pendant vertex n-2 on vertex 0 and an
+    isolated vertex n-1, then the same less the clique edge (1, 2), both
+    relabeled: degrees 0 and 1 next to two largest degrees that sum to
+    2n - 5 from n = 6 up."""
+    clique = [(u, v) for u in range(n - 2) for v in range(u + 1, n - 2)]
+    g = Graph(n, [*clique, (0, n - 2)])
+    for h in (g, delete_edges(g, [(1, 2)])):
+        yield relabel(h, rng.permutation(n))
+
+
+def test_degree_masks_cover_degrees_0_and_1(monkeypatch):
+    # ge[n + 1 - d] is read for every vertex, so a vertex of degree 0 reads
+    # ge[n + 1] and one of degree 1 reads ge[n]; both passes and ore_check
+    # meet them here, past the closure's early exit from n = 6 up
+    import hamq.transforms as transforms
+
+    passes = []
+    for name in ("_rounds", "_worklist"):
+        monkeypatch.setattr(transforms, name, lambda *args, real=getattr(transforms, name),
+                            name=name: passes.append(name) or real(*args))
+    rng = SplitMix64(97)
+    for n in [*range(5, 13), _ROUNDS_FROM_ORDER - 1, _ROUNDS_FROM_ORDER, 40]:
+        ge = _degree_masks([0, 1, *[n - 1] * (n - 2)])
+        assert len(ge) == n + 2 and ge[n] == ge[n + 1] == 0 and ge[1] == (1 << n) - 2
+        for g in _clique_pendant_isolated(n, rng):
+            assert sorted(g.degrees())[:2] == [0, 1]
+            cl, tr = closure(g)
+            assert cl == _lexicographic_closure(g)
+            _assert_trace_replays(g, cl, tr)
+            for h in (g, cl):
+                assert ore_check(h) == brute_ore(h)
+    # two graphs per order: n = 6..12 and N - 1 on the worklist, N and 40 on
+    # the rounds
+    assert passes.count("_worklist") == 2 * 8 and passes.count("_rounds") == 2 * 2
 
 
 def test_kelmans_examples():
